@@ -25,7 +25,6 @@ from .errors import (
     UnderdeterminedError,
 )
 from .geometry import (
-    Fraction,
     Isometry,
     fixed_space_dim,
     matrix_rank,

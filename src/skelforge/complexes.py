@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundaryError, DegenerateFaceError
-from .geometry import scalar, vadd, vdot, vec_str, vneg, vscale, vsub
+from .geometry import finite_lattice, scalar, vadd, vdot, vec_str, vneg, vscale, vsub
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,12 @@ def _lex_positive(v):
         if c != 0:
             return c > 0
     return False
+
+
+def least_rotation(seq):
+    """The least rotation of a cyclic sequence or of its reversal."""
+    seq = tuple(seq)
+    return min(s[k:] + s[:k] for s in (seq, seq[::-1]) for k in range(len(seq)))
 
 
 class FaceDescriptor:
@@ -146,15 +152,7 @@ class FaceDescriptor:
     def canonical_form(self):
         """Equivalent descriptor with a deterministic start and direction."""
         if self.period_vector is None:
-            verts = self.vertices
-            n = len(verts)
-            best = None
-            for seq in (verts, tuple(reversed(verts))):
-                for s in range(n):
-                    rot = seq[s:] + seq[:s]
-                    if best is None or rot < best:
-                        best = rot
-            return FaceDescriptor(best, None, check=False)
+            return FaceDescriptor(least_rotation(self.vertices), None, check=False)
         face = self if _lex_positive(self.period_vector) else self.reversed()
         t = face.period_vector
         t2 = vdot(t, t)
@@ -381,11 +379,12 @@ class SkeletalComplex:
 
     @property
     def lattice(self):
+        """The translation lattice (None when trivial), scanned if not given."""
         if self._lattice is None:
             from .orbit import detect_translation_lattice
 
-            self._lattice = detect_translation_lattice(self)
-        return self._lattice
+            self._lattice = detect_translation_lattice(self) or finite_lattice()
+        return self._lattice if self._lattice.rank else None
 
     # -- vertex figures -----------------------------------------------------
 

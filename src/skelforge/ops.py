@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FaceDescriptor, SkeletalComplex, validate
+from .complexes import FaceDescriptor, SkeletalComplex, least_rotation, validate
 from .errors import (
     InvalidParametersError,
     NotBipartiteError,
@@ -21,8 +21,6 @@ from .errors import (
     ZeroParameterError,
 )
 from .geometry import (
-    mat_inverse,
-    mat_transpose,
     norm_inf,
     scalar,
     vadd,
@@ -32,6 +30,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
+from .quotient import face_translates
 
 WORDS = {
     "petrie": (0, 1, 2),
@@ -200,19 +199,6 @@ def _primitive_walk(vertices, disp):
     return vertices, disp
 
 
-def _cyclic_signature(seq, reversible=True):
-    seqs = [tuple(seq)]
-    if reversible:
-        seqs.append(tuple(reversed(seq)))
-    best = None
-    for s in seqs:
-        for k in range(len(s)):
-            rot = s[k:] + s[:k]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def trace(patch, word_name, quotient_scale=4):
     """All distinct circuits of a flag word, with lengths or periods.
 
@@ -241,13 +227,13 @@ def trace(patch, word_name, quotient_scale=4):
         else:
             pts, period = _primitive_walk(vertices, disp)
             length = len(pts)
-        sig = (_cyclic_signature(edge_ids), closed_up,
+        sig = (least_rotation(edge_ids), closed_up,
                None if period is None else min(period, vscale(-1, period)))
         if sig in sigs:
             continue
         sigs.add(sig)
         out.append(
-            WordTrace(word_name, length, closed_up, period, _cyclic_signature(edge_ids))
+            WordTrace(word_name, length, closed_up, period, least_rotation(edge_ids))
         )
     out.sort(key=lambda t: (not t.closed_up, t.length))
     return out
@@ -255,36 +241,6 @@ def trace(patch, word_name, quotient_scale=4):
 
 # ---------------------------------------------------------------------------
 # Petrie dual
-
-
-def _lattice_translates_touching(lattice, face, region):
-    """Lattice vectors whose translate of the face touches the region."""
-    if lattice is None or lattice.rank == 0:
-        return [(0, 0, 0)] if face.window(region) is not None else []
-    pts = face.vertices
-    spread = max(norm_inf(p) for p in pts)
-    w = region.radius + spread + norm_inf(region.center)
-    if face.period_vector is not None:
-        w += norm_inf(face.period_vector)
-    basis = lattice.basis
-    if lattice.rank == 3:
-        inv_rows = mat_inverse(mat_transpose(basis))
-    else:
-        ext = basis + (vcross(basis[0], basis[1]),)
-        inv_rows = mat_inverse(mat_transpose(ext))
-    out = []
-
-    def rec(idx, acc):
-        if idx == lattice.rank:
-            if norm_inf(acc) <= w and face.translate(acc).window(region) is not None:
-                out.append(acc)
-            return
-        bound = math.ceil(sum(abs(Fraction(c)) for c in inv_rows[idx]) * w)
-        for c in range(-bound, bound + 1):
-            rec(idx + 1, vadd(acc, vscale(c, basis[idx])))
-
-    rec(0, (0, 0, 0))
-    return out
 
 
 def petrie_dual(patch, quotient_scale=4):
@@ -316,11 +272,9 @@ def petrie_dual(patch, quotient_scale=4):
             face = FaceDescriptor(pts, tau)
         circuit_faces.append(face)
 
-    lattice = None if patch.is_finite else closed.lattice
     faces = {}
     for face in circuit_faces:
-        for lam in _lattice_translates_touching(lattice, face, patch.region):
-            cand = face.translate(lam)
+        for cand in face_translates(closed.lattice, face, patch.region):
             faces.setdefault(cand.canonical_key(), cand)
     margin = patch.window.radius - patch.region.radius
     return SkeletalComplex(
@@ -377,30 +331,31 @@ def _patch_plane(patch):
     return n
 
 
-def _two_color_vertices(patch):
+def _two_coloring(nodes, neighbors, what):
+    """Alternating 0/1 coloring of a graph, each component starting at 0."""
     color = {}
-    for start in sorted(patch.vertices):
+    for start in nodes:
         if start in color:
             continue
         color[start] = 0
         stack = [start]
         while stack:
             u = stack.pop()
-            vid = patch.vindex[u]
-            for eid in patch.vertex_edges[vid]:
-                a, b = patch.edge_points[eid]
-                w = b if a == u else a
+            for w in neighbors(u):
                 if w not in color:
                     color[w] = 1 - color[u]
                     stack.append(w)
                 elif color[w] == color[u]:
                     raise NotBipartiteError(
-                        "no alternating 2-coloring of the vertices exists"
+                        f"no alternating 2-coloring of the {what} exists"
                     )
-    base = min(patch.vertices)
-    if color[base] == 1:
-        color = {v: 1 - c for v, c in color.items()}
     return color
+
+
+def _vertex_neighbors(patch, u):
+    for eid in patch.vertex_edges[patch.vindex[u]]:
+        a, b = patch.edge_points[eid]
+        yield b if a == u else a
 
 
 def blend_with_segment(patch, length):
@@ -414,7 +369,9 @@ def blend_with_segment(patch, length):
     if length == 0:
         raise ZeroParameterError("segment blend with zero length degenerates")
     n = _patch_plane(patch)
-    color = _two_color_vertices(patch)
+    color = _two_coloring(
+        patch.vertices, lambda u: _vertex_neighbors(patch, u), "vertices"
+    )
 
     def lift(p):
         sign = 1 if color[p] == 0 else -1
@@ -458,8 +415,7 @@ def _orient_ccw(face, normal):
     return face if s > 0 else face.reversed()
 
 
-def _face_two_coloring(patch):
-    color = [None] * len(patch.faces)
+def _face_adjacency(patch):
     adjacency = [[] for _ in patch.faces]
     for slots in patch.edge_faces:
         fids = sorted({fid for fid, _ in slots})
@@ -468,22 +424,7 @@ def _face_two_coloring(patch):
             adjacency[fids[1]].append(fids[0])
         elif len(fids) > 2:
             raise NotPolyhedronError("blend input has more than 2 faces at an edge")
-    for start in range(len(patch.faces)):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            fi = stack.pop()
-            for fj in adjacency[fi]:
-                if color[fj] is None:
-                    color[fj] = 1 - color[fi]
-                    stack.append(fj)
-                elif color[fj] == color[fi]:
-                    raise NotBipartiteError(
-                        "face adjacency admits no alternating 2-coloring"
-                    )
-    return color
+    return adjacency
 
 
 def blend_with_apeirogon(patch, step):
@@ -505,7 +446,9 @@ def blend_with_apeirogon(patch, step):
     p = sizes.pop()
 
     oriented = [_orient_ccw(f, n) for f in patch.faces]
-    fcolor = _face_two_coloring(patch)
+    nf = len(patch.faces)
+    colors = _two_coloring(range(nf), _face_adjacency(patch).__getitem__, "faces")
+    fcolor = [colors[i] for i in range(nf)]
 
     # each edge ascends by one step in the direction its color-0 face
     # traverses it (equal to the direction the color-1 face descends)
@@ -528,10 +471,7 @@ def blend_with_apeirogon(patch, step):
         stack = [start]
         while stack:
             u = stack.pop()
-            vid = patch.vindex[u]
-            for eid in patch.vertex_edges[vid]:
-                a, b = patch.edge_points[eid]
-                w = b if a == u else a
+            for w in _vertex_neighbors(patch, u):
                 d = direction.get(frozenset((u, w)))
                 if d is None:
                     continue

@@ -2,11 +2,17 @@
 
 A generator set carries named isometries plus a base flag seed (base vertex,
 the other end of the base edge, and the word stabilizing the base face).
-The base face is the orbit of the base vertex under that word; the patch is
-the triple orbit of base vertex, base edge and base face, pruned to a
-bounded region.  BFS prunes against the region expanded by a margin; a
-closure pass afterwards verifies that nothing reachable inside the region
-was cut off, escalating the margin when it was.
+The base face is the orbit of the base vertex under that word.
+
+The group the generators span is enumerated exactly.  Its linear parts form
+the point group, finite for discrete input, with one coset representative
+per matrix; Schreier's lemma then gives the translation lattice.  Vertex,
+edge and face orbits are finitely many classes modulo that lattice, one
+image of the base element per representative, and the patch unrolls every
+class over the bounded region.  A generator-built patch therefore knows its
+lattice: the translation group of the given generators.  Patches of other
+origins (JSON input, hand-built complexes, blends) find theirs by scanning
+the patch, in :func:`detect_translation_lattice`.
 """
 
 from __future__ import annotations
@@ -22,13 +28,27 @@ from .errors import (
 )
 from .complexes import FaceDescriptor, SkeletalComplex
 from .geometry import (
+    IDENTITY3,
+    ZERO3,
     Lattice,
+    identity,
     lattice_basis_from,
     norm_inf,
     order_or_translation,
+    vadd,
+    vec_str,
     vsub,
 )
-from .quotient import ClosedComplex
+from .quotient import (
+    ClosedComplex,
+    _edge_key,
+    _face_class,
+    face_translates,
+    lattice_translates,
+)
+
+# The largest finite group of rational orthogonal 3x3 matrices (the cube's).
+POINT_GROUP_BOUND = 48
 
 
 class GeneratorSet:
@@ -90,121 +110,93 @@ def build_base_face(gen):
     raise DegenerateFaceError("face generator has no finite order or translation power")
 
 
-def _orbit_bfs(seed, gens, keep, key, cap, kind):
-    seen = {}
-    queue = deque()
-    k0 = key(seed)
-    seen[k0] = seed
-    queue.append(seed)
+def _coset_representatives(gen):
+    """One element of the generated group per linear part: {matrix: isometry}.
+
+    A breadth-first search over the linear parts, which form the point
+    group.  A finite group of rational orthogonal matrices has at most 48
+    elements, so a larger point group means the generators are not discrete.
+    """
+    gens = gen.isometries()
+    reps = {IDENTITY3: identity()}
+    queue = deque(reps.values())
     while queue:
-        el = queue.popleft()
+        r = queue.popleft()
         for g in gens:
-            img = _apply(g, el, kind)
-            k = key(img)
-            if k in seen or not keep(img):
+            h = r.then(g)
+            if h.m in reps:
                 continue
-            if len(seen) >= cap:
+            if len(reps) == POINT_GROUP_BOUND:
                 raise ExplosionError(
-                    f"{kind} orbit exceeded {cap} elements; generators are "
-                    "probably not discrete"
+                    f"point group exceeds {POINT_GROUP_BOUND} elements; the "
+                    "generators are not discrete"
                 )
-            seen[k] = img
-            queue.append(img)
-    return list(seen.values())
+            reps[h.m] = h
+            queue.append(h)
+    return reps
 
 
-def _apply(g, el, kind):
-    if kind == "vertex":
-        return g(el)
-    if kind == "edge":
-        return tuple(sorted((g(el[0]), g(el[1]))))
-    return el.transform(g)
+def _translation_lattice(gen, reps):
+    """The translation subgroup of the generated group, by Schreier's lemma.
+
+    It is generated by the translations r*g*rep(r*g)^-1 over coset
+    representatives r and generators g.
+    """
+    vectors = []
+    for r in reps.values():
+        for g in gen.isometries():
+            h = r.then(g)
+            t = h.then(reps[h.m].inverse()).t
+            if t != ZERO3:
+                vectors.append(t)
+    basis = lattice_basis_from(vectors)
+    if len(basis) == 1:
+        raise NotPeriodicError(
+            f"translation group has rank 1, generated by {vec_str(basis[0])}"
+        )
+    return Lattice(basis)
 
 
-def wythoff_patch(gen, region, cap=10**6, margin=None, name=None):
+def wythoff_patch(gen, region, name=None):
     """All vertex/edge/face orbit elements whose vertex sets touch the region.
 
-    The margin defaults to the largest generator translation length plus 2
-    and doubles (twice) if the closure check finds reachable elements that
-    the pruning cut off.
+    Each orbit is a finite set of classes modulo the translation lattice,
+    one image of the base element per coset representative; every class is
+    unrolled over the region.  The patch carries the lattice, and its window
+    reaches the largest generator translation length plus 2 past the region.
     """
-    gens = []
-    for g in gen.generators.values():
-        gens.append(g)
-        gi = g.inverse()
-        if gi not in gens:
-            gens.append(gi)
-    if margin is None:
-        margin = max(norm_inf(g.t) for g in gens) + 2
+    reps = _coset_representatives(gen)
+    lattice = _translation_lattice(gen, reps)
     base_face = build_base_face(gen)
-    base_edge = tuple(sorted((gen.base_vertex, gen.base_edge_other)))
-
-    attempt = 0
-    while True:
-        box = region.expanded(margin)
-        verts = _orbit_bfs(
-            gen.base_vertex, gens, box.contains, lambda p: p, cap, "vertex"
-        )
-        edges = _orbit_bfs(
-            base_edge,
-            gens,
-            lambda e: box.intersects_segment_bbox(*e),
-            lambda e: e,
-            cap,
-            "edge",
-        )
-        faces = _orbit_bfs(
-            base_face,
-            gens,
-            lambda f: f.window(box) is not None,
-            lambda f: f.canonical_key(),
-            cap,
-            "face",
-        )
-        patch = SkeletalComplex(
-            [v for v in verts if region.contains(v)],
-            [e for e in edges if region.intersects_segment_bbox(*e)],
-            [f for f in faces if f.window(region) is not None],
-            region,
-            window_margin=margin,
-            name=name or gen.name,
-        )
-        if _closed_under(patch, gens) or attempt >= 2:
-            return patch
-        margin *= 2
-        attempt += 1
-
-
-def _closed_under(patch, gens):
-    region = patch.region
-    for g in gens:
-        for v in patch.vertices:
-            if not region.contains(v):
-                continue
-            w = g(v)
-            if region.contains(w) and w not in patch.vindex:
-                return False
-        for p, q in patch.edge_points:
-            if not (region.contains(p) and region.contains(q)):
-                continue
-            gp, gq = g(p), g(q)
-            if region.contains(gp) and region.contains(gq):
-                if tuple(sorted((gp, gq))) not in patch.eindex:
-                    return False
-        for f in patch.faces:
-            if f.period_vector is None and all(region.contains(p) for p in f.vertices):
-                img = f.transform(g)
-                if all(region.contains(p) for p in img.vertices):
-                    if img.canonical_key() not in patch.face_keys:
-                        return False
-    return True
+    verts, edges, faces = {}, {}, {}
+    for r in reps.values():
+        p = r(gen.base_vertex)
+        verts.setdefault(lattice.reduce_key(p), p)
+        e = (p, r(gen.base_edge_other))
+        edges.setdefault(_edge_key(lattice, *e), e)
+        f = base_face.transform(r)
+        faces.setdefault(_face_class(lattice, f)[0], f)
+    margin = max(
+        max(norm_inf(g.t), norm_inf(g.inverse().t)) for g in gen.isometries()
+    ) + 2
+    return SkeletalComplex(
+        [vadd(p, t) for p in verts.values()
+         for t in lattice_translates(lattice, [p], region)],
+        [(vadd(p, t), vadd(q, t)) for p, q in edges.values()
+         for t in lattice_translates(lattice, (p, q), region)],
+        [g for f in faces.values() for g in face_translates(lattice, f, region)],
+        region,
+        window_margin=margin,
+        name=name or gen.name,
+        lattice=lattice,
+    )
 
 
 # ---------------------------------------------------------------------------
 # translation lattice detection
 
 
-def detect_translation_lattice(patch, max_norm=None):
+def detect_translation_lattice(patch):
     """Translation symmetries of the patch, as a lattice (None when none).
 
     Candidate vectors are differences from a central vertex; each candidate
@@ -213,8 +205,7 @@ def detect_translation_lattice(patch, max_norm=None):
     """
     if not patch.vertices:
         return None
-    if max_norm is None:
-        max_norm = patch.region.radius - 1
+    max_norm = patch.region.radius - 1
     center = patch.region.center
     origin = min(patch.vertices, key=lambda v: (norm_inf(vsub(v, center)), v))
     seen = set()
@@ -237,24 +228,26 @@ def detect_translation_lattice(patch, max_norm=None):
 
 
 def _is_translation_symmetry(patch, tau):
-    if norm_inf(tau) >= patch.region.radius:
-        return False
+    """Does tau map the patch onto itself on the region shrunk by |tau|?
+
+    The shrunk region must hold a vertex, a whole edge and a face to check:
+    a vector that maps a lone vertex onto a vertex proves nothing.
+    """
     safe = patch.region.shrunk(norm_inf(tau))
-    checked = 0
+    checked = [0, 0, 0]
     for v in patch.vertices:
         if safe.contains(v):
             w = (v[0] + tau[0], v[1] + tau[1], v[2] + tau[2])
             if w not in patch.vindex:
                 return False
-            checked += 1
-    if checked == 0:
-        return False
+            checked[0] += 1
     for p, q in patch.edge_points:
         if safe.contains(p) and safe.contains(q):
             sp = (p[0] + tau[0], p[1] + tau[1], p[2] + tau[2])
             sq = (q[0] + tau[0], q[1] + tau[1], q[2] + tau[2])
             if tuple(sorted((sp, sq))) not in patch.eindex:
                 return False
+            checked[1] += 1
     for f in patch.faces:
         if f.period_vector is None:
             if not all(safe.contains(p) for p in f.vertices):
@@ -264,7 +257,8 @@ def _is_translation_symmetry(patch, tau):
                 continue
         if f.translate(tau).canonical_key() not in patch.face_keys:
             return False
-    return True
+        checked[2] += 1
+    return all(checked)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Generator-driven presets return a :class:`GeneratorSet` for the orbit
 engine; constructive presets (the tessellation 2-skeleton and the K
-complexes) are assembled face by face.  ``build`` is the one-stop entry:
+complexes) are assembled face by face and declare their translation
+lattice.  ``build`` is the one-stop entry:
 it parses a preset name, runs whichever construction applies, and returns
 the patch over the requested region.
 
@@ -21,6 +22,9 @@ from fractions import Fraction
 from .complexes import FaceDescriptor, Region, SkeletalComplex
 from .errors import AssignmentSearchError, InvalidParametersError, ParseError
 from .geometry import (
+    LAMBDA_1,
+    LAMBDA_2,
+    LAMBDA_3,
     Isometry,
     reflection_in_plane,
     scalar,
@@ -188,7 +192,8 @@ def cubic_2_skeleton(region=DEFAULT_REGION):
             if k not in seen:
                 seen.add(k)
                 faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="cubic 2-skeleton")
+    return SkeletalComplex([], [], faces, region, name="cubic 2-skeleton",
+                           lattice=LAMBDA_1)
 
 
 def _cube_corners(z):
@@ -248,7 +253,8 @@ def tetragon_complex(region=DEFAULT_REGION):
             if k not in seen:
                 seen.add(k)
                 faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K1(1,2)")
+    return SkeletalComplex([], [], faces, region, name="K1(1,2)",
+                           lattice=LAMBDA_2)
 
 
 def alternate_petrie_complex(region=DEFAULT_REGION):
@@ -265,7 +271,8 @@ def alternate_petrie_complex(region=DEFAULT_REGION):
             if k not in seen:
                 seen.add(k)
                 faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K4(1,2)")
+    return SkeletalComplex([], [], faces, region, name="K4(1,2)",
+                           lattice=LAMBDA_2)
 
 
 def one_petrie_per_cube_complex(region=DEFAULT_REGION):
@@ -358,7 +365,8 @@ def one_petrie_per_cube_complex(region=DEFAULT_REGION):
         if k not in seen:
             seen.add(k)
             faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K5(1,2)")
+    return SkeletalComplex([], [], faces, region, name="K5(1,2)",
+                           lattice=LAMBDA_3)
 
 
 def build_K_complex(which, region=DEFAULT_REGION):
@@ -421,17 +429,17 @@ def instantiate(name, region=None):
     raise ParseError(f"unknown preset {name!r}")
 
 
-def build(name, region=None, **wythoff_kwargs):
+def build(name, region=None):
     """Build the patch for any preset name, including derived wrappers."""
     from . import ops  # cycle: ops builds on patches
 
     region = region or DEFAULT_REGION
     m = re.fullmatch(r"petrie\((.+)\)", name)
     if m:
-        return ops.petrie_dual(build(m.group(1), region, **wythoff_kwargs))
+        return ops.petrie_dual(build(m.group(1), region))
     m = re.fullmatch(r"blend\((.+),(seg|apeiro):(-?[\d/]+)\)", name)
     if m:
-        inner = build(m.group(1), region, **wythoff_kwargs)
+        inner = build(m.group(1), region)
         param = scalar(m.group(3))
         if m.group(2) == "seg":
             return ops.blend_with_segment(inner, param)
@@ -439,4 +447,4 @@ def build(name, region=None, **wythoff_kwargs):
     made = instantiate(name, region)
     if isinstance(made, SkeletalComplex):
         return made
-    return wythoff_patch(made, region, name=made.name, **wythoff_kwargs)
+    return wythoff_patch(made, region, name=made.name)

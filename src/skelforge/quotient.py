@@ -18,7 +18,7 @@ from .errors import (
     NotPeriodicError,
     SelfIdentificationError,
 )
-from .geometry import finite_lattice, is_integer, vadd, vscale, vsub
+from .geometry import finite_lattice, is_integer, lattice_basis_from, vadd, vscale, vsub
 
 
 class QuotientFace:
@@ -68,6 +68,51 @@ def _closure_multiple(lattice, t):
         elif ci != 0:
             return None
     return k
+
+
+def lattice_translates(lattice, points, region):
+    """Lattice vectors t for which the bounding box of ``points + t`` meets
+    the region.
+
+    The vectors are enumerated along an echelon basis, one pivot coordinate
+    at a time, so a full-rank lattice yields no candidate outside the box.
+    """
+    ivals = region.intervals()
+    lo = [ivals[i][0] - max(p[i] for p in points) for i in range(3)]
+    hi = [ivals[i][1] - min(p[i] for p in points) for i in range(3)]
+    found = [(0, 0, 0)]
+    for b in lattice_basis_from(lattice.basis):
+        c = next(i for i in range(3) if b[i] != 0)
+        grown = []
+        for v in found:
+            ends = sorted((Fraction(lo[c] - v[c]) / b[c], Fraction(hi[c] - v[c]) / b[c]))
+            for n in range(math.ceil(ends[0]), math.floor(ends[1]) + 1):
+                grown.append(vadd(v, vscale(n, b)))
+        found = grown
+    return [v for v in found if all(lo[i] <= v[i] <= hi[i] for i in range(3))]
+
+
+def face_translates(lattice, desc, region):
+    """The distinct translates of a face by the lattice that touch the region.
+
+    An infinite face is its own translate by m periods, m the closure
+    multiple, so every translate touching the region is also one that moves
+    a point of the face's first m periods into it.
+    """
+    points = desc.vertices
+    if desc.period_vector is not None:
+        m = _closure_multiple(lattice, desc.period_vector)
+        if m is None:
+            raise NotPeriodicError(
+                "face period vector does not close modulo the lattice"
+            )
+        points = [desc.vertex(i) for i in range(m * len(desc.vertices))]
+    out = {}
+    for t in lattice_translates(lattice, points, region):
+        moved = desc.translate(t)
+        if moved.window(region) is not None:
+            out.setdefault(moved.canonical_key(), moved)
+    return list(out.values())
 
 
 def _face_class(lattice, desc):

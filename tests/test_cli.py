@@ -69,6 +69,22 @@ class TestErrorJson:
         assert json.loads(out)["code"] == code
 
 
+class TestMovedInput:
+    def test_moved_cube_is_not_3_periodic(self, tmp_path):
+        from fractions import Fraction
+
+        from skelforge.presets import instantiate
+        from skelforge.serialization import generators_to_json_text
+        from test_orbit import moved
+
+        shift = (Fraction(1, 3), Fraction(-1, 7), Fraction(1, 2))
+        gen_file = tmp_path / "cube.json"
+        gen_file.write_text(generators_to_json_text(moved(instantiate("cube"), shift)))
+        out = run_cli("net", "--input", str(gen_file), "--radius", "3",
+                      expect_code=1)
+        assert json.loads(out)["code"] == "not-3-periodic"
+
+
 class TestRoundTrip:
     def test_build_serialize_ingest_rebuild(self, tmp_path):
         from skelforge.presets import finite_faced_chiral

@@ -84,6 +84,16 @@ class TestPetrieDual:
         assert validate(dual, "polyhedron").passed
         assert {classify_polygon(f).kind for f in dual.faces} == {"helical"}
 
+    def test_helix_dual_independent_of_quotient_scale(self, built):
+        # Petrie helices close only after several periods modulo the
+        # quotient lattice; their translates must still all be found
+        p = built("P2:1,0")
+        keys = [
+            {f.canonical_key() for f in petrie_dual(p, quotient_scale=s).faces}
+            for s in (1, 2)
+        ]
+        assert keys[0] == keys[1]
+
 
 class TestTraces:
     def test_cube_petrie_length_six(self, built):

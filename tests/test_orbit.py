@@ -4,27 +4,69 @@ from fractions import Fraction
 
 import pytest
 
-from skelforge.complexes import Region
+from skelforge import orbit
+from skelforge.complexes import Region, validate
 from skelforge.errors import (
     DegenerateFaceError,
     ExplosionError,
+    Not3PeriodicError,
     NotPeriodicError,
     PatchTooSmallError,
     SelfIdentificationError,
 )
-from skelforge.geometry import Isometry, Lattice, mat_det, vsub
+from skelforge.geometry import Isometry, Lattice, mat_det, mat_vec, vadd, vsub
+from skelforge.nets import extract_net
 from skelforge.orbit import (
     GeneratorSet,
-    _closed_under,
     build_base_face,
     build_quotient,
     wythoff_patch,
 )
 from skelforge.presets import (
+    CONSTRUCTIVE_PRESETS,
+    build,
     finite_faced_chiral,
     helix_faced_chiral,
+    instantiate,
     square_tessellation,
 )
+from skelforge.serialization import complex_from_json, complex_to_json
+
+from test_presets import CATALOG_SWEEP
+
+
+def closed_under(patch, gens):
+    """Oracle: each generator maps every element inside the region whose
+    image also lies inside onto an element of the patch."""
+    region = patch.region
+    for g in gens:
+        for v in patch.vertices:
+            if not region.contains(v):
+                continue
+            w = g(v)
+            if region.contains(w) and w not in patch.vindex:
+                return False
+        for p, q in patch.edge_points:
+            if not (region.contains(p) and region.contains(q)):
+                continue
+            gp, gq = g(p), g(q)
+            if region.contains(gp) and region.contains(gq):
+                if tuple(sorted((gp, gq))) not in patch.eindex:
+                    return False
+        for f in patch.faces:
+            if f.period_vector is None and all(region.contains(p) for p in f.vertices):
+                img = f.transform(g)
+                if all(region.contains(p) for p in img.vertices):
+                    if img.canonical_key() not in patch.face_keys:
+                        return False
+    return True
+
+
+# generator presets: neither constructive nor derived (petrie/blend) names
+GENERATOR_SWEEP = [
+    (name, radius) for name, radius, _ in CATALOG_SWEEP
+    if name not in CONSTRUCTIVE_PRESETS and "(" not in name
+]
 
 
 class TestBaseFace:
@@ -92,20 +134,21 @@ class TestWythoff:
             assert lens == {d2}
 
     def test_closure_property(self, built):
-        gen = finite_faced_chiral(1, 0)
-        gens = [g for g in gen.generators.values()]
-        gens += [g.inverse() for g in gens]
-        assert _closed_under(built("P:1,0"), gens)
+        for name, radius in GENERATOR_SWEEP:
+            gens = instantiate(name).isometries()
+            gens += [g.inverse() for g in gens]
+            assert closed_under(built(name, radius), gens), name
 
-    def test_orbit_determinism_and_margin_independence(self):
+    def test_orbit_determinism(self):
         gen = finite_faced_chiral(1, 0)
-        a = wythoff_patch(gen, Region((0, 0, 0), 2), margin=2)
-        b = wythoff_patch(gen, Region((0, 0, 0), 2), margin=5)
+        a = wythoff_patch(gen, Region((0, 0, 0), 2))
+        b = wythoff_patch(finite_faced_chiral(1, 0), Region((0, 0, 0), 2))
         assert a.vertices == b.vertices
         assert a.edges == b.edges
         assert [f.canonical_key() for f in a.faces] == [
             f.canonical_key() for f in b.faces
         ]
+        assert a.lattice.basis == b.lattice.basis
 
     def test_vertices_rederivable_from_group_words(self):
         # independent oracle: breadth-first search over group elements,
@@ -141,8 +184,31 @@ class TestWythoff:
         gen = GeneratorSet(
             {"A": g, "B": shift}, (1, 0, 0), (2, 0, 0), "B"
         )
-        with pytest.raises((ExplosionError, DegenerateFaceError)):
-            wythoff_patch(gen, Region((0, 0, 0), 2), cap=2000)
+        with pytest.raises(ExplosionError):
+            wythoff_patch(gen, Region((0, 0, 0), 2))
+
+    def test_rank_one_translation_group_is_not_periodic(self):
+        # a quarter-turn screw along z spans a single helix
+        screw = Isometry(((0, -1, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 1))
+        gen = GeneratorSet({"S": screw}, (1, 0, 0), (0, 1, 1), "S")
+        with pytest.raises(NotPeriodicError):
+            wythoff_patch(gen, Region((0, 0, 0), 2))
+
+    @pytest.mark.parametrize("name,radius", GENERATOR_SWEEP)
+    def test_generator_presets_never_scan(self, monkeypatch, name, radius):
+        def scan(*args, **kwargs):
+            raise AssertionError("a generator-built patch scanned for its lattice")
+
+        monkeypatch.setattr(orbit, "detect_translation_lattice", scan)
+        patch = build(name, Region((0, 0, 0), radius))
+        assert validate(patch, "polyhedron").passed
+        assert build_quotient(patch, scale=2).r == 2
+        lat = patch.lattice
+        if lat is not None and lat.rank == 3:
+            assert extract_net(patch).node_count() > 0
+        else:
+            with pytest.raises(Not3PeriodicError):
+                extract_net(patch)
 
 
 class TestTranslationLattice:
@@ -163,6 +229,66 @@ class TestTranslationLattice:
 
     def test_finite_patch_has_no_lattice(self, built):
         assert built("cube").lattice is None
+
+    def test_helix_lattice_is_the_generators_translation_group(self, built):
+        # the preset lists only the rotation subgroup, whose translations
+        # are 4Z^3, of index 2 in the structure's full translation group
+        lat = built("P2:1,0").lattice
+        assert lat.rank == 3 and abs(mat_det(lat.basis)) == 64
+        for v in ((4, 0, 0), (0, 4, 0), (0, 0, 4)):
+            assert lat.member(v)
+
+
+def moved(gen, shift):
+    """The generator set conjugated by the translation by ``shift``."""
+    gens = {
+        name: Isometry(g.m, vsub(vadd(g.t, shift), mat_vec(g.m, shift)))
+        for name, g in gen.generators.items()
+    }
+    return GeneratorSet(gens, vadd(gen.base_vertex, shift),
+                        vadd(gen.base_edge_other, shift), gen.face_word,
+                        name=gen.name)
+
+
+def loaded_moved_patch(name, radius):
+    """A preset moved by a rational vector, built at the origin and read back
+    from JSON, so that its lattice has to be found by scanning."""
+    shift = (Fraction(1, 3), Fraction(-1, 7), Fraction(1, 2))
+    patch = wythoff_patch(moved(instantiate(name), shift), Region((0, 0, 0), radius))
+    return complex_from_json(complex_to_json(patch))
+
+
+class TestLatticeScan:
+    def test_moved_cube_has_no_lattice(self):
+        patch = loaded_moved_patch("cube", 3)
+        assert patch.lattice is None
+        with pytest.raises(Not3PeriodicError):
+            extract_net(patch)
+
+    def test_moved_p21_keeps_its_covolume(self):
+        patch = loaded_moved_patch("P:2,1", 4)
+        assert abs(mat_det(patch.lattice.basis)) == 4
+        assert validate(patch, "polyhedron").passed
+
+    def test_moved_p11_finds_only_symmetries(self, built):
+        # the region shrunk by a lattice vector is too small here to hold
+        # a whole edge and a face, so no lattice may be certified at all;
+        # whatever is found must map the integer structure onto itself,
+        # seen on a region that the radius-6 patch contains with its images
+        lat = loaded_moved_patch("P:1,1", 3).lattice
+        big = built("P:1,1", 6)
+        inner = Region((0, 0, 0), 3)
+        for b in ([] if lat is None else lat.basis):
+            assert max(abs(c) for c in b) <= 2
+            for v in big.vertices:
+                if inner.contains(v):
+                    assert vadd(v, b) in big.vindex
+            for p, q in big.edge_points:
+                if inner.contains(p) and inner.contains(q):
+                    assert big.has_edge(vadd(p, b), vadd(q, b))
+            for f in big.faces:
+                if all(inner.contains(p) for p in f.vertices):
+                    assert big.has_face(f.translate(b))
 
 
 class TestQuotient:

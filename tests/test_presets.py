@@ -4,7 +4,8 @@ import pytest
 
 from skelforge.complexes import Region, graph_identify, validate
 from skelforge.errors import InvalidParametersError, ParseError
-from skelforge.geometry import SET_V
+from skelforge.geometry import LAMBDA_1, LAMBDA_2, LAMBDA_3, SET_V
+from skelforge.orbit import detect_translation_lattice
 from skelforge.presets import (
     build,
     chiral_t_map,
@@ -121,6 +122,16 @@ class TestKComplexes:
         k5 = built("K5_12", 3)
         for f in k5.faces:
             assert all(SET_V.member(p) for p in f.vertices)
+
+    @pytest.mark.parametrize("name,lattice", [
+        ("skel2cubic", LAMBDA_1), ("K1_12", LAMBDA_2), ("K4_12", LAMBDA_2),
+        ("K5_12", LAMBDA_3),
+    ])
+    def test_declared_lattice_matches_scan(self, built, name, lattice):
+        patch = built(name, 4)
+        assert patch.lattice is lattice
+        found = detect_translation_lattice(patch)
+        assert found.sublattice_of(lattice) and lattice.sublattice_of(found)
 
     def test_build_K_complex_entry(self):
         from skelforge.presets import build_K_complex
