@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .complexes import validate
 from .errors import (
+    GeneratorsDoNotDescendError,
     NoFixedPointError,
     NotAPolygonError,
     NotEquivelarError,
@@ -493,8 +494,8 @@ def verdict(patch, generators, quotient_scale=4):
     for g in generators:
         perm = closed.dart_permutation(g)
         if perm is None:
-            raise PatchTooSmallError(
-                "generator does not map the quotient to itself"
+            raise GeneratorsDoNotDescendError(
+                f"generator {g!r} is not a symmetry of the structure"
             )
         for d in range(n):
             uf.union(d, perm[d])

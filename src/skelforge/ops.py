@@ -18,11 +18,13 @@ from .errors import (
     NotBipartiteError,
     NotPolyhedronError,
     ProjectionError,
+    SelfIdentificationError,
     ZeroParameterError,
 )
 from .geometry import (
     norm_inf,
     scalar,
+    sublattices_of_index,
     vadd,
     vcross,
     vdot,
@@ -539,10 +541,6 @@ def covering_check(patch, target, projection="compress"):
         # the full translation lattice can over-fold (extra symmetries of a
         # regular structure add translations); probe small-index sublattices,
         # pruning by a cheap vertex-class count before building incidence
-        from .errors import SelfIdentificationError
-        from .geometry import sublattices_of_index
-        from .quotient import ClosedComplex
-
         want_v = target_closed.counts()[0]
         candidates = []
         for k in (1, 2, 3, 4):
@@ -551,7 +549,7 @@ def covering_check(patch, target, projection="compress"):
                 if vcount != want_v:
                     continue
                 try:
-                    closed = ClosedComplex.from_patch(patch, sub, name=patch.name)
+                    closed = build_quotient(patch, sublattice=sub)
                 except SelfIdentificationError:
                     continue
                 if closed.counts() == target_closed.counts():

@@ -31,6 +31,7 @@ from .geometry import (
     IDENTITY3,
     ZERO3,
     Lattice,
+    finite_lattice,
     identity,
     lattice_basis_from,
     norm_inf,
@@ -282,22 +283,22 @@ def build_quotient(patch, sublattice=None, scale=4):
         return cache[cache_key]
 
     if patch.is_finite:
-        closed = ClosedComplex.from_finite(patch)
+        sublattice = finite_lattice()
     else:
         lat = patch.lattice
         if lat is None:
             raise NotPeriodicError("no translation lattice found for the patch")
         if sublattice is None:
             sublattice = lat.scaled(scale)
-        elif not sublattice.sublattice_of(lat):
+        elif sublattice.rank != lat.rank or not sublattice.sublattice_of(lat):
             raise NotPeriodicError(
-                "requested sublattice contains non-symmetry translations"
+                "requested sublattice is not a full-rank sublattice of translations"
             )
-        closed = ClosedComplex.from_patch(patch, sublattice, name=patch.name)
-        if closed.r is None:
-            raise PatchTooSmallError(
-                "quotient classes are incomplete (nonconstant face count per "
-                "edge); enlarge the region or lower the quotient scale"
-            )
+    closed = ClosedComplex.from_patch(patch, sublattice)
+    if closed.r is None and sublattice.rank:
+        raise PatchTooSmallError(
+            "quotient classes are incomplete (nonconstant face count per "
+            "edge): a class of the lattice is missing; enlarge the region"
+        )
     cache[cache_key] = closed
     return closed

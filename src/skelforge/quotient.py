@@ -11,6 +11,7 @@ lattice vector (the closure), so all incidence stays exact and geometric.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     NotPeriodicError,
     SelfIdentificationError,
 )
-from .geometry import finite_lattice, is_integer, lattice_basis_from, vadd, vscale, vsub
+from .geometry import ZERO3, is_integer, lattice_basis_from, vadd, vscale, vsub
 
 
 class QuotientFace:
@@ -31,7 +32,7 @@ class QuotientFace:
         self.closure = tuple(closure)
         self.vclasses = None
         self.eclasses = None
-        self.source = source  # original FaceDescriptor
+        self.source = source  # a FaceDescriptor of the class
 
     def __len__(self):
         return len(self.lift)
@@ -55,18 +56,16 @@ def _edge_key(lattice, p, q):
 
 
 def _closure_multiple(lattice, t):
-    """Least k >= 1 with k*t in the lattice, or None if no multiple is."""
-    if lattice.rank == 0:
-        return None
+    """Least k >= 1 with k*t in the lattice; NotPeriodicError if none is."""
     c = lattice.coords(t)
+    if lattice.rank == 0 or any(c[i] != 0 for i in range(lattice.rank, 3)):
+        raise NotPeriodicError(
+            "face period vector does not close modulo the lattice"
+        )
     k = 1
-    for i in range(3):
-        ci = c[i]
-        if i < lattice.rank:
-            if not is_integer(ci):
-                k = math.lcm(k, Fraction(ci).denominator)
-        elif ci != 0:
-            return None
+    for ci in c[:lattice.rank]:
+        if not is_integer(ci):
+            k = math.lcm(k, Fraction(ci).denominator)
     return k
 
 
@@ -102,10 +101,6 @@ def face_translates(lattice, desc, region):
     points = desc.vertices
     if desc.period_vector is not None:
         m = _closure_multiple(lattice, desc.period_vector)
-        if m is None:
-            raise NotPeriodicError(
-                "face period vector does not close modulo the lattice"
-            )
         points = [desc.vertex(i) for i in range(m * len(desc.vertices))]
     out = {}
     for t in lattice_translates(lattice, points, region):
@@ -113,6 +108,21 @@ def face_translates(lattice, desc, region):
         if moved.window(region) is not None:
             out.setdefault(moved.canonical_key(), moved)
     return list(out.values())
+
+
+def _coset_vectors(lattice, sublattice):
+    """One lattice vector per coset of the sublattice, by a BFS over +-basis."""
+    found = {sublattice.reduce_key(ZERO3): ZERO3}
+    queue = deque(found.values())
+    while queue:
+        v = queue.popleft()
+        for b in lattice.basis:
+            for w in (vadd(v, b), vsub(v, b)):
+                key = sublattice.reduce_key(w)
+                if key not in found:
+                    found[key] = w
+                    queue.append(w)
+    return list(found.values())
 
 
 def _face_class(lattice, desc):
@@ -130,10 +140,6 @@ def _face_class(lattice, desc):
                     best = cand
         return (("fin",) + best, best, (0, 0, 0))
     k = _closure_multiple(lattice, desc.period_vector)
-    if k is None:
-        raise NotPeriodicError(
-            "face period vector does not close modulo the lattice"
-        )
     n = len(desc.vertices)
     m = n * k
     best = None
@@ -152,10 +158,12 @@ def _face_class(lattice, desc):
 class ClosedComplex:
     """Finite incidence model; all flag operations are total."""
 
-    def __init__(self, lattice, faces, name=""):
+    def __init__(self, lattice, classes, name=""):
         self.lattice = lattice
         self.name = name
-        self.faces = faces  # list[QuotientFace], canonical order
+        # classes maps each face class key to its QuotientFace
+        self.fkeys = {k: i for i, k in enumerate(sorted(classes))}
+        self.faces = faces = [classes[k] for k in self.fkeys]
 
         vkeys = {}
         vreps = []
@@ -254,15 +262,23 @@ class ClosedComplex:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_patch(cls, patch, sublattice, name=""):
-        """Quotient of a periodic patch by a sublattice of its translations."""
-        classes = {}
+    def from_patch(cls, patch, sublattice):
+        """Quotient of a patch by a full-rank sublattice of its lattice: one
+        face per class modulo the patch's own lattice (trivial when finite),
+        moved by one vector per coset, so the patch's reach does not matter.
+        """
+        lattice = patch.lattice if sublattice.rank else sublattice
+        reps = {}
         for desc in patch.faces:
-            key, lift, closure = _face_class(sublattice, desc)
-            if key not in classes:
-                classes[key] = QuotientFace(lift, closure, desc)
-        faces = [classes[k] for k in sorted(classes)]
-        closed = cls(sublattice, faces, name=name or f"{patch.name} quotient")
+            reps.setdefault(_face_class(lattice, desc)[0], desc)
+        classes = {}
+        for t in _coset_vectors(lattice, sublattice):
+            for desc in reps.values():
+                moved = desc.translate(t)
+                key, lift, closure = _face_class(sublattice, moved)
+                if key not in classes:
+                    classes[key] = QuotientFace(lift, closure, moved)
+        closed = cls(sublattice, classes, name=patch.name)
         # every patch vertex and edge must land in an enumerated class
         for p in patch.vertices:
             if sublattice.reduce_key(p) not in closed.vkeys:
@@ -271,12 +287,6 @@ class ClosedComplex:
             if _edge_key(sublattice, p, q) not in closed.ekeys:
                 raise NotPeriodicError("patch edge misses all face classes")
         return closed
-
-    @classmethod
-    def from_finite(cls, patch, name=""):
-        if not patch.is_finite:
-            raise NotPeriodicError("patch is not a finite complex")
-        return cls.from_patch(patch, finite_lattice(), name=name or patch.name)
 
     # -- queries -------------------------------------------------------------
 
@@ -295,13 +305,6 @@ class ClosedComplex:
 
     def edge_class_of(self, p, q):
         return self.ekeys.get(_edge_key(self.lattice, p, q))
-
-    def face_class_of(self, desc):
-        key, _, _ = _face_class(self.lattice, desc)
-        for fid, f in enumerate(self.faces):
-            if _face_class(self.lattice, f.source)[0] == key:
-                return fid
-        return None
 
     def faces_per_vertex(self):
         counts = [0] * len(self.vreps)
@@ -366,7 +369,7 @@ class ClosedComplex:
         pf = []
         for f in self.faces:
             key, _, _ = _face_class(lat, f.source.transform(iso))
-            fid = self._fkeys().get(key)
+            fid = self.fkeys.get(key)
             if fid is None:
                 return None
             pf.append(fid)
@@ -377,14 +380,6 @@ class ClosedComplex:
                 return None
             perm.append(did)
         return perm
-
-    def _fkeys(self):
-        if not hasattr(self, "_fkey_cache"):
-            self._fkey_cache = {
-                _face_class(self.lattice, f.source)[0]: i
-                for i, f in enumerate(self.faces)
-            }
-        return self._fkey_cache
 
     def __repr__(self):
         nv, ne, nf = self.counts()

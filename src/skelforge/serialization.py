@@ -168,7 +168,8 @@ def complex_to_obj(complex_, periods=3):
     for v in complex_.vertices:
         vid(v)
     face_lines = []
-    for f in complex_.faces:
+    for face in complex_.faces:
+        f = face.canonical_form()
         if f.period_vector is None:
             ids = [vid(p) for p in f.vertices]
             diffs = [vsub(p, f.vertices[0]) for p in f.vertices[1:]]

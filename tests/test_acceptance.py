@@ -139,8 +139,6 @@ CHIRAL_PRESETS = [
     ((1, 0), None), ((2, 1), None), ((1, -2), None),
     (None, (1, 1)), (None, (2, 1)), (None, (1, "3/2")),
 ]
-_SCALES = {"P:1,1": 2, "P:1,-1": 2, "P2:1,0": 2, "blend(sq44,apeiro:1)": 2,
-           "tri36": 2, "hex63": 2}
 
 
 def test_criterion_06_relation_suites(built):
@@ -149,7 +147,7 @@ def test_criterion_06_relation_suites(built):
         fam = classify.find_flag_symmetries(patch)
         assert fam is not None and fam["family"] == "R", name
         r0, r1, r2 = fam["R0"], fam["R1"], fam["R2"]
-        st = classify.schlafli(patch, quotient_scale=_SCALES.get(name, 4))
+        st = classify.schlafli(patch)
         for g in (r0, r1, r2):
             assert g.is_involution(), name
         r01 = r0.then(r1)

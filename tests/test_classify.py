@@ -6,6 +6,7 @@ import pytest
 
 from skelforge.complexes import FaceDescriptor, Region
 from skelforge.errors import (
+    GeneratorsDoNotDescendError,
     NotAPolygonError,
     NotEquivelarError,
     NotInvolutionError,
@@ -245,6 +246,14 @@ class TestVerdicts:
         v = verdict(bricks, gens, quotient_scale=2)
         assert v.kind == "neither"
         assert not v.adjacent_always_split
+
+    def test_non_symmetry_generator_does_not_descend(self, built):
+        from skelforge.geometry import translation
+
+        shift = translation((1, 0, 0))
+        with pytest.raises(GeneratorsDoNotDescendError) as err:
+            verdict(built("cube"), [shift])
+        assert repr(shift) in err.value.detail
 
     def test_verdict_stable_across_scales(self, built):
         gen = finite_faced_chiral(1, 0)

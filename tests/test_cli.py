@@ -25,6 +25,10 @@ class TestCommands:
         assert out["schlafli"]["p"] == 6 and out["schlafli"]["q"] == 6
         assert out["generators"]["family"] == "S"
 
+    def test_classify_helix_preset_at_default_flags(self):
+        out = json.loads(run_cli("classify", "--preset", "P2:1,0"))
+        assert out["verdict"] == "regular"
+
     def test_petrie_cube_four_skew_hexagons(self):
         out = json.loads(run_cli("petrie", "--preset", "cube"))
         assert out["counts"]["faces"] == 4

@@ -11,7 +11,6 @@ from skelforge.errors import (
     ExplosionError,
     Not3PeriodicError,
     NotPeriodicError,
-    PatchTooSmallError,
     SelfIdentificationError,
 )
 from skelforge.geometry import Isometry, Lattice, mat_det, mat_vec, vadd, vsub
@@ -307,6 +306,8 @@ class TestQuotient:
         p10 = built("P:1,0")
         with pytest.raises(NotPeriodicError):
             build_quotient(p10, sublattice=Lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        with pytest.raises(NotPeriodicError):  # translations, but of rank 2
+            build_quotient(p10, sublattice=Lattice([(4, 0, 0), (0, 4, 0)]))
 
     def test_finite_quotient_is_the_complex(self, built):
         closed = build_quotient(built("cube"))
@@ -314,10 +315,17 @@ class TestQuotient:
         assert closed.dart_count() == 48
         assert closed.r == 2
 
-    def test_patch_too_small_raises(self, built):
-        p11 = built("P:1,1")
-        with pytest.raises(PatchTooSmallError):
-            build_quotient(p11, scale=4)  # cell of width 16 needs radius 8
+    def test_quotient_independent_of_region(self, built):
+        # the scale-4 cell of P:1,1 is 16 wide, far wider than either patch
+        small, large = (
+            build_quotient(built("P:1,1", r), scale=4) for r in (3, 5)
+        )
+        assert [(f.lift, f.closure) for f in small.faces] == \
+            [(f.lift, f.closure) for f in large.faces]
+        assert small.vreps == large.vreps
+        assert small.darts == large.darts
+        q2 = build_quotient(built("P:1,1", 3), scale=2)
+        assert small.counts() == tuple(8 * c for c in q2.counts())
 
     def test_quotient_counts_scale_with_index(self, built):
         p10 = built("P:1,0")

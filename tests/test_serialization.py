@@ -106,6 +106,12 @@ class TestObj:
         line = next(l for l in obj.splitlines() if l.startswith("l "))
         assert len(line.split()) == 3 * 4 + 2  # three periods plus closing vertex
 
+    @pytest.mark.parametrize("name", ["cube", "P2:1,0", "P:1,0"])
+    def test_obj_independent_of_json_round_trip(self, built, name):
+        patch = built(name)
+        back = complex_from_json(complex_to_json(patch))
+        assert complex_to_obj(back) == complex_to_obj(patch)
+
     def test_twelve_digit_floats(self, built):
         obj = complex_to_obj(built("hex63", 3))
         vline = next(l for l in obj.splitlines() if l.startswith("v "))
