@@ -51,11 +51,6 @@ def scalar_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _floor_div(x):
-    # exact floor for int or Fraction
-    return x if isinstance(x, int) else math.floor(x)
-
-
 def is_integer(x):
     return isinstance(x, int) or x.denominator == 1
 
@@ -476,10 +471,28 @@ def lattice_basis_from(vectors):
     return [tuple(scalar(Fraction(c, d)) for c in row) for row in basis]
 
 
-class Lattice:
-    """A rank-m lattice (m in 0..3) spanned by independent basis vectors."""
+def _ratio(n, d):
+    """The rational n/d for ints n and d > 0: an int when integral."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
 
-    __slots__ = ("basis", "name", "_ext", "_ext_inv", "rank")
+
+class Lattice:
+    """A rank-m lattice (m in 0..3) spanned by independent basis vectors.
+
+    Coordinates are taken in the extended basis: the basis itself, plus
+    ``b0 x b1`` for rank 2, whose coordinate (the transverse offset) stays
+    absolute.  The inverse of the extended basis is held as an integer
+    matrix ``A`` (``_adj``) over one positive common denominator ``D``
+    (``_den``), so the coordinates of an integer point v are ``A v / D``.  A rational point is
+    first scaled to integers by q, the lcm of its denominators, and divided
+    by ``D q``.  Each of :meth:`coords`, :meth:`member`, :meth:`reduce_key`
+    and :meth:`reduce_point` is therefore one integer matrix-vector product
+    followed by ``divmod``, and returns the same values and types as exact
+    rational coordinates: an int when integral, a Fraction otherwise.
+    """
+
+    __slots__ = ("basis", "name", "rank", "_adj", "_den")
 
     def __init__(self, basis, name=None):
         basis = [tuple(scalar(c) for c in b) for b in basis]
@@ -493,34 +506,47 @@ class Lattice:
             ext.append(vcross(ext[0], ext[1]))
         elif len(ext) == 1:
             raise ValueError("rank-1 lattices are not supported")
+        adj = den = None
         if ext:
-            object.__setattr__(self, "_ext", tuple(ext))
-            object.__setattr__(self, "_ext_inv", mat_inverse(mat_transpose(tuple(ext))))
-        else:
-            object.__setattr__(self, "_ext", None)
-            object.__setattr__(self, "_ext_inv", None)
+            inv = mat_inverse(mat_transpose(tuple(ext)))
+            den = math.lcm(*(Fraction(e).denominator for row in inv for e in row))
+            adj = tuple(tuple(int(e * den) for e in row) for row in inv)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
 
+    def _image(self, v):
+        """Integers (n0, n1, n2) and d > 0 with coordinates n_i / d."""
+        x, y, z = v
+        d = self._den
+        if not (type(x) is int and type(y) is int and type(z) is int):
+            q = math.lcm(x.denominator, y.denominator, z.denominator)
+            x = x.numerator * (q // x.denominator)
+            y = y.numerator * (q // y.denominator)
+            z = z.numerator * (q // z.denominator)
+            d *= q
+        a0, a1, a2 = self._adj
+        return (
+            a0[0] * x + a0[1] * y + a0[2] * z,
+            a1[0] * x + a1[1] * y + a1[2] * z,
+            a2[0] * x + a2[1] * y + a2[2] * z,
+        ), d
+
     def coords(self, v):
         """Coordinates of v in the (extended) basis; lattice axes first."""
-        if self._ext is None:
+        if self.rank == 0:
             return ()
-        return tuple(scalar(c) for c in mat_vec(self._ext_inv, v))
+        (n0, n1, n2), d = self._image(v)
+        return (_ratio(n0, d), _ratio(n1, d), _ratio(n2, d))
 
     def member(self, v):
         if self.rank == 0:
             return v == ZERO3
-        c = self.coords(v)
-        for i in range(3):
-            ci = c[i]
-            if i < self.rank:
-                if not is_integer(ci):
-                    return False
-            elif ci != 0:
-                return False
-        return True
+        (n0, n1, n2), d = self._image(v)
+        last = n2 % d if self.rank == 3 else n2
+        return n0 % d == 0 and n1 % d == 0 and last == 0
 
     def reduce_key(self, p):
         """Translation-class key of point p modulo this lattice.
@@ -530,26 +556,25 @@ class Lattice:
         """
         if self.rank == 0:
             return p
-        c = self.coords(p)
-        out = []
-        for i in range(3):
-            ci = c[i]
-            if i < self.rank:
-                out.append(scalar(ci - _floor_div(ci)))
-            else:
-                out.append(ci)
-        return tuple(out)
+        (n0, n1, n2), d = self._image(p)
+        last = n2 % d if self.rank == 3 else n2
+        return (_ratio(n0 % d, d), _ratio(n1 % d, d), _ratio(last, d))
 
     def reduce_point(self, p):
-        """The canonical representative of p's class (key mapped back to E3)."""
+        """The canonical representative of p's class: p minus the floors of
+        its lattice coordinates times the basis (the key mapped back to E3).
+        """
         if self.rank == 0:
             return p
-        key = self.reduce_key(p)
-        ext = self._ext
-        return tuple(
-            scalar(key[0] * ext[0][i] + key[1] * ext[1][i] + key[2] * ext[2][i])
-            for i in range(3)
-        )
+        n, d = self._image(p)
+        x, y, z = p
+        for ni, b in zip(n, self.basis):
+            k = ni // d
+            if k:
+                x, y, z = x - k * b[0], y - k * b[1], z - k * b[2]
+        if type(x) is int and type(y) is int and type(z) is int:
+            return (x, y, z)
+        return (scalar(x), scalar(y), scalar(z))
 
     def offset_between(self, p, q):
         """The lattice vector q - p if the two points are congruent, else None."""

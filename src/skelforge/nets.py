@@ -277,6 +277,7 @@ def _reference_nbo():
 
 
 _REFERENCES = None
+_REFERENCE_SEQUENCES = {}  # depth -> {name: coordination sequence}
 
 
 def reference_nets():
@@ -290,6 +291,14 @@ def reference_nets():
             "nbo": _reference_nbo(),
         }
     return _REFERENCES
+
+
+def _reference_sequence(name, depth):
+    """A reference net's coordination sequence, computed once per depth."""
+    seqs = _REFERENCE_SEQUENCES.setdefault(depth, {})
+    if name not in seqs:
+        seqs[name] = reference_nets()[name].coordination_sequence(depth)
+    return seqs[name]
 
 
 def _quotient_multigraph(net):
@@ -309,21 +318,13 @@ def identify_net(net, depth=10, escalate=14):
         seq = net.coordination_sequence(depth)
     except NotUninodalError:
         return "unknown"
-    hits = [
-        name
-        for name, ref in reference_nets().items()
-        if ref.coordination_sequence(depth) == seq
-    ]
+    hits = [name for name in reference_nets() if _reference_sequence(name, depth) == seq]
     if len(hits) == 1:
         return hits[0]
     if not hits:
         return "unknown"
     seq = net.coordination_sequence(escalate)
-    hits = [
-        name
-        for name in hits
-        if reference_nets()[name].coordination_sequence(escalate) == seq
-    ]
+    hits = [name for name in hits if _reference_sequence(name, escalate) == seq]
     if len(hits) == 1:
         return hits[0]
     from .complexes import _multigraph_isomorphic

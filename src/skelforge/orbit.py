@@ -202,64 +202,77 @@ def detect_translation_lattice(patch):
 
     Candidate vectors are differences from a central vertex; each candidate
     is verified against the vertex, edge and face sets on a region shrunk by
-    the candidate's own length.
+    the candidate's own length.  Each vertex's distance from the centre is
+    taken once, so the shrunk region is a bound on those distances.  Every
+    candidate is verified, in vertex order, because the echelon basis of the
+    result depends on the list of verified vectors, not only on its span.
     """
     if not patch.vertices:
         return None
-    max_norm = patch.region.radius - 1
-    center = patch.region.center
-    origin = min(patch.vertices, key=lambda v: (norm_inf(vsub(v, center)), v))
-    seen = set()
-    verified = []
+    region = patch.region
+    depth = [norm_inf(vsub(v, region.center)) for v in patch.vertices]
+    origin = patch.vertices[min(range(len(depth)), key=lambda i: (depth[i], i))]
+    lengths = {}
     for v in patch.vertices:
         tau = vsub(v, origin)
-        if tau == (0, 0, 0) or tau in seen:
-            continue
-        seen.add(tau)
-        if norm_inf(tau) > max_norm:
-            continue
-        if _is_translation_symmetry(patch, tau):
+        n = norm_inf(tau)
+        if 0 < n <= region.radius - 1:
+            lengths.setdefault(tau, n)
+    face_depth = [
+        None if f.period_vector is not None
+        else max(depth[patch.vindex[p]] for p in f.vertices)
+        for f in patch.faces
+    ]
+    inside = {}
+    verified = []
+    for tau, n in lengths.items():
+        if n not in inside:
+            inside[n] = _inside(patch, depth, face_depth, n)
+        if _is_translation_symmetry(patch, tau, *inside[n]):
             verified.append(tau)
-    if not verified:
-        return None
     basis = lattice_basis_from(verified)
-    if len(basis) < 2:
-        return None
-    return Lattice(basis)
+    return Lattice(basis) if len(basis) > 1 else None
 
 
-def _is_translation_symmetry(patch, tau):
-    """Does tau map the patch onto itself on the region shrunk by |tau|?
+def _inside(patch, depth, face_depth, margin):
+    """Vertices, edges and faces of the patch on its region shrunk by
+    ``margin``; ``depth`` holds each vertex's distance from the centre and
+    ``face_depth`` each finite face's largest one.
+    """
+    bound = patch.region.radius - margin
+    verts = [v for v, d in zip(patch.vertices, depth) if d <= bound]
+    edges = [
+        patch.edge_points[e] for e, (a, b) in enumerate(patch.edges)
+        if depth[a] <= bound and depth[b] <= bound
+    ]
+    safe = patch.region.shrunk(margin)
+    faces = [
+        f for f, d in zip(patch.faces, face_depth)
+        if (f.window(safe) is not None if d is None else d <= bound)
+    ]
+    return verts, edges, faces
+
+
+def _is_translation_symmetry(patch, tau, verts, edges, faces):
+    """Does tau map the given vertices, edges and faces into the patch?
 
     The shrunk region must hold a vertex, a whole edge and a face to check:
     a vector that maps a lone vertex onto a vertex proves nothing.
     """
-    safe = patch.region.shrunk(norm_inf(tau))
-    checked = [0, 0, 0]
-    for v in patch.vertices:
-        if safe.contains(v):
-            w = (v[0] + tau[0], v[1] + tau[1], v[2] + tau[2])
-            if w not in patch.vindex:
-                return False
-            checked[0] += 1
-    for p, q in patch.edge_points:
-        if safe.contains(p) and safe.contains(q):
-            sp = (p[0] + tau[0], p[1] + tau[1], p[2] + tau[2])
-            sq = (q[0] + tau[0], q[1] + tau[1], q[2] + tau[2])
-            if tuple(sorted((sp, sq))) not in patch.eindex:
-                return False
-            checked[1] += 1
-    for f in patch.faces:
-        if f.period_vector is None:
-            if not all(safe.contains(p) for p in f.vertices):
-                continue
-        else:
-            if f.window(safe) is None:
-                continue
+    if not (verts and edges and faces):
+        return False
+    for v in verts:
+        if (v[0] + tau[0], v[1] + tau[1], v[2] + tau[2]) not in patch.vindex:
+            return False
+    for p, q in edges:
+        sp = (p[0] + tau[0], p[1] + tau[1], p[2] + tau[2])
+        sq = (q[0] + tau[0], q[1] + tau[1], q[2] + tau[2])
+        if tuple(sorted((sp, sq))) not in patch.eindex:
+            return False
+    for f in faces:
         if f.translate(tau).canonical_key() not in patch.face_keys:
             return False
-        checked[2] += 1
-    return all(checked)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact linear algebra: algebra laws, fixed spaces, lattices."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skelforge.errors import NotIsometryError, ParseError, UnderdeterminedError
 from skelforge.geometry import (
@@ -19,6 +20,9 @@ from skelforge.geometry import (
     half_turn,
     identity,
     lattice_basis_from,
+    mat_inverse,
+    mat_transpose,
+    mat_vec,
     matrix_rank,
     order_or_translation,
     point_reflection,
@@ -28,6 +32,7 @@ from skelforge.geometry import (
     solve_isometry,
     translation,
     vadd,
+    vcross,
     vsub,
     word,
 )
@@ -339,3 +344,78 @@ def test_application_is_affine_isometry(g, p, q):
 def test_rank_helpers():
     assert matrix_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert matrix_rank([]) == 0
+
+
+# -- the integer lattice kernel against the exact rational formula ----------
+
+
+def oracle_coords(basis, v):
+    """Coordinates through the Fraction inverse of the extended basis."""
+    ext = list(basis)
+    if len(ext) == 2:
+        ext.append(vcross(ext[0], ext[1]))
+    if not ext:
+        return ()
+    inv = mat_inverse(mat_transpose(tuple(ext)))
+    return tuple(scalar(c) for c in mat_vec(inv, v))
+
+
+def oracle_member(basis, v):
+    if not basis:
+        return v == (0, 0, 0)
+    c = oracle_coords(basis, v)
+    return all(
+        Fraction(c[i]).denominator == 1 if i < len(basis) else c[i] == 0
+        for i in range(3)
+    )
+
+
+def oracle_reduce_key(basis, p):
+    if not basis:
+        return p
+    c = oracle_coords(basis, p)
+    return tuple(
+        scalar(c[i] - math.floor(c[i])) if i < len(basis) else c[i]
+        for i in range(3)
+    )
+
+
+def oracle_reduce_point(basis, p):
+    if not basis:
+        return p
+    key = oracle_reduce_key(basis, p)
+    ext = list(basis)
+    if len(ext) == 2:
+        ext.append(vcross(ext[0], ext[1]))
+    return tuple(scalar(sum(k * b[i] for k, b in zip(key, ext))) for i in range(3))
+
+
+def _types(x):
+    return [type(c) for c in x] if isinstance(x, tuple) else type(x)
+
+
+@st.composite
+def lattices(draw):
+    rank = draw(st.sampled_from((0, 2, 3)))
+    entry = small_rat if draw(st.booleans()) else st.integers(-3, 3)
+    basis = draw(st.lists(st.tuples(entry, entry, entry), min_size=rank, max_size=rank))
+    assume(matrix_rank(basis) == rank)
+    return Lattice(basis)
+
+
+points = st.one_of(st.tuples(*[st.integers(-9, 9)] * 3), vec3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattices(), points)
+def test_lattice_kernel_matches_fraction_oracle(lat, p):
+    for method, oracle in (
+        ("coords", oracle_coords),
+        ("member", oracle_member),
+        ("reduce_key", oracle_reduce_key),
+        ("reduce_point", oracle_reduce_point),
+    ):
+        got, want = getattr(lat, method)(p), oracle(lat.basis, p)
+        assert got == want and _types(got) == _types(want), (method, lat, p)
+    for b in lat.basis:
+        assert lat.reduce_key(vadd(p, b)) == lat.reduce_key(p)
