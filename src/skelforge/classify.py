@@ -4,8 +4,8 @@ Polygon taxonomy is decided by exact predicates only: coplanarity through
 determinants, convex versus star through an integer winding number, helical
 regularity through equality of consecutive dot/cross pairs after projecting
 along the period.  Symmetries are discovered by solving exact point
-correspondences between flag walks and verifying the candidates against the
-whole patch.
+correspondences between flag walks, and each candidate is decided exactly on
+the structure's face classes modulo its translation lattice.
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ from .errors import (
     UnderdeterminedError,
 )
 from .geometry import (
+    ZERO3,
     Isometry,
+    Lattice,
     fixed_space_dim,
+    lattice_intersection,
     matrix_rank,
     norm_inf,
     order_or_translation,
@@ -40,6 +43,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
+from .quotient import _coset_vectors, _edge_key, _face_class
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +315,47 @@ def _walk_length(flag, want=6):
     return max(want, len(f) + 2)
 
 
-def is_patch_symmetry(patch, iso, min_evidence=4):
-    """Verify that ``iso`` maps the patch onto itself wherever it can be seen.
+def is_symmetry(patch, iso):
+    """Is ``iso`` a symmetry of the whole structure the patch shows?
 
-    Every vertex, edge, or face whose image lies inside (or, for faces,
-    touches) the region must land on a patch element.
+    Decided exactly on the face classes modulo the patch's lattice Lambda.
+    The structure is the union of the Lambda-translates of its classes.
+    When the linear part L of ``iso`` normalizes Lambda, ``iso`` maps
+    translates to translates, so it is a symmetry exactly when it maps
+    every class representative into a class; it permutes 3-space modulo
+    Lambda, so a map of the finite class set into itself is onto.
+
+    A generator-built Lambda may be a proper sublattice of the translation
+    group that a true symmetry does not normalize.  Every face is then
+    r + m + n: r a representative, n in the sublattice S of Lambda that L
+    maps into Lambda, and m one of the finitely many coset vectors of
+    Lambda modulo S.  Its image is the image of r + m moved by L n, which
+    lies in Lambda, so the class test runs over the translates r + m.  Onto
+    follows as before, modulo the intersection of the L^i Lambda, which is
+    full rank when L has order 1, 2, 3, 4 or 6; any other L is no symmetry
+    of a discrete structure (the crystallographic restriction).
     """
-    region = patch.region
-    hits = 0
-    for v in patch.vertices:
-        w = iso(v)
-        if region.contains(w):
-            if w not in patch.vindex:
-                return False
-            hits += 1
-    if hits < min_evidence:
-        return False
-    for p, q in patch.edge_points:
-        gp, gq = iso(p), iso(q)
-        if region.contains(gp) and region.contains(gq):
-            if tuple(sorted((gp, gq))) not in patch.eindex:
-                return False
-    for f in patch.faces:
-        img = f.transform(iso)
-        if img.window(region) is not None:
-            if img.canonical_key() not in patch.face_keys:
-                return False
-    return True
+    lattice = patch.class_lattice
+    classes = patch.face_classes
+    if not classes:
+        raise PatchTooSmallError("the patch holds no face to decide on")
+    shifts = [ZERO3]
+    if not all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
+        power = order_or_translation(Isometry(iso.m, check=False), 6)
+        if power.kind != "order" or power.n == 5:
+            return False
+        back = iso.inverse()
+        common = lattice_intersection(
+            [lattice, Lattice([back.apply_vec(b) for b in lattice.basis])]
+        )
+        if common is None:
+            return False
+        shifts = _coset_vectors(lattice, common)
+    return all(
+        _face_class(lattice, rep.translate(t).transform(iso))[0] in classes
+        for t in shifts
+        for rep, _ in classes.values()
+    )
 
 
 def _solve_flag_map(src_pts, dst_pts):
@@ -382,14 +400,14 @@ def find_flag_symmetries(patch, flag=None):
     rs = {}
     for i in (0, 1):
         for cand in flag_map_candidates(patch, flag, targets[i]):
-            if cand.is_involution() and is_patch_symmetry(patch, cand):
+            if cand.is_involution() and is_symmetry(patch, cand):
                 rs[f"R{i}"] = cand
                 break
     for tgt in targets[2]:
         if "R2" in rs:
             break
         for cand in flag_map_candidates(patch, flag, tgt):
-            if cand.is_involution() and is_patch_symmetry(patch, cand):
+            if cand.is_involution() and is_symmetry(patch, cand):
                 rs["R2"] = cand
                 break
     if len(rs) == 3:
@@ -399,7 +417,7 @@ def find_flag_symmetries(patch, flag=None):
     count = _walk_length(flag, 7)
     w = flag.walk(count + 1)
     for cand in _solve_flag_map(w[:count], w[1:count + 1]):
-        if is_patch_symmetry(patch, cand):
+        if is_symmetry(patch, cand):
             s1 = cand
             break
     if s1 is None:
@@ -415,7 +433,7 @@ def find_flag_symmetries(patch, flag=None):
                 power = order_or_translation(cand, q + 1)
                 if (power.kind, power.n) != ("order", q):
                     continue
-                if is_patch_symmetry(patch, cand):
+                if is_symmetry(patch, cand):
                     s2_options.append(cand)
     for cand in s2_options:
         for s1_try in (s1, s1.inverse()):
@@ -427,7 +445,7 @@ def find_flag_symmetries(patch, flag=None):
 
 
 def has_adjacent_flag_symmetry(patch, flag=None):
-    """Does any symmetry of the patch map a flag to one of its neighbors?
+    """Does any symmetry of the structure map a flag to one of its neighbors?
 
     This is the certificate separating chiral structures (no) from regular
     ones probed with only their rotation subgroup (yes).
@@ -438,7 +456,7 @@ def has_adjacent_flag_symmetry(patch, flag=None):
     all_targets = [targets[0], targets[1], *targets[2]]
     for tgt in all_targets:
         for cand in flag_map_candidates(patch, flag, tgt):
-            if is_patch_symmetry(patch, cand):
+            if is_symmetry(patch, cand):
                 return cand
     return None
 
@@ -596,12 +614,41 @@ def face_center(face):
     )
 
 
-def dual_congruence_check(a, b, max_anchors=40):
+def _centre_adjacency(patch):
+    """Centres of faces sharing an edge: one pair per class modulo the
+    patch's class lattice, found from the face classes alone."""
+    lattice = patch.class_lattice
+    reps = [rep for rep, _ in patch.face_classes.values()]
+    at_edge = {}
+    for f in reps:
+        for _, p, q in f.edge_slots():
+            at_edge.setdefault(_edge_key(lattice, p, q), []).append((f, p, q))
+    pairs = {}
+    for f in reps:
+        c = face_center(f)
+        for _, p, q in f.edge_slots():
+            for f2, p2, q2 in at_edge[_edge_key(lattice, p, q)]:
+                for x, y in ((p, q), (q, p)):
+                    t = vsub(x, p2)
+                    if vadd(q2, t) == y and lattice.member(t):
+                        break
+                other = f2.translate(t)
+                if other.canonical_key() != f.canonical_key():
+                    c2 = face_center(other)
+                    pairs.setdefault(_edge_key(lattice, c, c2), (c, c2))
+    return list(pairs.values())
+
+
+def dual_congruence_check(a, b):
     """Is b congruent to the face-center dual of a?
 
     Looks for a signed-permutation isometry (plus translation) sending the
-    face centers of a onto the vertices of b and the center adjacency of a
-    (faces sharing an edge) onto the edge set of b.  Returns (ok, witness).
+    face-centre classes of a bijectively onto the vertex classes of b, and
+    the classes of centre pairs of faces sharing an edge onto the edge
+    classes of b.  Classes are taken modulo the translations common to b's
+    lattice and the image of a's (whole sets when finite).  One anchor per
+    vertex class of b suffices: a witness moved by a translation of b is
+    another.  Returns (ok, witness).
     """
     if a.region.center != b.region.center or a.region.radius != b.region.radius:
         raise RegionMismatchError("inputs must be built over the same region")
@@ -612,40 +659,52 @@ def dual_congruence_check(a, b, max_anchors=40):
     if a.is_finite != b.is_finite:
         return False, None
 
-    centers = [face_center(f) for f in a.faces]
-    center_set = set(centers)
-    dual_edges = set()
-    for slots in a.edge_faces:
-        fids = sorted({fid for fid, _ in slots})
-        for i in range(len(fids)):
-            for j in range(i + 1, len(fids)):
-                dual_edges.add(
-                    tuple(sorted((centers[fids[i]], centers[fids[j]])))
-                )
+    lat_a, lat_b = a.class_lattice, b.class_lattice
+    centres = {}
+    for rep, _ in a.face_classes.values():
+        c = face_center(rep)
+        centres.setdefault(lat_a.reduce_key(c), c)
+    centres = list(centres.values())
+    adjacency = _centre_adjacency(a)
+    b_verts, b_edges = {}, {}
+    for rep, _ in b.face_classes.values():
+        for _, p, q in rep.edge_slots():
+            b_verts.setdefault(lat_b.reduce_key(p), p)
+            b_edges.setdefault(_edge_key(lat_b, p, q), (p, q))
 
-    cmp_box = a.region.shrunk(2) if a.region.radius > 2 else a.region
-    b_verts = {v for v in b.vertices if cmp_box.contains(v)}
+    # the source anchor and each class's anchor are the ones nearest the
+    # centre, so the witness found is the one nearest the centre
     rc = a.region.center
-    anchor_src = min(center_set, key=lambda c: (norm_inf(vsub(c, rc)), c))
-    anchors_dst = sorted(
-        b.vertices, key=lambda v: (norm_inf(vsub(v, rc)), v)
-    )[:max_anchors]
+    anchor_src = min(
+        (face_center(f) for f in a.faces), key=lambda c: (norm_inf(vsub(c, rc)), c)
+    )
+    anchors = {}
+    for v in sorted(b.vertices, key=lambda v: (norm_inf(vsub(v, rc)), v)):
+        anchors.setdefault(lat_b.reduce_key(v), v)
 
     for m in _signed_perms():
         lin = Isometry(m, check=False)
-        for w in anchors_dst:
+        common = lattice_intersection(
+            [lat_b, Lattice([lin.apply_vec(v) for v in lat_a.basis])]
+        )
+        if common is None:
+            continue
+        pulled = Lattice([lin.inverse().apply_vec(v) for v in common.basis])
+        shifts_a = _coset_vectors(lat_a, pulled)
+        shifts_b = _coset_vectors(lat_b, common)
+        want_v = {common.reduce_key(vadd(p, s))
+                  for p in b_verts.values() for s in shifts_b}
+        want_e = {_edge_key(common, vadd(p, s), vadd(q, s))
+                  for p, q in b_edges.values() for s in shifts_b}
+        for w in anchors.values():
             g = Isometry(m, vsub(w, lin(anchor_src)), check=False)
-            mapped = {g(c) for c in centers}
-            if {p for p in mapped if cmp_box.contains(p)} != b_verts:
+            got_v = {common.reduce_key(g(vadd(c, t)))
+                     for c in centres for t in shifts_a}
+            if got_v != want_v:
                 continue
-            ok = True
-            for c1, c2 in dual_edges:
-                p1, p2 = g(c1), g(c2)
-                if cmp_box.contains(p1) and cmp_box.contains(p2):
-                    if not b.has_edge(p1, p2):
-                        ok = False
-                        break
-            if ok:
+            got_e = {_edge_key(common, g(vadd(c1, t)), g(vadd(c2, t)))
+                     for c1, c2 in adjacency for t in shifts_a}
+            if got_e == want_e:
                 return True, g
     return False, None
 
@@ -672,8 +731,8 @@ def edge_stabilizer(patch, edge=None):
     """The pointwise stabilizer of a central edge, acting on its faces.
 
     Candidates come from wedge correspondences between the faces at the
-    edge; each is verified against the patch, and the verified set is
-    closed under composition.  Dihedral means some element reverses the
+    edge; each is decided by :func:`is_symmetry`, and the symmetries found
+    are closed under composition.  Dihedral means some element reverses the
     orientation of the perpendicular plane.
     """
     if edge is None:
@@ -704,7 +763,7 @@ def edge_stabilizer(patch, edge=None):
     src = [u, v, wedges[0][0], wedges[0][1]]
     for a, b in wedges:
         for cand in _solve_flag_map(src, [u, v, a, b]):
-            if cand not in found and is_patch_symmetry(patch, cand):
+            if cand not in found and is_symmetry(patch, cand):
                 found[cand] = True
     # close under composition (the group is small)
     group = set(found)

@@ -101,9 +101,9 @@ def _cmd_classify(args):
         "face_class": st.face_class.symbol,
     }
     counts = {}
-    for f in patch.faces:
-        sym = cls.classify_polygon(f).symbol
-        counts[sym] = counts.get(sym, 0) + 1
+    for rep, members in patch.face_classes.values():
+        sym = cls.classify_polygon(rep).symbol
+        counts[sym] = counts.get(sym, 0) + members
     out["face_classes"] = counts
 
     center = min(

@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BoundaryError, DegenerateFaceError
+from .errors import BoundaryError, DegenerateFaceError, NotPeriodicError
 from .geometry import finite_lattice, scalar, vadd, vdot, vec_str, vneg, vscale, vsub
 
 
@@ -281,6 +281,7 @@ class SkeletalComplex:
         self.region = region
         self.window = region.expanded(window_margin)
         self._lattice = lattice  # translation lattice when known; else detected
+        self._classes = None  # (class lattice, face classes), made on first use
 
         vset = {tuple(p) for p in vertices}
         eset = {frozenset((tuple(p), tuple(q))) for p, q in edges}
@@ -385,6 +386,40 @@ class SkeletalComplex:
 
             self._lattice = detect_translation_lattice(self) or finite_lattice()
         return self._lattice if self._lattice.rank else None
+
+    @property
+    def class_lattice(self):
+        """The lattice the face classes are taken modulo: the translation
+        lattice, or the trivial one for a finite patch."""
+        return self._face_class_map()[0]
+
+    @property
+    def face_classes(self):
+        """The patch faces modulo :attr:`class_lattice`, keyed as quotient
+        classes: {key: (first patch face of the class, patch faces in it)}.
+
+        Made once per patch; quotients, the symmetry test and per-class
+        polygon counts share it.
+        """
+        return self._face_class_map()[1]
+
+    def _face_class_map(self):
+        if self._classes is None:
+            from .quotient import _face_class
+
+            if self.is_finite:
+                lattice = finite_lattice()
+            elif self.lattice is None:
+                raise NotPeriodicError("no translation lattice found for the patch")
+            else:
+                lattice = self.lattice
+            classes = {}
+            for f in self.faces:
+                key = _face_class(lattice, f)[0]
+                rep, n = classes.get(key, (f, 0))
+                classes[key] = (rep, n + 1)
+            self._classes = (lattice, classes)
+        return self._classes
 
     # -- vertex figures -----------------------------------------------------
 

@@ -591,6 +591,31 @@ class Lattice:
         return f"Lattice({[vec_str(b) for b in self.basis]}, name={self.name!r})"
 
 
+def _dual_basis(lattice):
+    """Vectors d_i in the lattice's span with d_i . b_j = [i == j]."""
+    return [tuple(_ratio(a, lattice._den) for a in row)
+            for row in lattice._adj[:lattice.rank]]
+
+
+def lattice_intersection(lattices):
+    """The vectors common to all the given lattices, as a lattice, or None
+    when their ranks or spans differ.
+
+    Rational lattices of one span are commensurable, and the dual of their
+    intersection is the sum of their duals, so no coset is enumerated.
+    """
+    first = lattices[0]
+    for lat in lattices[1:]:
+        if lat.rank != first.rank or any(
+            any(first.coords(b)[first.rank:]) for b in lat.basis
+        ):
+            return None
+    if first.rank == 0:
+        return first
+    duals = [d for lat in lattices for d in _dual_basis(lat)]
+    return Lattice(_dual_basis(Lattice(lattice_basis_from(duals))))
+
+
 def finite_lattice():
     """Rank-0 lattice: the trivial translation group of a finite structure."""
     return Lattice([], name="trivial")

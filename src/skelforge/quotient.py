@@ -267,13 +267,10 @@ class ClosedComplex:
         face per class modulo the patch's own lattice (trivial when finite),
         moved by one vector per coset, so the patch's reach does not matter.
         """
-        lattice = patch.lattice if sublattice.rank else sublattice
-        reps = {}
-        for desc in patch.faces:
-            reps.setdefault(_face_class(lattice, desc)[0], desc)
+        lattice = patch.class_lattice
         classes = {}
         for t in _coset_vectors(lattice, sublattice):
-            for desc in reps.values():
+            for desc, _ in patch.face_classes.values():
                 moved = desc.translate(t)
                 key, lift, closure = _face_class(sublattice, moved)
                 if key not in classes:

@@ -10,27 +10,79 @@ from skelforge.errors import (
     NotAPolygonError,
     NotEquivelarError,
     NotInvolutionError,
+    PatchTooSmallError,
     RegionMismatchError,
 )
 from skelforge.classify import (
+    PatchFlag,
+    _adjacent_flag_targets,
     _winding_number,
+    base_flag,
     classify_polygon,
     dual_congruence_check,
     edge_stabilizer,
     find_flag_symmetries,
-    is_patch_symmetry,
+    flag_map_candidates,
+    is_symmetry,
     mirror_vector,
     schlafli,
     verdict,
 )
+from skelforge.complexes import SkeletalComplex
 from skelforge.geometry import (
+    Isometry,
+    Lattice,
     fixed_space_dim,
     half_turn,
     point_reflection,
     reflection_in_plane,
+    translation,
 )
 from skelforge.orbit import build_base_face
-from skelforge.presets import finite_faced_chiral, helix_faced_chiral
+from skelforge.presets import finite_faced_chiral, helix_faced_chiral, instantiate
+
+
+def is_patch_symmetry(patch, iso, min_evidence=4):
+    """Oracle: ``iso`` maps the patch onto itself wherever it can be seen.
+
+    Every vertex, edge, or face whose image lies inside (or, for faces,
+    touches) the region must land on a patch element, with at least
+    ``min_evidence`` vertex images inside.
+    """
+    region = patch.region
+    hits = 0
+    for v in patch.vertices:
+        w = iso(v)
+        if region.contains(w):
+            if w not in patch.vindex:
+                return False
+            hits += 1
+    if hits < min_evidence:
+        return False
+    for p, q in patch.edge_points:
+        gp, gq = iso(p), iso(q)
+        if region.contains(gp) and region.contains(gq):
+            if tuple(sorted((gp, gq))) not in patch.eindex:
+                return False
+    for f in patch.faces:
+        img = f.transform(iso)
+        if img.window(region) is not None:
+            if img.canonical_key() not in patch.face_keys:
+                return False
+    return True
+
+
+def flag_map_candidates_at_base(patch):
+    """Every isometry candidate from the base flag to its 0-, 1- and
+    2-adjacent flags and to every flag at the base vertex."""
+    flag = base_flag(patch)
+    adjacent = _adjacent_flag_targets(patch, flag)
+    targets = [adjacent[0], adjacent[1], *adjacent[2]]
+    vid = patch.vindex[flag.vertex]
+    for eid in patch.vertex_edges[vid]:
+        for fid, _ in patch.edge_faces[eid]:
+            targets.append(PatchFlag(patch, flag.vertex, patch.edge_points[eid], fid))
+    return [c for t in targets for c in flag_map_candidates(patch, flag, t)]
 
 
 class TestClassifyPolygon:
@@ -172,11 +224,104 @@ class TestFindFlagSymmetries:
     def test_verified_symmetry_actually_preserves_patch(self, built):
         p10 = built("P:1,0")
         gen = finite_faced_chiral(1, 0)
-        assert is_patch_symmetry(p10, gen.generators["S1"])
-        assert is_patch_symmetry(p10, gen.generators["S2"])
+        for name in ("S1", "S2"):
+            assert is_symmetry(p10, gen.generators[name])
+            assert is_patch_symmetry(p10, gen.generators[name])
+        # a plane reflection through the origin is not a symmetry of P(1,0)
         bad = reflection_in_plane((1, 0, 0), (0, 0, 0))
+        assert not is_symmetry(p10, bad)
+        assert not is_patch_symmetry(p10, bad)
         fam = find_flag_symmetries(p10)
         assert fam["family"] == "S"
+
+
+class TestIsSymmetry:
+    @pytest.mark.parametrize(
+        "name", ["cube", "sq44", "P:1,0", "P:1,1", "P2:1,0", "K4_12"]
+    )
+    def test_agrees_with_patch_oracle(self, built, name):
+        patch = built(name, 3)
+        verdicts = [
+            (is_symmetry(patch, c), is_patch_symmetry(patch, c))
+            for c in flag_map_candidates_at_base(patch)
+        ]
+        assert all(exact == oracle for exact, oracle in verdicts), name
+        assert any(exact for exact, _ in verdicts), name
+
+    def test_symmetry_not_normalizing_a_declared_sublattice(self, built):
+        # sq44 declared with the index-2 lattice Z x 2Z: the quarter turn is
+        # a symmetry of the tiling but maps (1,0,0) outside that lattice
+        sq = built("sq44")
+        thin = Lattice([(1, 0, 0), (0, 2, 0)])
+        declared = SkeletalComplex(
+            sq.vertices, sq.edge_points, sq.faces, sq.region, lattice=thin
+        )
+        quarter = Isometry(((0, -1, 0), (1, 0, 0), (0, 0, 1)))
+        assert not thin.member(quarter.apply_vec((1, 0, 0)))
+        assert is_symmetry(declared, quarter)
+        assert not is_symmetry(declared, translation((0, 0, 1)))
+        # quarter turns about a square's centre and about a quarter point
+        assert is_symmetry(declared, Isometry(quarter.m, (1, 0, 0)))
+        assert not is_symmetry(declared, Isometry(quarter.m, (Fraction(1, 2), 0, 0)))
+
+    def test_rotation_of_infinite_order_rejected(self, built):
+        from fractions import Fraction as F
+
+        turn = Isometry(((F(3, 5), F(-4, 5), 0), (F(4, 5), F(3, 5), 0), (0, 0, 1)))
+        assert not is_symmetry(built("P:1,0"), turn)
+
+    def test_translation_of_finite_structure_rejected(self, built):
+        assert not is_symmetry(built("cube"), translation((1, 0, 0)))
+
+    def test_patch_without_faces_decides_nothing(self, built):
+        # no vertex of the octahedron lies in this region: edges, no faces
+        empty = built("oct", Fraction(1, 2))
+        assert empty.faces == [] and empty.edges
+        with pytest.raises(PatchTooSmallError):
+            is_symmetry(empty, translation((1, 0, 0)))
+
+
+def _symmetry_answers(name, radius):
+    """Generators and verdict of a polyhedron, or the edge stabilizer of a
+    complex, read from a patch of the given radius."""
+    from skelforge.presets import build
+
+    patch = build(name, Region((0, 0, 0), radius))
+    if name in ("skel2cubic", "K4_12"):
+        g2 = edge_stabilizer(patch)
+        return g2.name, g2.order
+    fam = find_flag_symmetries(patch)
+    v = verdict(patch, instantiate(name).isometries())
+    return (tuple(sorted(fam.items())), v.kind, v.orbit_count,
+            v.extra_symmetry is not None)
+
+
+class TestRadiusIndependence:
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("P:1,0", ("S", "chiral", 2, False)),
+            ("P:1,1", ("R", "regular", 2, True)),
+            ("P2:1,0", ("R", "regular", 2, True)),
+            ("sq44", ("R", "regular", 1, False)),
+            ("skel2cubic", ("D4", 8)),
+            ("K4_12", ("D2", 4)),
+        ],
+    )
+    def test_symmetry_answers_do_not_depend_on_radius(self, name, expected):
+        answers = {r: _symmetry_answers(name, r) for r in range(2, 7)}
+        assert len(set(answers.values())) == 1, answers
+        got = answers[2]
+        if len(got) == 4:
+            got = (dict(got[0])["family"],) + got[1:]
+        assert got == expected
+
+    def test_hexagon_tiling_reflections_from_a_unit_patch(self, built):
+        # a radius-1 patch shows too few vertices for a patch-bound check to
+        # accept the reflections of {6,3}; the class test needs none
+        small = find_flag_symmetries(built("hex63", 1))
+        assert small["family"] == "R"
+        assert small == find_flag_symmetries(built("hex63", 3))
 
 
 class TestVerdicts:

@@ -29,6 +29,19 @@ class TestCommands:
         out = json.loads(run_cli("classify", "--preset", "P2:1,0"))
         assert out["verdict"] == "regular"
 
+    def test_face_class_counts_are_per_patch_face(self):
+        from skelforge.classify import classify_polygon
+        from skelforge.complexes import Region
+        from skelforge.presets import build
+
+        for name in ("K4_12", "P2:1,0"):
+            out = json.loads(run_cli("classify", "--preset", name, "--radius", "3"))
+            counts = {}
+            for f in build(name, Region((0, 0, 0), 3)).faces:
+                sym = classify_polygon(f).symbol
+                counts[sym] = counts.get(sym, 0) + 1
+            assert out["face_classes"] == counts, name
+
     def test_petrie_cube_four_skew_hexagons(self):
         out = json.loads(run_cli("petrie", "--preset", "cube"))
         assert out["counts"]["faces"] == 4

@@ -20,6 +20,7 @@ from skelforge.geometry import (
     half_turn,
     identity,
     lattice_basis_from,
+    lattice_intersection,
     mat_inverse,
     mat_transpose,
     mat_vec,
@@ -287,6 +288,23 @@ class TestLattices:
         flat = Lattice([(1, 1, 0), (1, -1, 0)])
         assert flat.reduce_key((0, 0, 1)) != flat.reduce_key((0, 0, -1))
         assert flat.reduce_key((2, 0, 1)) == flat.reduce_key((0, 0, 1))
+
+    def test_intersection_membership(self):
+        # fcc meets bcc in 2Z^3, and (1/2)Z x Z meets Z x 2Z in Z x 2Z
+        both = lattice_intersection([LAMBDA_2, LAMBDA_3])
+        for p in itertools.product(range(-2, 3), repeat=3):
+            assert both.member(p) == (LAMBDA_2.member(p) and LAMBDA_3.member(p))
+        half = Lattice([(Fraction(1, 2), 0, 0), (0, 1, 0)])
+        thin = lattice_intersection([half, Lattice([(1, 0, 0), (0, 2, 0)])])
+        assert thin.rank == 2
+        for p in itertools.product(range(-3, 4), repeat=2):
+            assert thin.member((*p, 0)) == (p[1] % 2 == 0)
+        assert not thin.member((0, 0, 2))
+
+    def test_intersection_of_different_spans_is_none(self):
+        flat = Lattice([(1, 0, 0), (0, 1, 0)])
+        assert lattice_intersection([flat, Lattice([(1, 0, 0), (0, 0, 1)])]) is None
+        assert lattice_intersection([flat, LAMBDA_2]) is None
 
     def test_basis_from_generators(self):
         basis = lattice_basis_from([(2, 0, 0), (0, 2, 0), (1, 1, 1), (3, 1, 1)])

@@ -333,6 +333,29 @@ class TestQuotient:
         q4 = build_quotient(p10, scale=4)
         assert q4.counts() == tuple(8 * c for c in q2.counts())
 
+    @pytest.mark.parametrize(
+        "name,rank,count",
+        [("cube", 0, 6), ("P:1,0", 3, 4), ("P2:1,0", 3, 6), ("K4_12", 3, 4)],
+    )
+    def test_face_classes_partition_the_patch(self, built, name, rank, count):
+        from skelforge.quotient import _face_class
+
+        patch = built(name, 3)
+        classes = patch.face_classes
+        assert patch.class_lattice.rank == rank
+        assert len(classes) == count
+        assert sum(n for _, n in classes.values()) == len(patch.faces)
+        for f in patch.faces:
+            rep, _ = classes[_face_class(patch.class_lattice, f)[0]]
+            assert patch.faces.index(rep) <= patch.faces.index(f)
+
+    def test_quotient_faces_come_from_the_class_map(self, built):
+        p10 = built("P:1,0", 3)
+        reps = {rep.vertices for rep, _ in p10.face_classes.values()}
+        q = build_quotient(p10, scale=2)
+        assert {f.source.vertices for f in q.faces} >= reps
+        assert p10.face_classes is p10.face_classes
+
     def test_density_matches_patch_counts(self, built):
         # vertex classes per cell volume ~ in-region vertices per box volume
         p10 = built("P:1,0")
