@@ -68,7 +68,7 @@ from .orbit import (
     detect_translation_lattice,
     wythoff_patch,
 )
-from .presets import build, build_K_complex, instantiate
+from .presets import build, instantiate
 from .serialization import (
     complex_from_json,
     complex_to_json,
@@ -94,7 +94,7 @@ __all__ = [
     "covering_check", "petrie_dual", "trace", "trace_report",
     "GeneratorSet", "build_base_face", "build_quotient",
     "detect_translation_lattice", "wythoff_patch",
-    "build", "build_K_complex", "instantiate",
+    "build", "instantiate",
     "complex_from_json", "complex_to_json", "complex_to_obj",
     "generators_to_json", "ingest_generators",
 ]

@@ -555,28 +555,24 @@ class SchlafliType:
 
 
 def schlafli(patch, mode="polyhedron", quotient_scale=4):
-    """The basic type {p, q}, with the face count r appended in complex mode."""
+    """The basic type {p, q}, with the face count r appended in complex mode.
+
+    One polygon per face class is classified.  A patch without an interior
+    edge shows no face count per edge, so it is too small, not evidence.
+    """
     report = validate(patch, mode)
+    if not patch.interior_edge_ids():
+        raise PatchTooSmallError("the patch has no interior edge; enlarge the region")
     if report.r is None:
         raise NotEquivelarError("face count per edge is not constant")
-    classes = {}
-    for f in patch.faces:
-        key = (f.period_vector is None, len(f))
-        if key not in classes:
-            classes[key] = classify_polygon(f)
-    kinds = {(c.kind, c.p, c.k) for c in classes.values()}
+    classes = [classify_polygon(rep) for rep, _ in patch.face_classes.values()]
+    kinds = {(c.kind, c.p, c.k) for c in classes}
     if len(kinds) != 1:
         raise NotEquivelarError(f"faces fall into {len(kinds)} classes")
-    face_class = next(iter(classes.values()))
+    face_class = classes[0]
     p = face_class.p if face_class.is_finite else None
 
-    degrees = set()
-    closed = build_quotient(patch, scale=quotient_scale)
-    per_vertex = [0] * len(closed.vreps)
-    for f in closed.faces:
-        for v in f.vclasses:
-            per_vertex[v] += 1
-    degrees = set(per_vertex)
+    degrees = set(build_quotient(patch, scale=quotient_scale).faces_per_vertex())
     if len(degrees) != 1:
         raise NotEquivelarError(f"vertex face-degrees vary: {sorted(degrees)}")
     q = degrees.pop()

@@ -1,12 +1,16 @@
 """Skeletal complexes: vertices, edges, polygonal faces, vertex figures.
 
-A patch (:class:`SkeletalComplex`) holds everything of a structure that
-touches a bounded region.  Finite faces always carry their complete vertex
-cycle even when it pokes out of the region; infinite faces carry one period
-plus the period vector, which is likewise a complete description.  The only
-thing a patch does not know is which elements *outside* it exist, so all
-axiom checks restrict to elements whose incident data is guaranteed present
-(anything touching the region proper).
+A structure is its translation lattice plus finitely many vertex, edge and
+face classes modulo it (a finite structure has the trivial lattice).  A
+patch (:class:`SkeletalComplex`) is the view of those classes unrolled over
+a bounded region: everything of the structure that touches the region.  It
+keeps the classes it was made from, so quotients and nets read them, not
+the patch; only a patch given as bare element lists scans itself for them.
+Finite faces always carry their complete vertex cycle even when it pokes
+out of the region; infinite faces carry one period plus the period vector,
+which is likewise a complete description.  The axiom checks restrict to
+elements whose incident data is guaranteed present (anything touching the
+region proper).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BoundaryError, DegenerateFaceError, NotPeriodicError
 from .geometry import finite_lattice, scalar, vadd, vdot, vec_str, vneg, vscale, vsub
@@ -51,12 +56,6 @@ class Region:
     def intervals(self):
         c, r = self.center, self.radius
         return tuple((c[i] - r, c[i] + r) for i in range(3))
-
-    def intersects_segment_bbox(self, p, q):
-        for i, (lo, hi) in enumerate(self.intervals()):
-            if max(p[i], q[i]) < lo or min(p[i], q[i]) > hi:
-                return False
-        return True
 
 
 def _lex_positive(v):
@@ -272,16 +271,32 @@ class FaceDescriptor:
 # the complex
 
 
-class SkeletalComplex:
-    """An immutable patch of a (possibly infinite) polyhedral structure."""
+class StructureClasses(NamedTuple):
+    """A structure modulo its class lattice, as a patch holds it."""
 
-    def __init__(self, vertices, edges, faces, region, window_margin=2, name="",
-                 lattice=None):
+    lattice: object  # the translation lattice, or the trivial one when finite
+    vertices: list  # one point per vertex class given besides the faces'
+    edges: list  # one point pair per edge class given besides the faces'
+    faces: list  # one face per class: the least patch face, if the patch has one
+    counted: dict  # class key -> (least patch face, patch faces in the class)
+
+
+class SkeletalComplex:
+    """An immutable patch of a (possibly infinite) polyhedral structure.
+
+    A structure is a lattice plus finitely many vertex, edge and face
+    classes modulo it; :meth:`from_classes` unrolls the classes over a
+    region and keeps them.  A patch made from bare element lists (JSON
+    input, hand-built complexes, blends) finds its lattice and classes by
+    scanning itself, once, on first use.
+    """
+
+    def __init__(self, vertices, edges, faces, region, window_margin=2, name=""):
         self.name = name
         self.region = region
         self.window = region.expanded(window_margin)
-        self._lattice = lattice  # translation lattice when known; else detected
-        self._classes = None  # (class lattice, face classes), made on first use
+        self._lattice = None  # translation lattice, detected on first use
+        self._classes = None  # StructureClasses, scanned on first use
 
         vset = {tuple(p) for p in vertices}
         eset = {frozenset((tuple(p), tuple(q))) for p, q in edges}
@@ -326,9 +341,6 @@ class SkeletalComplex:
         self.in_region = [region.contains(p) for p in self.vertices]
 
     # -- basic queries ------------------------------------------------------
-
-    def vertex_in_region(self, vid):
-        return self.in_region[vid]
 
     def interior_vertex_ids(self):
         return [i for i, ok in enumerate(self.in_region) if ok]
@@ -378,6 +390,50 @@ class SkeletalComplex:
     def has_face(self, descriptor):
         return descriptor.canonical_key() in self.face_keys
 
+    @classmethod
+    def from_classes(cls, lattice, faces, region, vertices=(), edges=(),
+                     window_margin=2, name="", skeleton=None):
+        """The patch over ``region`` of the structure made of the translates
+        by ``lattice`` of ``faces``, ``vertices`` and ``edges``, one element
+        per class (the trivial lattice for a finite structure).
+
+        Each class is unrolled once, by ``lattice_translates`` and
+        ``face_translates``, and the face classes are counted as they are
+        unrolled.  ``skeleton`` is a patch with the same vertices and edges
+        over the same region, whose vertex and edge lists are kept as they
+        are: a Petrie dual keeps its parent's.
+        """
+        from .quotient import _edge_key, _face_class, face_translates, lattice_translates
+
+        reps, vclasses, eclasses = {}, {}, {}
+        for f in faces:
+            reps.setdefault(_face_class(lattice, f)[0], f)
+        for p in vertices:
+            vclasses.setdefault(lattice.reduce_key(p), p)
+        for e in edges:
+            eclasses.setdefault(_edge_key(lattice, *e), e)
+        unrolled = {key: face_translates(lattice, f, region) for key, f in reps.items()}
+        if skeleton is None:
+            vertices = [vadd(p, t) for p in vclasses.values()
+                        for t in lattice_translates(lattice, [p], region)]
+            edges = [(vadd(p, t), vadd(q, t)) for p, q in eclasses.values()
+                     for t in lattice_translates(lattice, (p, q), region)]
+        else:
+            vertices, edges = skeleton.vertices, skeleton.edge_points
+        patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
+                    region, window_margin=window_margin, name=name)
+        counted = {}
+        for key, fs in unrolled.items():
+            if fs:
+                reps[key] = min(fs, key=FaceDescriptor.canonical_key)
+                counted[key] = (reps[key], len(fs))
+        patch._lattice = lattice
+        patch._classes = StructureClasses(
+            lattice, list(vclasses.values()), list(eclasses.values()),
+            list(reps.values()), counted,
+        )
+        return patch
+
     @property
     def lattice(self):
         """The translation lattice (None when trivial), scanned if not given."""
@@ -388,38 +444,48 @@ class SkeletalComplex:
         return self._lattice if self._lattice.rank else None
 
     @property
+    def classes(self):
+        """The structure modulo :attr:`class_lattice`, as kept by
+        :meth:`from_classes` or scanned from the patch once."""
+        if self._classes is None:
+            self._classes = self._scan_classes()
+        return self._classes
+
+    @property
     def class_lattice(self):
-        """The lattice the face classes are taken modulo: the translation
+        """The lattice the classes are taken modulo: the translation
         lattice, or the trivial one for a finite patch."""
-        return self._face_class_map()[0]
+        return self.classes.lattice
 
     @property
     def face_classes(self):
         """The patch faces modulo :attr:`class_lattice`, keyed as quotient
         classes: {key: (first patch face of the class, patch faces in it)}.
-
-        Made once per patch; quotients, the symmetry test and per-class
-        polygon counts share it.
         """
-        return self._face_class_map()[1]
+        return self.classes.counted
 
-    def _face_class_map(self):
-        if self._classes is None:
-            from .quotient import _face_class
+    def _scan_classes(self):
+        from .quotient import _edge_key, _face_class
 
-            if self.is_finite:
-                lattice = finite_lattice()
-            elif self.lattice is None:
-                raise NotPeriodicError("no translation lattice found for the patch")
-            else:
-                lattice = self.lattice
-            classes = {}
-            for f in self.faces:
-                key = _face_class(lattice, f)[0]
-                rep, n = classes.get(key, (f, 0))
-                classes[key] = (rep, n + 1)
-            self._classes = (lattice, classes)
-        return self._classes
+        if self.is_finite:
+            lattice = finite_lattice()
+        elif self.lattice is None:
+            raise NotPeriodicError("no translation lattice found for the patch")
+        else:
+            lattice = self.lattice
+        counted, vclasses, eclasses = {}, {}, {}
+        for f in self.faces:
+            key = _face_class(lattice, f)[0]
+            rep, n = counted.get(key, (f, 0))
+            counted[key] = (rep, n + 1)
+        for p in self.vertices:
+            vclasses.setdefault(lattice.reduce_key(p), p)
+        for p, q in self.edge_points:
+            eclasses.setdefault(_edge_key(lattice, p, q), (p, q))
+        return StructureClasses(
+            lattice, list(vclasses.values()), list(eclasses.values()),
+            [rep for rep, _ in counted.values()], counted,
+        )
 
     # -- vertex figures -----------------------------------------------------
 
@@ -733,6 +799,8 @@ def validate(complex_, mode="polyhedron"):
             report.add("c:faces-per-edge", r == 2, f"r = {r} (need 2)")
         else:
             report.add("c:faces-per-edge", r >= 2, f"r = {r}")
+    elif not counts:
+        report.add("c:faces-per-edge", False, "no interior edge")
     else:
         report.add("c:faces-per-edge", False, f"nonconstant: {dict(counts)}")
 

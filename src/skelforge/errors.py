@@ -105,7 +105,3 @@ class RegionMismatchError(SkelforgeError):
 
 class InvalidParametersError(SkelforgeError):
     code = "invalid-parameters"
-
-
-class AssignmentSearchError(SkelforgeError):
-    code = "assignment-search-failed"

@@ -576,11 +576,6 @@ class Lattice:
             return (x, y, z)
         return (scalar(x), scalar(y), scalar(z))
 
-    def offset_between(self, p, q):
-        """The lattice vector q - p if the two points are congruent, else None."""
-        d = vsub(q, p)
-        return d if self.member(d) else None
-
     def scaled(self, k):
         return Lattice([vscale(k, b) for b in self.basis], name=self.name)
 

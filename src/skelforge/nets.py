@@ -2,17 +2,20 @@
 
 A net is the 1-skeleton of a 3-periodic structure, stored as a quotient
 graph with integer translation labels on the edges (one node per vertex
-class modulo the translation lattice).  The five reference nets the catalog
-produces are built here from their lattices and nearest-neighbor rules,
-except nbo, which is taken as the edge graph of the one-Petrie-per-cube
-complex and pinned by the coordination-sequence oracle in the tests.
+class modulo the translation lattice, numbered in the order of the classes'
+reduced representatives).  It is read from the structure's edge classes,
+never from a patch, so it does not depend on the region.  The five
+reference nets the catalog produces are built here from their lattices and
+nearest-neighbor rules, except nbo, which is taken as the edge graph of the
+K5_12 face classes and pinned by the coordination-sequence oracle in the
+tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .complexes import Region
+from .complexes import FaceDescriptor
 from .errors import Not3PeriodicError, NotUninodalError, ParseError
 from .geometry import (
     LAMBDA_1,
@@ -24,6 +27,7 @@ from .geometry import (
     vadd,
     vsub,
 )
+from .quotient import _face_class
 
 
 class PeriodicGraph:
@@ -170,17 +174,15 @@ class PeriodicGraph:
 
 
 def periodic_graph_from_edges(lattice, edge_points, name=""):
-    """Quotient the straight-edge set by a rank-3 lattice."""
+    """Quotient the straight-edge set by a rank-3 lattice.
+
+    Nodes are the vertex classes, numbered in sorted order of their reduced
+    representatives, so the graph depends only on the edge classes given.
+    """
     if lattice is None or lattice.rank != 3:
         raise Not3PeriodicError("structure has no rank-3 translation lattice")
-    nodes = {}
-    reps = []
-    for p, q in edge_points:
-        for x in (p, q):
-            k = lattice.reduce_key(x)
-            if k not in nodes:
-                nodes[k] = len(reps)
-                reps.append(lattice.reduce_point(x))
+    reps = sorted({lattice.reduce_point(x) for e in edge_points for x in e})
+    nodes = {lattice.reduce_key(x): i for i, x in enumerate(reps)}
     edges = []
     for p, q in edge_points:
         ki, kj = lattice.reduce_key(p), lattice.reduce_key(q)
@@ -194,17 +196,29 @@ def periodic_graph_from_edges(lattice, edge_points, name=""):
     return PeriodicGraph(lattice.basis, reps, edges, name=name)
 
 
+def _face_edges(lattice, faces):
+    """The edges of the given faces, one per class modulo the lattice."""
+    out = []
+    for f in faces:
+        _, lift, closure = _face_class(lattice, f)
+        ends = lift[1:] + (vadd(lift[0], closure),)
+        out.extend(zip(lift, ends))
+    return out
+
+
 def extract_net(complex_):
-    """The edge graph of a 3-periodic complex as a periodic quotient graph."""
+    """The edge graph of a 3-periodic complex as a periodic quotient graph,
+    read from its edge classes: those of its face classes and the others
+    it was given."""
     lat = complex_.lattice
     if lat is None or lat.rank != 3:
         raise Not3PeriodicError(
             "only 3-periodic structures have nets (finite and planar "
             "polyhedra do not)"
         )
-    net = periodic_graph_from_edges(
-        lat, complex_.edge_points, name=f"net({complex_.name})"
-    )
+    classes = complex_.classes
+    edges = classes.edges + _face_edges(classes.lattice, classes.faces)
+    net = periodic_graph_from_edges(lat, edges, name=f"net({complex_.name})")
     if not net.is_connected_cover():
         raise Not3PeriodicError("edge graph does not connect the periodic cover")
     return net
@@ -268,12 +282,11 @@ def _reference_dia():
 
 
 def _reference_nbo():
-    from .presets import one_petrie_per_cube_complex
+    from .presets import CONSTRUCTIVE_PRESETS
 
-    complex_ = one_petrie_per_cube_complex(Region((0, 0, 0), 4))
-    net = extract_net(complex_)
-    net.name = "nbo"
-    return net
+    _, lattice, cycles = CONSTRUCTIVE_PRESETS["K5_12"]
+    faces = [FaceDescriptor(c) for c in cycles]
+    return periodic_graph_from_edges(lattice, _face_edges(lattice, faces), name="nbo")
 
 
 _REFERENCES = None

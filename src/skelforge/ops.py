@@ -32,7 +32,6 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
-from .quotient import face_translates
 
 WORDS = {
     "petrie": (0, 1, 2),
@@ -274,19 +273,14 @@ def petrie_dual(patch, quotient_scale=4):
             face = FaceDescriptor(pts, tau)
         circuit_faces.append(face)
 
-    faces = {}
-    for face in circuit_faces:
-        for cand in face_translates(closed.lattice, face, patch.region):
-            faces.setdefault(cand.canonical_key(), cand)
     margin = patch.window.radius - patch.region.radius
-    return SkeletalComplex(
-        list(patch.vertices),
-        list(patch.edge_points),
-        list(faces.values()),
+    return SkeletalComplex.from_classes(
+        patch.class_lattice,
+        circuit_faces,
         patch.region,
         window_margin=margin,
         name=f"petrie({patch.name})",
-        lattice=patch._lattice,
+        skeleton=patch,
     )
 
 

@@ -31,22 +31,14 @@ from .geometry import (
     IDENTITY3,
     ZERO3,
     Lattice,
-    finite_lattice,
     identity,
     lattice_basis_from,
     norm_inf,
     order_or_translation,
-    vadd,
     vec_str,
     vsub,
 )
-from .quotient import (
-    ClosedComplex,
-    _edge_key,
-    _face_class,
-    face_translates,
-    lattice_translates,
-)
+from .quotient import ClosedComplex
 
 # The largest finite group of rational orthogonal 3x3 matrices (the cube's).
 POINT_GROUP_BOUND = 48
@@ -162,34 +154,26 @@ def wythoff_patch(gen, region, name=None):
     """All vertex/edge/face orbit elements whose vertex sets touch the region.
 
     Each orbit is a finite set of classes modulo the translation lattice,
-    one image of the base element per coset representative; every class is
-    unrolled over the region.  The patch carries the lattice, and its window
-    reaches the largest generator translation length plus 2 past the region.
+    one image of the base element per coset representative; the patch keeps
+    the classes and the lattice, and unrolls every class over the region.
+    Its window reaches the largest generator translation length plus 2 past
+    the region.
     """
     reps = _coset_representatives(gen)
     lattice = _translation_lattice(gen, reps)
     base_face = build_base_face(gen)
-    verts, edges, faces = {}, {}, {}
-    for r in reps.values():
-        p = r(gen.base_vertex)
-        verts.setdefault(lattice.reduce_key(p), p)
-        e = (p, r(gen.base_edge_other))
-        edges.setdefault(_edge_key(lattice, *e), e)
-        f = base_face.transform(r)
-        faces.setdefault(_face_class(lattice, f)[0], f)
+    edges = [(r(gen.base_vertex), r(gen.base_edge_other)) for r in reps.values()]
     margin = max(
         max(norm_inf(g.t), norm_inf(g.inverse().t)) for g in gen.isometries()
     ) + 2
-    return SkeletalComplex(
-        [vadd(p, t) for p in verts.values()
-         for t in lattice_translates(lattice, [p], region)],
-        [(vadd(p, t), vadd(q, t)) for p, q in edges.values()
-         for t in lattice_translates(lattice, (p, q), region)],
-        [g for f in faces.values() for g in face_translates(lattice, f, region)],
+    return SkeletalComplex.from_classes(
+        lattice,
+        [base_face.transform(r) for r in reps.values()],
         region,
+        vertices=[p for p, _ in edges],
+        edges=edges,
         window_margin=margin,
         name=name or gen.name,
-        lattice=lattice,
     )
 
 
@@ -295,18 +279,15 @@ def build_quotient(patch, sublattice=None, scale=4):
     if cache_key in cache:
         return cache[cache_key]
 
-    if patch.is_finite:
-        sublattice = finite_lattice()
-    else:
-        lat = patch.lattice
-        if lat is None:
-            raise NotPeriodicError("no translation lattice found for the patch")
-        if sublattice is None:
-            sublattice = lat.scaled(scale)
-        elif sublattice.rank != lat.rank or not sublattice.sublattice_of(lat):
-            raise NotPeriodicError(
-                "requested sublattice is not a full-rank sublattice of translations"
-            )
+    lat = patch.class_lattice
+    if not lat.rank:
+        sublattice = lat
+    elif sublattice is None:
+        sublattice = lat.scaled(scale)
+    elif sublattice.rank != lat.rank or not sublattice.sublattice_of(lat):
+        raise NotPeriodicError(
+            "requested sublattice is not a full-rank sublattice of translations"
+        )
     closed = ClosedComplex.from_patch(patch, sublattice)
     if closed.r is None and sublattice.rank:
         raise PatchTooSmallError(

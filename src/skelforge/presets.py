@@ -2,10 +2,10 @@
 
 Generator-driven presets return a :class:`GeneratorSet` for the orbit
 engine; constructive presets (the tessellation 2-skeleton and the K
-complexes) are assembled face by face and declare their translation
-lattice.  ``build`` is the one-stop entry:
-it parses a preset name, runs whichever construction applies, and returns
-the patch over the requested region.
+complexes) are literals: their translation lattice and one face per class
+modulo it.  ``build`` is the one-stop entry: it parses a preset name, runs
+whichever construction applies, and returns the patch over the requested
+region.
 
 Triangle and hexagon tessellations live in the plane x+y+z = 0, where both
 have rational vertices (an equilateral triangle has none in a coordinate
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from fractions import Fraction
 
 from .complexes import FaceDescriptor, Region, SkeletalComplex
-from .errors import AssignmentSearchError, InvalidParametersError, ParseError
+from .errors import InvalidParametersError, ParseError
 from .geometry import (
     LAMBDA_1,
     LAMBDA_2,
@@ -162,222 +161,44 @@ def platonic(kind):
 
 
 # ---------------------------------------------------------------------------
-# constructive presets
+# constructive presets: one face per class modulo the declared lattice
 
-
-def _cubes_touching(region):
-    (x0, x1), (y0, y1), (z0, z1) = region.intervals()
-    xs = range(math.floor(x0) - 1, math.ceil(x1) + 1)
-    ys = range(math.floor(y0) - 1, math.ceil(y1) + 1)
-    zs = range(math.floor(z0) - 1, math.ceil(z1) + 1)
-    for i in xs:
-        for j in ys:
-            for k in zs:
-                yield (i, j, k)
-
-
-def cubic_2_skeleton(region=DEFAULT_REGION):
-    """All square faces of the unit cubical tessellation touching the region."""
-    faces = []
-    seen = set()
-    for z in _cubes_touching(region):
-        for ax1, ax2 in ((0, 1), (0, 2), (1, 2)):
-            e1 = tuple(1 if i == ax1 else 0 for i in range(3))
-            e2 = tuple(1 if i == ax2 else 0 for i in range(3))
-            sq = (z, vadd(z, e1), vadd(z, vadd(e1, e2)), vadd(z, e2))
-            if not any(region.contains(p) for p in sq):
-                continue
-            f = FaceDescriptor(sq)
-            k = f.canonical_key()
-            if k not in seen:
-                seen.add(k)
-                faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="cubic 2-skeleton",
-                           lattice=LAMBDA_1)
-
-
-def _cube_corners(z):
-    return [vadd(z, d) for d in (
-        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1),
-    )]
-
-
-def _induced_hexagon(corners, excluded):
-    """The 6-cycle induced on a cube's corners minus an antipodal pair."""
-    kept = [p for p in corners if p not in excluded]
-    start = min(kept)
-    cyc = [start]
-    prev = None
-    while True:
-        nbrs = [
-            q for q in kept
-            if q != prev and q != cyc[-1]
-            and sum(1 for i in range(3) if q[i] != cyc[-1][i]) == 1
-        ]
-        nxt = min(nbrs)
-        if nxt == start:
-            break
-        cyc.append(nxt)
-        prev = cyc[-2]
-    return FaceDescriptor(cyc)
-
-
-def _cube_petrie_hexagons(z):
-    corners = _cube_corners(z)
-    out = []
-    for d in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        p = vadd(z, d)
-        q = vadd(z, vsub((1, 1, 1), d))
-        out.append(_induced_hexagon(corners, {p, q}))
-    return out
-
-
-def tetragon_complex(region=DEFAULT_REGION):
-    """Skew squares of tetrahedra inscribed in all cubes (K1(1,2)).
-
-    The inscribed tetrahedron of each cube sits on the corners of even
-    coordinate sum; mirror images in shared square faces then agree from
-    cube to cube.  Each tetrahedron contributes its three Petrie tetragons.
-    """
-    faces = []
-    seen = set()
-    for z in _cubes_touching(region):
-        tet = sorted(p for p in _cube_corners(z) if sum(p) % 2 == 0)
-        p0, p1, p2, p3 = tet
-        for cyc in ((p0, p1, p2, p3), (p0, p1, p3, p2), (p0, p2, p1, p3)):
-            if not any(region.contains(p) for p in cyc):
-                continue
-            f = FaceDescriptor(cyc)
-            k = f.canonical_key()
-            if k not in seen:
-                seen.add(k)
-                faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K1(1,2)",
-                           lattice=LAMBDA_2)
-
-
-def alternate_petrie_complex(region=DEFAULT_REGION):
-    """All Petrie hexagons of the checkerboard cubes (K4(1,2))."""
-    faces = []
-    seen = set()
-    for z in _cubes_touching(region):
-        if sum(z) % 2 != 0:
-            continue
-        for f in _cube_petrie_hexagons(z):
-            if not any(region.contains(p) for p in f.vertices):
-                continue
-            k = f.canonical_key()
-            if k not in seen:
-                seen.add(k)
-                faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K4(1,2)",
-                           lattice=LAMBDA_2)
-
-
-def one_petrie_per_cube_complex(region=DEFAULT_REGION):
-    """One Petrie hexagon per cube, chosen by constraint search (K5(1,2)).
-
-    Each cube's candidate faces are its four Petrie hexagons, identified by
-    the antipodal corner pair they avoid.  Seeding the cube at the origin
-    with the pair ((0,0,1), (1,1,0)) and propagating the requirement that
-    every edge end up in zero or four chosen hexagons forces a unique
-    assignment, which the complex validator then certifies.
-    """
-    cubes = [z for z in _cubes_touching(region)]
-    cube_set = set(cubes)
-    pairs = {
-        z: [
-            (vadd(z, d), vadd(z, vsub((1, 1, 1), d)))
-            for d in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        ]
-        for z in cubes
-    }
-
-    def shared_edges(z, w):
-        """Unit edges common to cubes z and w."""
-        cz, cw = set(_cube_corners(z)), set(_cube_corners(w))
-        both = sorted(cz & cw)
-        out = []
-        for i, p in enumerate(both):
-            for q in both[i + 1:]:
-                if sum(1 for k in range(3) if p[k] != q[k]) == 1:
-                    out.append((p, q))
-        return out
-
-    def hexagon_uses(excl, edge):
-        return edge[0] not in excl and edge[1] not in excl
-
-    seed = (0, 0, 0)
-    if seed not in cube_set:
-        seed = min(cube_set)
-    assignment = {seed: ((0, 0, 1), (1, 1, 0)) if seed == (0, 0, 0) else pairs[seed][0]}
-    queue = deque([seed])
-    # cubes sharing at least one edge: face neighbors and edge-diagonal ones
-    neighbor_offsets = [
-        (i, j, k)
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
-        for k in (-1, 0, 1)
-        if 1 <= abs(i) + abs(j) + abs(k) <= 2
-    ]
-    while queue:
-        z = queue.popleft()
-        for off in neighbor_offsets:
-            w = vadd(z, off)
-            if w not in cube_set or w in assignment:
-                continue
-            cands = []
-            for cand in pairs[w]:
-                ok = True
-                for z2 in (vadd(w, o2) for o2 in neighbor_offsets):
-                    if z2 not in assignment:
-                        continue
-                    for e in shared_edges(w, z2):
-                        if hexagon_uses(set(cand), e) != hexagon_uses(
-                            set(assignment[z2]), e
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    cands.append(cand)
-            if len(cands) != 1:
-                if not cands:
-                    raise AssignmentSearchError(
-                        f"no consistent Petrie hexagon for cube {w}"
-                    )
-                continue  # not yet forced; a later neighbor will pin it
-            assignment[w] = cands[0]
-            queue.append(w)
-    unassigned = [z for z in cubes if z not in assignment]
-    if unassigned:
-        raise AssignmentSearchError(f"{len(unassigned)} cubes never forced")
-
-    faces = []
-    seen = set()
-    for z in cubes:
-        f = _induced_hexagon(_cube_corners(z), set(assignment[z]))
-        if not any(region.contains(p) for p in f.vertices):
-            continue
-        k = f.canonical_key()
-        if k not in seen:
-            seen.add(k)
-            faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K5(1,2)",
-                           lattice=LAMBDA_3)
-
-
-def build_K_complex(which, region=DEFAULT_REGION):
-    builders = {
-        "K1_12": tetragon_complex,
-        "K4_12": alternate_petrie_complex,
-        "K5_12": one_petrie_per_cube_complex,
-    }
-    if which not in builders:
-        raise InvalidParametersError(f"unknown K complex {which!r}")
-    return builders[which](region)
+CONSTRUCTIVE_PRESETS = {
+    # the unit squares of the cubical tessellation
+    "skel2cubic": ("cubic 2-skeleton", LAMBDA_1, (
+        ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)),
+        ((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)),
+        ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1)),
+    )),
+    # the three Petrie tetragons of the tetrahedron on the even corners of
+    # every unit cube; the cubes at the origin and at (1,0,0) stand for the
+    # two cube classes modulo fcc
+    "K1_12": ("K1(1,2)", LAMBDA_2, (
+        ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
+        ((0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)),
+        ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)),
+        ((1, 0, 1), (1, 1, 0), (2, 0, 0), (2, 1, 1)),
+        ((1, 0, 1), (1, 1, 0), (2, 1, 1), (2, 0, 0)),
+        ((1, 0, 1), (2, 0, 0), (1, 1, 0), (2, 1, 1)),
+    )),
+    # the four Petrie hexagons of the unit cube at the origin, whose fcc
+    # translates are the cubes of even corner sum
+    "K4_12": ("K4(1,2)", LAMBDA_2, (
+        ((0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 1)),
+        ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 1, 0), (0, 1, 0)),
+        ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0), (1, 0, 0)),
+        ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
+    )),
+    # one Petrie hexagon in each of the unit cubes at the origin, (1,0,0),
+    # (0,1,0) and (0,0,1), the four cube classes modulo bcc; every hexagon
+    # avoids the cube's corners outside the vertex set V
+    "K5_12": ("K5(1,2)", LAMBDA_3, (
+        ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
+        ((1, 0, 0), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 1, 0), (2, 0, 0)),
+        ((0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, 0), (0, 2, 0)),
+        ((0, 0, 2), (0, 1, 2), (0, 1, 1), (1, 1, 1), (1, 0, 1), (1, 0, 2)),
+    )),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +211,6 @@ GENERATOR_PRESETS = {
     "tet": lambda: platonic("tet"),
     "cube": lambda: platonic("cube"),
     "oct": lambda: platonic("oct"),
-}
-
-CONSTRUCTIVE_PRESETS = {
-    "skel2cubic": cubic_2_skeleton,
-    "K1_12": tetragon_complex,
-    "K4_12": alternate_petrie_complex,
-    "K5_12": one_petrie_per_cube_complex,
 }
 
 # aliases from the naming of the regular degenerations
@@ -425,7 +239,11 @@ def instantiate(name, region=None):
     if name in GENERATOR_PRESETS:
         return GENERATOR_PRESETS[name]()
     if name in CONSTRUCTIVE_PRESETS:
-        return CONSTRUCTIVE_PRESETS[name](region or DEFAULT_REGION)
+        label, lattice, cycles = CONSTRUCTIVE_PRESETS[name]
+        faces = [FaceDescriptor(c) for c in cycles]
+        return SkeletalComplex.from_classes(
+            lattice, faces, region or DEFAULT_REGION, name=label
+        )
     raise ParseError(f"unknown preset {name!r}")
 
 

@@ -263,24 +263,24 @@ class ClosedComplex:
 
     @classmethod
     def from_patch(cls, patch, sublattice):
-        """Quotient of a patch by a full-rank sublattice of its lattice: one
-        face per class modulo the patch's own lattice (trivial when finite),
-        moved by one vector per coset, so the patch's reach does not matter.
+        """Quotient of a patch by a full-rank sublattice of its class
+        lattice: each face class moved by one vector per coset, so only the
+        classes are read, never the patch's elements.
         """
-        lattice = patch.class_lattice
+        lattice, vertices, edges, faces, _ = patch.classes
         classes = {}
         for t in _coset_vectors(lattice, sublattice):
-            for desc, _ in patch.face_classes.values():
+            for desc in faces:
                 moved = desc.translate(t)
                 key, lift, closure = _face_class(sublattice, moved)
                 if key not in classes:
                     classes[key] = QuotientFace(lift, closure, moved)
         closed = cls(sublattice, classes, name=patch.name)
-        # every patch vertex and edge must land in an enumerated class
-        for p in patch.vertices:
+        # every vertex and edge class must lie on a face class
+        for p in vertices:
             if sublattice.reduce_key(p) not in closed.vkeys:
                 raise NotPeriodicError("patch vertex misses all face classes")
-        for p, q in patch.edge_points:
+        for p, q in edges:
             if _edge_key(sublattice, p, q) not in closed.ekeys:
                 raise NotPeriodicError("patch edge misses all face classes")
         return closed

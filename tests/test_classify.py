@@ -253,9 +253,13 @@ class TestIsSymmetry:
         # a symmetry of the tiling but maps (1,0,0) outside that lattice
         sq = built("sq44")
         thin = Lattice([(1, 0, 0), (0, 2, 0)])
-        declared = SkeletalComplex(
-            sq.vertices, sq.edge_points, sq.faces, sq.region, lattice=thin
+        declared = SkeletalComplex.from_classes(
+            thin,
+            [FaceDescriptor(((0, y, 0), (1, y, 0), (1, y + 1, 0), (0, y + 1, 0)))
+             for y in (0, 1)],
+            sq.region,
         )
+        assert declared.face_keys == sq.face_keys
         quarter = Isometry(((0, -1, 0), (1, 0, 0), (0, 0, 1)))
         assert not thin.member(quarter.apply_vec((1, 0, 0)))
         assert is_symmetry(declared, quarter)

@@ -71,6 +71,26 @@ class TestCommands:
         assert out["region"]["radius"] == "5/2"
 
 
+class TestSmallRegions:
+    @pytest.mark.parametrize("name", ["cube", "oct"])
+    def test_classify_without_interior_edge_is_patch_too_small(self, name):
+        # radius 1/2 holds no edge of either solid: no evidence, no verdict
+        out = run_cli("classify", "--preset", name, "--radius", "1/2",
+                      expect_code=1)
+        assert json.loads(out)["code"] == "patch-too-small"
+
+    @pytest.mark.parametrize("name", ["P:1,1", "P2:1,0"])
+    def test_net_and_pgr_do_not_depend_on_radius(self, capsys, name):
+        from skelforge.cli import main
+
+        outputs = set()
+        for radius in ("1/2", "1", "3", "6"):
+            main(["net", "--preset", name, "--radius", radius])
+            main(["build", "--preset", name, "--radius", radius, "--format", "pgr"])
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1, name
+
+
 class TestErrorJson:
     @pytest.mark.parametrize(
         "args,code",

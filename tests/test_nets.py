@@ -81,7 +81,7 @@ def oracle_patch(name, radius=8):
         ]
         return pts, edges, (0, 0, 0)
     if name == "nbo":
-        from skelforge.presets import one_petrie_per_cube_complex
+        from preset_oracles import one_petrie_per_cube_complex
 
         c = one_petrie_per_cube_complex(Region((0, 0, 0), radius))
         return list(c.vertices), list(c.edge_points), (0, 0, 0)

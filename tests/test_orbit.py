@@ -238,6 +238,22 @@ class TestTranslationLattice:
             assert lat.member(v)
 
 
+def count_face_class_calls(monkeypatch):
+    """Count the calls of ``quotient._face_class`` from now on, in a
+    one-element list."""
+    from skelforge import quotient
+
+    calls = [0]
+    real = quotient._face_class
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(quotient, "_face_class", counting)
+    return calls
+
+
 def moved(gen, shift):
     """The generator set conjugated by the translation by ``shift``."""
     gens = {
@@ -335,7 +351,8 @@ class TestQuotient:
 
     @pytest.mark.parametrize(
         "name,rank,count",
-        [("cube", 0, 6), ("P:1,0", 3, 4), ("P2:1,0", 3, 6), ("K4_12", 3, 4)],
+        [("cube", 0, 6), ("P:1,0", 3, 4), ("P2:1,0", 3, 6), ("K4_12", 3, 4),
+         ("skel2cubic", 3, 3), ("K1_12", 3, 6), ("K5_12", 3, 4)],
     )
     def test_face_classes_partition_the_patch(self, built, name, rank, count):
         from skelforge.quotient import _face_class
@@ -355,6 +372,34 @@ class TestQuotient:
         q = build_quotient(p10, scale=2)
         assert {f.source.vertices for f in q.faces} >= reps
         assert p10.face_classes is p10.face_classes
+
+    @pytest.mark.parametrize("name", ["P:1,1", "K4_12"])
+    def test_quotient_work_does_not_depend_on_radius(self, monkeypatch, name):
+        # the quotient keys its classes, never the patch's faces, so a patch
+        # of radius 6 costs as many face keys as one of radius 3
+        calls = count_face_class_calls(monkeypatch)
+        used = []
+        for r in (3, 6):
+            patch = build(name, Region((0, 0, 0), r))
+            before = calls[0]
+            build_quotient(patch, scale=2)
+            used.append(calls[0] - before)
+        assert used[0] == used[1] > 0
+
+    @pytest.mark.parametrize("name", ["cube", "P:1,0", "P2:1,0", "skel2cubic", "K5_12"])
+    def test_face_classes_key_no_patch_face(self, monkeypatch, name):
+        # built patches count their classes while unrolling them: building
+        # keys one face per class whatever the radius, reading keys none
+        calls = count_face_class_calls(monkeypatch)
+        used = []
+        for r in (2, 5):
+            before = calls[0]
+            patch = build(name, Region((0, 0, 0), r))
+            used.append(calls[0] - before)
+            before = calls[0]
+            assert sum(n for _, n in patch.face_classes.values()) == len(patch.faces)
+            assert calls[0] == before
+        assert used[0] == used[1]
 
     def test_density_matches_patch_counts(self, built):
         # vertex classes per cell volume ~ in-region vertices per box volume

@@ -1,5 +1,7 @@
 """Catalog constructions and their headline numbers."""
 
+from fractions import Fraction
+
 import pytest
 
 from skelforge.complexes import Region, graph_identify, validate
@@ -13,6 +15,7 @@ from skelforge.presets import (
     helix_faced_chiral,
     instantiate,
 )
+from skelforge.serialization import complex_to_json_text
 
 
 class TestParameterValidation:
@@ -104,7 +107,7 @@ class TestKComplexes:
     def test_k4_hexagons_cover_cube_edges_twice(self, built):
         # the four Petrie hexagons of one occupied cube use each of its
         # twelve edges exactly twice; two occupied cubes per edge give r=4
-        from skelforge.presets import _cube_petrie_hexagons
+        from preset_oracles import _cube_petrie_hexagons
 
         hexes = _cube_petrie_hexagons((0, 0, 0))
         assert len(hexes) == 4
@@ -133,13 +136,22 @@ class TestKComplexes:
         found = detect_translation_lattice(patch)
         assert found.sublattice_of(lattice) and lattice.sublattice_of(found)
 
-    def test_build_K_complex_entry(self):
-        from skelforge.presets import build_K_complex
-
-        k1 = build_K_complex("K1_12", Region((0, 0, 0), 2))
+    def test_build_entry_for_K_complexes(self):
+        k1 = build("K1_12", Region((0, 0, 0), 2))
         assert k1.name == "K1(1,2)"
-        with pytest.raises(InvalidParametersError):
-            build_K_complex("K9_12")
+        with pytest.raises(ParseError):
+            build("K9_12")
+
+    @pytest.mark.parametrize("name", ["skel2cubic", "K1_12", "K4_12", "K5_12"])
+    def test_class_literals_equal_the_oracle_builders(self, name):
+        # the face classes unrolled give the faces the cube-by-cube builders
+        # assemble, at radii that cut the cubes in every way
+        from preset_oracles import ORACLES
+
+        for r in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4):
+            region = Region((0, 0, 0), r)
+            assert complex_to_json_text(build(name, region)) == \
+                complex_to_json_text(ORACLES[name](region)), (name, r)
 
 
 CATALOG_SWEEP = [
