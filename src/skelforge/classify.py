@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import validate
 from .errors import (
     GeneratorsDoNotDescendError,
     NoFixedPointError,
@@ -70,10 +69,6 @@ class PolygonClass:
         if self.kind == "zigzag":
             return "inf_2"
         return f"inf_{self.k}"
-
-    @property
-    def is_planar(self):
-        return self.kind in ("convex", "star", "zigzag", "linear")
 
     @property
     def is_finite(self):
@@ -335,8 +330,7 @@ def is_symmetry(patch, iso):
     full rank when L has order 1, 2, 3, 4 or 6; any other L is no symmetry
     of a discrete structure (the crystallographic restriction).
     """
-    lattice = patch.class_lattice
-    classes = patch.face_classes
+    lattice, _, _, classes, _ = patch.classes
     if not classes:
         raise PatchTooSmallError("the patch holds no face to decide on")
     shifts = [ZERO3]
@@ -354,7 +348,7 @@ def is_symmetry(patch, iso):
     return all(
         _face_class(lattice, rep.translate(t).transform(iso))[0] in classes
         for t in shifts
-        for rep, _ in classes.values()
+        for rep in classes.values()
     )
 
 
@@ -557,26 +551,27 @@ class SchlafliType:
 def schlafli(patch, mode="polyhedron", quotient_scale=4):
     """The basic type {p, q}, with the face count r appended in complex mode.
 
-    One polygon per face class is classified.  A patch without an interior
+    One polygon per face class is classified, and the face counts per edge
+    and per vertex are read from the quotient.  A patch without an interior
     edge shows no face count per edge, so it is too small, not evidence.
     """
-    report = validate(patch, mode)
     if not patch.interior_edge_ids():
         raise PatchTooSmallError("the patch has no interior edge; enlarge the region")
-    if report.r is None:
+    closed = build_quotient(patch, scale=quotient_scale)
+    if closed.r is None:
         raise NotEquivelarError("face count per edge is not constant")
-    classes = [classify_polygon(rep) for rep, _ in patch.face_classes.values()]
+    classes = [classify_polygon(rep) for rep in patch.classes.faces.values()]
     kinds = {(c.kind, c.p, c.k) for c in classes}
     if len(kinds) != 1:
         raise NotEquivelarError(f"faces fall into {len(kinds)} classes")
     face_class = classes[0]
     p = face_class.p if face_class.is_finite else None
 
-    degrees = set(build_quotient(patch, scale=quotient_scale).faces_per_vertex())
+    degrees = set(closed.faces_per_vertex())
     if len(degrees) != 1:
         raise NotEquivelarError(f"vertex face-degrees vary: {sorted(degrees)}")
     q = degrees.pop()
-    r = report.r if mode == "complex" else None
+    r = closed.r if mode == "complex" else None
     return SchlafliType(p, q, r, face_class)
 
 
@@ -613,8 +608,8 @@ def face_center(face):
 def _centre_adjacency(patch):
     """Centres of faces sharing an edge: one pair per class modulo the
     patch's class lattice, found from the face classes alone."""
-    lattice = patch.class_lattice
-    reps = [rep for rep, _ in patch.face_classes.values()]
+    lattice, _, _, faces, _ = patch.classes
+    reps = list(faces.values())
     at_edge = {}
     for f in reps:
         for _, p, q in f.edge_slots():
@@ -648,22 +643,21 @@ def dual_congruence_check(a, b):
     """
     if a.region.center != b.region.center or a.region.radius != b.region.radius:
         raise RegionMismatchError("inputs must be built over the same region")
-    if any(f.period_vector is not None for f in a.faces) or any(
-        f.period_vector is not None for f in b.faces
-    ):
+    if any(f.period_vector is not None
+           for x in (a, b) for f in x.classes.faces.values()):
         return False, None
     if a.is_finite != b.is_finite:
         return False, None
 
-    lat_a, lat_b = a.class_lattice, b.class_lattice
+    lat_a, lat_b = a.classes.lattice, b.classes.lattice
     centres = {}
-    for rep, _ in a.face_classes.values():
+    for rep in a.classes.faces.values():
         c = face_center(rep)
         centres.setdefault(lat_a.reduce_key(c), c)
     centres = list(centres.values())
     adjacency = _centre_adjacency(a)
     b_verts, b_edges = {}, {}
-    for rep, _ in b.face_classes.values():
+    for rep in b.classes.faces.values():
         for _, p, q in rep.edge_slots():
             b_verts.setdefault(lat_b.reduce_key(p), p)
             b_edges.setdefault(_edge_key(lat_b, p, q), (p, q))

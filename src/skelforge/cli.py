@@ -101,8 +101,9 @@ def _cmd_classify(args):
         "face_class": st.face_class.symbol,
     }
     counts = {}
-    for rep, members in patch.face_classes.values():
-        sym = cls.classify_polygon(rep).symbol
+    classes = patch.classes
+    for key, members in classes.counts.items():
+        sym = cls.classify_polygon(classes.faces[key]).symbol
         counts[sym] = counts.get(sym, 0) + members
     out["face_classes"] = counts
 

@@ -4,13 +4,15 @@ A structure is its translation lattice plus finitely many vertex, edge and
 face classes modulo it (a finite structure has the trivial lattice).  A
 patch (:class:`SkeletalComplex`) is the view of those classes unrolled over
 a bounded region: everything of the structure that touches the region.  It
-keeps the classes it was made from, so quotients and nets read them, not
-the patch; only a patch given as bare element lists scans itself for them.
-Finite faces always carry their complete vertex cycle even when it pokes
-out of the region; infinite faces carry one period plus the period vector,
-which is likewise a complete description.  The axiom checks restrict to
-elements whose incident data is guaranteed present (anything touching the
-region proper).
+keeps the classes it was made from (:attr:`SkeletalComplex.classes`), and
+every structural answer reads them, not the patch: its lattice and whether
+it is finite, quotients, nets, symmetry tests, and the face count per edge
+of Schläfli types and traces.  Only a patch given as bare element lists
+scans itself, once, for its lattice and classes.  Finite faces always
+carry their complete vertex cycle even when it pokes out of the region;
+infinite faces carry one period plus the period vector, which is likewise
+a complete description.  The axiom checks restrict to elements whose
+incident data is guaranteed present (anything touching the region proper).
 """
 
 from __future__ import annotations
@@ -277,8 +279,8 @@ class StructureClasses(NamedTuple):
     lattice: object  # the translation lattice, or the trivial one when finite
     vertices: list  # one point per vertex class given besides the faces'
     edges: list  # one point pair per edge class given besides the faces'
-    faces: list  # one face per class: the least patch face, if the patch has one
-    counted: dict  # class key -> (least patch face, patch faces in the class)
+    faces: dict  # class key -> one face per class: the least patch face, if any
+    counts: dict  # class key -> patch faces in the class, if the patch has one
 
 
 class SkeletalComplex:
@@ -295,7 +297,6 @@ class SkeletalComplex:
         self.name = name
         self.region = region
         self.window = region.expanded(window_margin)
-        self._lattice = None  # translation lattice, detected on first use
         self._classes = None  # StructureClasses, scanned on first use
 
         vset = {tuple(p) for p in vertices}
@@ -352,12 +353,6 @@ class SkeletalComplex:
             if self.in_region[a] and self.in_region[b]
         ]
 
-    def face_is_truncated(self, fid):
-        f = self.faces[fid]
-        if f.period_vector is not None:
-            return True
-        return not all(self.region.contains(p) for p in f.vertices)
-
     def counts(self):
         return len(self.vertices), len(self.edges), len(self.faces)
 
@@ -374,12 +369,6 @@ class SkeletalComplex:
             if self.in_region[a] or self.in_region[b]
         )
         return nv, ne, len(self.faces)
-
-    @property
-    def is_finite(self):
-        return all(f.is_finite for f in self.faces) and not any(
-            self.face_is_truncated(i) for i in range(len(self.faces))
-        )
 
     def has_vertex(self, p):
         return tuple(p) in self.vindex
@@ -422,69 +411,68 @@ class SkeletalComplex:
             vertices, edges = skeleton.vertices, skeleton.edge_points
         patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
                     region, window_margin=window_margin, name=name)
-        counted = {}
+        counts = {}
         for key, fs in unrolled.items():
             if fs:
                 reps[key] = min(fs, key=FaceDescriptor.canonical_key)
-                counted[key] = (reps[key], len(fs))
-        patch._lattice = lattice
+                counts[key] = len(fs)
         patch._classes = StructureClasses(
-            lattice, list(vclasses.values()), list(eclasses.values()),
-            list(reps.values()), counted,
+            lattice, list(vclasses.values()), list(eclasses.values()), reps, counts
         )
         return patch
 
     @property
-    def lattice(self):
-        """The translation lattice (None when trivial), scanned if not given."""
-        if self._lattice is None:
-            from .orbit import detect_translation_lattice
-
-            self._lattice = detect_translation_lattice(self) or finite_lattice()
-        return self._lattice if self._lattice.rank else None
-
-    @property
     def classes(self):
-        """The structure modulo :attr:`class_lattice`, as kept by
-        :meth:`from_classes` or scanned from the patch once."""
+        """The structure modulo its lattice, as kept by :meth:`from_classes`
+        or scanned from the patch once."""
         if self._classes is None:
             self._classes = self._scan_classes()
         return self._classes
 
-    @property
-    def class_lattice(self):
-        """The lattice the classes are taken modulo: the translation
-        lattice, or the trivial one for a finite patch."""
-        return self.classes.lattice
+    def _lattice_or_none(self):
+        """The class lattice, or None when a scanned patch shows none."""
+        try:
+            return self.classes.lattice
+        except NotPeriodicError:
+            return None
 
     @property
-    def face_classes(self):
-        """The patch faces modulo :attr:`class_lattice`, keyed as quotient
-        classes: {key: (first patch face of the class, patch faces in it)}.
-        """
-        return self.classes.counted
+    def lattice(self):
+        """The translation lattice: None when the structure is finite, or
+        when a scanned patch shows none."""
+        lattice = self._lattice_or_none()
+        return lattice if lattice is not None and lattice.rank else None
+
+    @property
+    def is_finite(self):
+        lattice = self._lattice_or_none()
+        return lattice is not None and not lattice.rank
 
     def _scan_classes(self):
+        """Classes of a patch given as bare element lists.  It is finite
+        when every face is a finite cycle inside the region; otherwise its
+        lattice is the one its translation symmetries show."""
+        from .orbit import detect_translation_lattice
         from .quotient import _edge_key, _face_class
 
-        if self.is_finite:
+        if all(f.is_finite and all(self.region.contains(p) for p in f.vertices)
+               for f in self.faces):
             lattice = finite_lattice()
-        elif self.lattice is None:
-            raise NotPeriodicError("no translation lattice found for the patch")
         else:
-            lattice = self.lattice
-        counted, vclasses, eclasses = {}, {}, {}
+            lattice = detect_translation_lattice(self)
+            if lattice is None:
+                raise NotPeriodicError("no translation lattice found for the patch")
+        faces, counts, vclasses, eclasses = {}, Counter(), {}, {}
         for f in self.faces:
             key = _face_class(lattice, f)[0]
-            rep, n = counted.get(key, (f, 0))
-            counted[key] = (rep, n + 1)
+            faces.setdefault(key, f)
+            counts[key] += 1
         for p in self.vertices:
             vclasses.setdefault(lattice.reduce_key(p), p)
         for p, q in self.edge_points:
             eclasses.setdefault(_edge_key(lattice, p, q), (p, q))
         return StructureClasses(
-            lattice, list(vclasses.values()), list(eclasses.values()),
-            [rep for rep, _ in counted.values()], counted,
+            lattice, list(vclasses.values()), list(eclasses.values()), faces, counts
         )
 
     # -- vertex figures -----------------------------------------------------
@@ -543,12 +531,6 @@ class VertexFigureGraph:
 
     def multiplicity(self, u, w):
         return self.edges.get(frozenset((u, w)), 0)
-
-    def total_edge_weight(self):
-        return sum(self.edges.values())
-
-    def simple_edge_count(self):
-        return len(self.edges)
 
     def adjacency(self):
         adj = {n: Counter() for n in self.nodes}

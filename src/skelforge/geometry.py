@@ -28,8 +28,9 @@ def scalar(x):
 
     Accepts ints, Fractions, and strings like ``"-3/4"`` or ``"7"``.
     Floats are rejected: this library has no tolerances to hide behind.
+    So are booleans, which Python counts as ints but JSON does not.
     """
-    if isinstance(x, int):
+    if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -59,10 +60,6 @@ def is_integer(x):
 # vectors (plain 3-tuples)
 
 ZERO3 = (0, 0, 0)
-
-
-def vec(x, y, z):
-    return (scalar(x), scalar(y), scalar(z))
 
 
 def vadd(a, b):
@@ -95,11 +92,6 @@ def vcross(a, b):
 
 def norm_inf(a):
     return max(abs(a[0]), abs(a[1]), abs(a[2]))
-
-
-def dist2(a, b):
-    d = vsub(a, b)
-    return vdot(d, d)
 
 
 def vec_str(a):
@@ -213,10 +205,6 @@ class Isometry:
     @property
     def is_identity(self):
         return self.m == IDENTITY3 and self.t == ZERO3
-
-    @property
-    def is_translation(self):
-        return self.m == IDENTITY3
 
     def is_involution(self):
         return compose(self, self).is_identity

@@ -217,7 +217,7 @@ def extract_net(complex_):
             "polyhedra do not)"
         )
     classes = complex_.classes
-    edges = classes.edges + _face_edges(classes.lattice, classes.faces)
+    edges = classes.edges + _face_edges(classes.lattice, classes.faces.values())
     net = periodic_graph_from_edges(lat, edges, name=f"net({complex_.name})")
     if not net.is_connected_cover():
         raise Not3PeriodicError("edge graph does not connect the periodic cover")
@@ -290,7 +290,7 @@ def _reference_nbo():
 
 
 _REFERENCES = None
-_REFERENCE_SEQUENCES = {}  # depth -> {name: coordination sequence}
+_REFERENCE_SEQUENCES = {}  # name -> coordination sequence to depth 10
 
 
 def reference_nets():
@@ -306,49 +306,19 @@ def reference_nets():
     return _REFERENCES
 
 
-def _reference_sequence(name, depth):
-    """A reference net's coordination sequence, computed once per depth."""
-    seqs = _REFERENCE_SEQUENCES.setdefault(depth, {})
-    if name not in seqs:
-        seqs[name] = reference_nets()[name].coordination_sequence(depth)
-    return seqs[name]
-
-
-def _quotient_multigraph(net):
-    from .complexes import _multigraph
-
-    return _multigraph([(i, j, 1) for i, j, _ in net.edges])
-
-
-def identify_net(net, depth=10, escalate=14):
-    """Name the net by coordination sequence against the five references.
-
-    Ties extend the sequence to ``escalate`` and then fall back to quotient
-    multigraph isomorphism; anything still ambiguous is "unknown" rather
-    than guessed.
+def identify_net(net):
+    """Name the net by its coordination sequence to depth 10 against the
+    five references, or "unknown".  The references' sequences already
+    differ at depth 3, so at most one matches.
     """
     try:
-        seq = net.coordination_sequence(depth)
+        seq = net.coordination_sequence(10)
     except NotUninodalError:
         return "unknown"
-    hits = [name for name in reference_nets() if _reference_sequence(name, depth) == seq]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        return "unknown"
-    seq = net.coordination_sequence(escalate)
-    hits = [name for name in hits if _reference_sequence(name, escalate) == seq]
-    if len(hits) == 1:
-        return hits[0]
-    from .complexes import _multigraph_isomorphic
-
-    g = _quotient_multigraph(net)
-    hits = [
-        name
-        for name in hits
-        if _multigraph_isomorphic(g, _quotient_multigraph(reference_nets()[name]))
-    ]
-    return hits[0] if len(hits) == 1 else "unknown"
+    if not _REFERENCE_SEQUENCES:
+        for name, ref in reference_nets().items():
+            _REFERENCE_SEQUENCES[name] = ref.coordination_sequence(10)
+    return next((n for n, s in _REFERENCE_SEQUENCES.items() if s == seq), "unknown")
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,6 @@ class WordTrace:
     period_vector: tuple | None = None
     edge_cycle: tuple = ()
 
-    def describe(self):
-        if self.closed_up:
-            return f"{self.word} circuit of length {self.length}"
-        return (
-            f"{self.word} path, period {self.length} steps, "
-            f"translation {self.period_vector}"
-        )
-
 
 def trace_report(traces):
     """JSON-ready summary of a trace run: word, circuit count, lengths."""
@@ -210,10 +202,9 @@ def trace(patch, word_name, quotient_scale=4):
     if word_name not in WORDS:
         raise InvalidParametersError(f"unknown trace word {word_name!r}")
     word = WORDS[word_name]
-    report = validate(patch, "polyhedron")
-    if report.r != 2:
-        raise NotPolyhedronError(f"faces per edge is {report.r}, not 2")
     closed = build_quotient(patch, scale=quotient_scale)
+    if closed.r != 2:
+        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
     seen = set()
     out = []
     sigs = set()
@@ -275,7 +266,7 @@ def petrie_dual(patch, quotient_scale=4):
 
     margin = patch.window.radius - patch.region.radius
     return SkeletalComplex.from_classes(
-        patch.class_lattice,
+        patch.classes.lattice,
         circuit_faces,
         patch.region,
         window_margin=margin,

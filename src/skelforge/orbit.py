@@ -279,7 +279,7 @@ def build_quotient(patch, sublattice=None, scale=4):
     if cache_key in cache:
         return cache[cache_key]
 
-    lat = patch.class_lattice
+    lat = patch.classes.lattice
     if not lat.rank:
         sublattice = lat
     elif sublattice is None:

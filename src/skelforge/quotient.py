@@ -270,7 +270,7 @@ class ClosedComplex:
         lattice, vertices, edges, faces, _ = patch.classes
         classes = {}
         for t in _coset_vectors(lattice, sublattice):
-            for desc in faces:
+            for desc in faces.values():
                 moved = desc.translate(t)
                 key, lift, closure = _face_class(sublattice, moved)
                 if key not in classes:

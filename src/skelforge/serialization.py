@@ -127,9 +127,15 @@ def ingest_generators(data, name=""):
         face_word = data["face_generator"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed generator JSON: {exc!r}") from exc
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"generators must be a list of objects, got {entries!r}")
+    if not isinstance(face_word, str):
+        raise ParseError(f"face_generator must be a string, got {face_word!r}")
     gens = {}
     for entry in entries:
         gname = entry.get("name")
+        if not isinstance(gname, str):
+            raise ParseError(f"generator name must be a string, got {gname!r}")
         try:
             rows = [[scalar(c) for c in row] for row in entry["matrix"]]
             t = _vec_in(entry["translation"])

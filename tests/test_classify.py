@@ -278,11 +278,40 @@ class TestIsSymmetry:
         assert not is_symmetry(built("cube"), translation((1, 0, 0)))
 
     def test_patch_without_faces_decides_nothing(self, built):
-        # no vertex of the octahedron lies in this region: edges, no faces
+        # a patch given as bare lists scans its classes from its faces, and
+        # this one has edges but no face
+        oct_ = built("oct", Fraction(1, 2))
+        bare = SkeletalComplex(oct_.vertices, oct_.edge_points, [], oct_.region)
+        assert bare.faces == [] and bare.edges
+        with pytest.raises(PatchTooSmallError):
+            is_symmetry(bare, translation((1, 0, 0)))
+
+    def test_built_patch_without_faces_decides_on_its_classes(self, built):
+        # no vertex of the octahedron lies in this region: edges, no faces,
+        # but the patch keeps the classes it was built from
         empty = built("oct", Fraction(1, 2))
         assert empty.faces == [] and empty.edges
-        with pytest.raises(PatchTooSmallError):
-            is_symmetry(empty, translation((1, 0, 0)))
+        assert not is_symmetry(empty, translation((1, 0, 0)))
+        assert is_symmetry(empty, reflection_in_plane((1, -1, 0), (0, 0, 0)))
+
+    @pytest.mark.parametrize(
+        "name,iso",
+        [
+            ("P:1,1", Isometry(((0, -1, 0), (-1, 0, 0), (0, 0, 1)), (-1, -1, 0))),
+            ("P2:1,0", Isometry(((-1, 0, 0), (0, 1, 0), (0, 0, -1)), (-1, 0, 1))),
+        ],
+    )
+    def test_symmetry_of_a_class_the_patch_misses(self, built, name, iso):
+        # at radius 1/2 the patch holds 3 of the 4 face classes of P:1,1 and
+        # 3 of the 6 of P2:1,0; the answer must not depend on that
+        from skelforge.quotient import _face_class
+
+        small = built(name, Fraction(1, 2))
+        lattice = small.classes.lattice
+        held = {_face_class(lattice, f)[0] for f in small.faces}
+        assert len(held) < len(small.classes.faces)
+        assert is_symmetry(built(name, 3), iso)
+        assert is_symmetry(small, iso)
 
 
 def _symmetry_answers(name, radius):

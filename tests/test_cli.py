@@ -106,6 +106,43 @@ class TestErrorJson:
         assert json.loads(out)["code"] == code
 
 
+def _set(path, value):
+    """A change of the generator JSON: put ``value`` at the key path."""
+    def change(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return change
+
+
+class TestMalformedGenerators:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            _set(["generators"], 5),
+            _set(["generators"], ["S1"]),
+            _set(["face_generator"], 5),
+            _set(["generators", 0, "name"], ["S1"]),
+            _set(["base_vertex", 1], True),
+        ],
+        ids=["generators-number", "generators-of-strings", "face-generator-number",
+             "list-name", "boolean-coordinate"],
+    )
+    def test_parse_error_not_traceback(self, tmp_path, change):
+        from skelforge.presets import finite_faced_chiral
+        from skelforge.serialization import generators_to_json
+
+        data = generators_to_json(finite_faced_chiral(1, 0))
+        change(data)
+        gen_file = tmp_path / "gens.json"
+        gen_file.write_text(json.dumps(data))
+        out = run_cli("validate", "--input", str(gen_file), "--radius", "2",
+                      expect_code=1)
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["code"] == "parse-error"
+
+
 class TestMovedInput:
     def test_moved_cube_is_not_3_periodic(self, tmp_path):
         from fractions import Fraction

@@ -1,5 +1,7 @@
 """Face descriptors, patch invariants, vertex figures, axiom validation."""
 
+from fractions import Fraction
+
 import pytest
 
 from skelforge.complexes import (
@@ -200,6 +202,15 @@ class TestValidation:
         rep = validate(built("P:1,0"), "polyhedron")
         assert rep.passed
         assert rep.discreteness.startswith("periodic")
+
+    @pytest.mark.parametrize(
+        "name,discreteness", [("hex63", "periodic rank 2"), ("P2:0,1", "finite")]
+    )
+    def test_discreteness_comes_from_the_classes(self, built, name, discreteness):
+        # at radius 1/2 the hexagon tiling's patch holds no face and the
+        # cube's faces all poke out of the region
+        for radius in (Fraction(1, 2), 3):
+            assert validate(built(name, radius)).discreteness == discreteness
 
 
 class TestGraphIdentify:

@@ -1,5 +1,7 @@
 """Petrie duals, word traces, blends, and covering checks."""
 
+from fractions import Fraction
+
 import pytest
 
 from skelforge.complexes import Region, validate
@@ -114,6 +116,13 @@ class TestTraces:
     def test_skewfaced_regular_petrie_length_four(self, built):
         circuits = trace(built("P:1,-1"), "petrie", quotient_scale=2)
         assert circuits and all(t.closed_up and t.length == 4 for t in circuits)
+
+    @pytest.mark.parametrize("name", ["P:1,0", "P2:1,0", "cube", "hex63"])
+    def test_traces_do_not_depend_on_the_radius(self, built, name):
+        # a radius-1/2 patch shows no face count per edge, but the
+        # quotient is built from the classes
+        small = trace(built(name, Fraction(1, 2)), "petrie")
+        assert small and small == trace(built(name, 3), "petrie")
 
     def test_zigzag_traces_report_periods(self, built):
         circuits = trace(built("sq44"), "petrie")

@@ -358,20 +358,20 @@ class TestQuotient:
         from skelforge.quotient import _face_class
 
         patch = built(name, 3)
-        classes = patch.face_classes
-        assert patch.class_lattice.rank == rank
-        assert len(classes) == count
-        assert sum(n for _, n in classes.values()) == len(patch.faces)
+        classes = patch.classes
+        assert classes.lattice.rank == rank
+        assert len(classes.counts) == len(classes.faces) == count
+        assert sum(classes.counts.values()) == len(patch.faces)
         for f in patch.faces:
-            rep, _ = classes[_face_class(patch.class_lattice, f)[0]]
+            rep = classes.faces[_face_class(classes.lattice, f)[0]]
             assert patch.faces.index(rep) <= patch.faces.index(f)
 
     def test_quotient_faces_come_from_the_class_map(self, built):
         p10 = built("P:1,0", 3)
-        reps = {rep.vertices for rep, _ in p10.face_classes.values()}
+        reps = {rep.vertices for rep in p10.classes.faces.values()}
         q = build_quotient(p10, scale=2)
         assert {f.source.vertices for f in q.faces} >= reps
-        assert p10.face_classes is p10.face_classes
+        assert p10.classes is p10.classes
 
     @pytest.mark.parametrize("name", ["P:1,1", "K4_12"])
     def test_quotient_work_does_not_depend_on_radius(self, monkeypatch, name):
@@ -397,7 +397,7 @@ class TestQuotient:
             patch = build(name, Region((0, 0, 0), r))
             used.append(calls[0] - before)
             before = calls[0]
-            assert sum(n for _, n in patch.face_classes.values()) == len(patch.faces)
+            assert sum(patch.classes.counts.values()) == len(patch.faces)
             assert calls[0] == before
         assert used[0] == used[1]
 
