@@ -639,10 +639,14 @@ def dual_congruence_check(a, b):
     classes of b.  Classes are taken modulo the translations common to b's
     lattice and the image of a's (whole sets when finite).  One anchor per
     vertex class of b suffices: a witness moved by a translation of b is
-    another.  Returns (ok, witness).
+    another.  The anchors are reduced class points, so the witness does not
+    depend on the radius.  Returns (ok, witness); raises PatchTooSmallError
+    when the classes of a or b hold no face.
     """
     if a.region.center != b.region.center or a.region.radius != b.region.radius:
         raise RegionMismatchError("inputs must be built over the same region")
+    if not (a.classes.faces and b.classes.faces):
+        raise PatchTooSmallError("the patch holds no face to decide on")
     if any(f.period_vector is not None
            for x in (a, b) for f in x.classes.faces.values()):
         return False, None
@@ -662,15 +666,8 @@ def dual_congruence_check(a, b):
             b_verts.setdefault(lat_b.reduce_key(p), p)
             b_edges.setdefault(_edge_key(lat_b, p, q), (p, q))
 
-    # the source anchor and each class's anchor are the ones nearest the
-    # centre, so the witness found is the one nearest the centre
-    rc = a.region.center
-    anchor_src = min(
-        (face_center(f) for f in a.faces), key=lambda c: (norm_inf(vsub(c, rc)), c)
-    )
-    anchors = {}
-    for v in sorted(b.vertices, key=lambda v: (norm_inf(vsub(v, rc)), v)):
-        anchors.setdefault(lat_b.reduce_key(v), v)
+    anchor_src = min(lat_a.reduce_point(c) for c in centres)
+    anchors = sorted(lat_b.reduce_point(p) for p in b_verts.values())
 
     for m in _signed_perms():
         lin = Isometry(m, check=False)
@@ -686,7 +683,7 @@ def dual_congruence_check(a, b):
                   for p in b_verts.values() for s in shifts_b}
         want_e = {_edge_key(common, vadd(p, s), vadd(q, s))
                   for p, q in b_edges.values() for s in shifts_b}
-        for w in anchors.values():
+        for w in anchors:
             g = Isometry(m, vsub(w, lin(anchor_src)), check=False)
             got_v = {common.reduce_key(g(vadd(c, t)))
                      for c in centres for t in shifts_a}

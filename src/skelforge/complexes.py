@@ -424,9 +424,15 @@ class SkeletalComplex:
     @property
     def classes(self):
         """The structure modulo its lattice, as kept by :meth:`from_classes`
-        or scanned from the patch once."""
+        or scanned from the patch once; a scan that finds no lattice raises
+        the same ``NotPeriodicError`` on every read."""
         if self._classes is None:
-            self._classes = self._scan_classes()
+            try:
+                self._classes = self._scan_classes()
+            except NotPeriodicError as exc:
+                self._classes = exc
+        if isinstance(self._classes, NotPeriodicError):
+            raise self._classes.with_traceback(None)
         return self._classes
 
     def _lattice_or_none(self):

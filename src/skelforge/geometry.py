@@ -666,9 +666,6 @@ class VertexSetSpec:
 
 LAMBDA_2_DOUBLED = Lattice([(2, 2, 0), (-2, 2, 0), (0, -2, 2)], name="2fcc")
 
-SET_LAMBDA_1 = VertexSetSpec("Lambda1", "lattice", lattice=LAMBDA_1)
-SET_LAMBDA_2 = VertexSetSpec("Lambda2", "lattice", lattice=LAMBDA_2)
-SET_LAMBDA_3 = VertexSetSpec("Lambda3", "lattice", lattice=LAMBDA_3)
 SET_V = VertexSetSpec(
     "V", "difference", lattice=LAMBDA_1, excluded=[((0, 0, 1), LAMBDA_3)]
 )

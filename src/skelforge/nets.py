@@ -326,9 +326,9 @@ def identify_net(net):
 
 
 _VERTEX_SETS = [
-    ("Lambda1", lambda p: LAMBDA_1.member(p)),
-    ("Lambda2", lambda p: LAMBDA_2.member(p)),
-    ("Lambda3", lambda p: LAMBDA_3.member(p)),
+    ("Lambda1", LAMBDA_1.member),
+    ("Lambda2", LAMBDA_2.member),
+    ("Lambda3", LAMBDA_3.member),
     ("V", SET_V.member),
     ("W", SET_W.member),
 ]

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FaceDescriptor, SkeletalComplex, least_rotation, validate
+from .complexes import FaceDescriptor, SkeletalComplex, least_rotation
 from .errors import (
     InvalidParametersError,
     NotBipartiteError,
@@ -45,70 +45,27 @@ WORDS = {
 
 
 class GeomFlag:
-    """A concrete flag: a face lift position plus an absolute translation."""
+    """A concrete flag: a quotient dart moved by a translation."""
 
-    __slots__ = ("closed", "fid", "pos", "side", "shift")
+    __slots__ = ("closed", "dart", "shift")
 
-    def __init__(self, closed, fid, pos, side, shift=(0, 0, 0)):
+    def __init__(self, closed, dart, shift=(0, 0, 0)):
         self.closed = closed
-        self.fid = fid
-        self.pos = pos
-        self.side = side
+        self.dart = dart
         self.shift = shift
 
-    @classmethod
-    def from_dart(cls, closed, did):
-        v, e, fid, j, side = closed.darts[did]
-        return cls(closed, fid, j, side)
-
-    def face(self):
-        return self.closed.faces[self.fid]
-
     def vertex_point(self):
-        return vadd(self.face().point(self.pos + self.side), self.shift)
-
-    def edge_points(self):
-        f = self.face()
-        return (
-            vadd(f.point(self.pos), self.shift),
-            vadd(f.point(self.pos + 1), self.shift),
-        )
-
-    def dart(self):
-        f = self.face()
-        m = len(f.lift)
-        v = f.vclasses[(self.pos + self.side) % m]
-        e = f.eclasses[self.pos % m]
-        return self.closed.dart_index[(v, e, self.fid)]
+        _, _, fid, j, side = self.closed.darts[self.dart]
+        return vadd(self.closed.faces[fid].point(j + side), self.shift)
 
     def step(self, i):
-        """The i-adjacent geometric flag (polyhedra only for i = 2)."""
+        """The i-adjacent flag (polyhedra only for i = 2)."""
+        dart = self.closed.adjacent_flag(self.dart, i)
         if i == 0:
-            return GeomFlag(self.closed, self.fid, self.pos, 1 - self.side, self.shift)
-        if i == 1:
-            pos = self.pos + 1 if self.side == 1 else self.pos - 1
-            return GeomFlag(self.closed, self.fid, pos, 1 - self.side, self.shift)
-        f = self.face()
-        m = len(f.lift)
-        eid = f.eclasses[self.pos % m]
-        slots = self.closed.edge_slots[eid]
-        others = [s for s in slots if not (s[0] == self.fid and s[1] == self.pos % m)]
-        if len(others) != 1:
-            raise NotPolyhedronError(
-                f"edge lies in {len(others) + 1} faces; flag walk needs exactly 2"
-            )
-        fid2, j2 = others[0]
-        p, q = self.edge_points()
-        f2 = self.closed.faces[fid2]
-        a, b = f2.point(j2), f2.point(j2 + 1)
-        if vadd(b, vsub(p, a)) == q:
-            shift2 = vsub(p, a)
-        else:
-            shift2 = vsub(p, b)
-            if vadd(a, shift2) != q:
-                raise NotPolyhedronError("edge alignment failed across faces")
-        side2 = 0 if vadd(f2.point(j2), shift2) == self.vertex_point() else 1
-        return GeomFlag(self.closed, fid2, j2, side2, shift2)
+            return GeomFlag(self.closed, dart, self.shift)
+        # rho1 and rho2 keep the vertex: move the new dart onto it
+        lift = GeomFlag(self.closed, dart).vertex_point()
+        return GeomFlag(self.closed, dart, vsub(self.vertex_point(), lift))
 
     def apply_word(self, word):
         g = self
@@ -148,23 +105,35 @@ def _walk_circuit(closed, start_dart, word):
 
     Returns (steps, displacement, dart_orbit, vertex_path, edge_ids).
     """
-    flag = GeomFlag.from_dart(closed, start_dart)
-    v0 = flag.vertex_point()
+    cur = GeomFlag(closed, start_dart)
+    v0 = cur.vertex_point()
     orbit = [start_dart]
     vertices = [v0]
     edge_ids = []
-    cur = flag
-    limit = closed.dart_count() + 1
-    for _ in range(limit):
-        f = cur.face()
-        edge_ids.append(f.eclasses[cur.pos % len(f.lift)])
+    for _ in range(closed.dart_count() + 1):
+        edge_ids.append(closed.darts[cur.dart][1])
         cur = cur.apply_word(word)
-        d = cur.dart()
-        if d == start_dart:
+        if cur.dart == start_dart:
             return len(orbit), vsub(cur.vertex_point(), v0), orbit, vertices, edge_ids
-        orbit.append(d)
+        orbit.append(cur.dart)
         vertices.append(cur.vertex_point())
     raise NotPolyhedronError("word orbit failed to close on the quotient")
+
+
+def _circuits(patch, word_name, quotient_scale):
+    """One ``_walk_circuit`` per orbit of a flag word on the patch's
+    quotient, which must have r = 2."""
+    if word_name not in WORDS:
+        raise InvalidParametersError(f"unknown trace word {word_name!r}")
+    closed = build_quotient(patch, scale=quotient_scale)
+    if closed.r != 2:
+        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
+    seen = set()
+    for start in range(closed.dart_count()):
+        if start not in seen:
+            circuit = _walk_circuit(closed, start, WORDS[word_name])
+            seen.update(circuit[2])
+            yield circuit
 
 
 def _primitive_walk(vertices, disp):
@@ -199,34 +168,22 @@ def trace(patch, word_name, quotient_scale=4):
     only closes on the quotient reports its primitive step count and the
     translation it picks up per period.
     """
-    if word_name not in WORDS:
-        raise InvalidParametersError(f"unknown trace word {word_name!r}")
-    word = WORDS[word_name]
-    closed = build_quotient(patch, scale=quotient_scale)
-    if closed.r != 2:
-        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
-    seen = set()
     out = []
     sigs = set()
-    for start in range(closed.dart_count()):
-        if start in seen:
-            continue
-        steps, disp, orbit, vertices, edge_ids = _walk_circuit(closed, start, word)
-        seen.update(orbit)
+    for steps, disp, _, vertices, edge_ids in _circuits(patch, word_name,
+                                                         quotient_scale):
         closed_up = disp == (0, 0, 0)
         if closed_up:
             length, period = steps, None
         else:
             pts, period = _primitive_walk(vertices, disp)
             length = len(pts)
-        sig = (least_rotation(edge_ids), closed_up,
+        cycle = least_rotation(edge_ids)
+        sig = (cycle, closed_up,
                None if period is None else min(period, vscale(-1, period)))
-        if sig in sigs:
-            continue
-        sigs.add(sig)
-        out.append(
-            WordTrace(word_name, length, closed_up, period, least_rotation(edge_ids))
-        )
+        if sig not in sigs:
+            sigs.add(sig)
+            out.append(WordTrace(word_name, length, closed_up, period, cycle))
     out.sort(key=lambda t: (not t.closed_up, t.length))
     return out
 
@@ -238,31 +195,17 @@ def trace(patch, word_name, quotient_scale=4):
 def petrie_dual(patch, quotient_scale=4):
     """Same vertices and edges; the faces become the Petrie polygons.
 
-    Requires a valid polyhedron.  On infinite structures the Petrie
+    Requires r = 2 on the quotient.  On infinite structures the Petrie
     polygons are found as word circuits on the quotient, unrolled into
     concrete (possibly zigzag or helical) faces, and translated around the
     region by the structure's lattice.
     """
-    report = validate(patch, "polyhedron")
-    if report.r != 2 or not report.passed:
-        raise NotPolyhedronError(
-            f"input does not validate as a polyhedron: {report.failed_axioms()}"
-        )
-    word = WORDS["petrie"]
-    closed = build_quotient(patch, scale=quotient_scale)
-    seen = set()
     circuit_faces = []
-    for start in range(closed.dart_count()):
-        if start in seen:
-            continue
-        steps, disp, orbit, vertices, _ = _walk_circuit(closed, start, word)
-        seen.update(orbit)
+    for _, disp, _, vertices, _ in _circuits(patch, "petrie", quotient_scale):
         if disp == (0, 0, 0):
-            face = FaceDescriptor(vertices)
+            circuit_faces.append(FaceDescriptor(vertices))
         else:
-            pts, tau = _primitive_walk(vertices, disp)
-            face = FaceDescriptor(pts, tau)
-        circuit_faces.append(face)
+            circuit_faces.append(FaceDescriptor(*_primitive_walk(vertices, disp)))
 
     margin = patch.window.radius - patch.region.radius
     return SkeletalComplex.from_classes(

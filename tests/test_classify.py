@@ -503,6 +503,25 @@ class TestDualCongruence:
         with pytest.raises(RegionMismatchError):
             dual_congruence_check(built("P:1,0"), built("P:0,1", 3))
 
+    @pytest.mark.parametrize(
+        "pair,ok", [(("cube", "oct"), True), (("tet", "tet"), False),
+                    (("P:1,0", "P:0,1"), True)]
+    )
+    def test_decided_on_the_classes(self, built, pair, ok):
+        # at radius 1/2 the solids' patches hold no face; the verdict and
+        # the witness come from the classes
+        small = dual_congruence_check(*(built(n, Fraction(1, 2)) for n in pair))
+        large = dual_congruence_check(*(built(n, 3) for n in pair))
+        assert small[0] == large[0] == ok
+        if ok:
+            assert (small[1].m, small[1].t) == (large[1].m, large[1].t)
+
+    def test_scanned_patch_without_faces_is_too_small(self, built):
+        oct_ = built("oct", Fraction(1, 2))
+        bare = SkeletalComplex(oct_.vertices, oct_.edge_points, [], oct_.region)
+        with pytest.raises(PatchTooSmallError):
+            dual_congruence_check(bare, oct_)
+
 
 class TestEdgeStabilizer:
     @pytest.mark.parametrize(

@@ -91,6 +91,22 @@ class TestSmallRegions:
         assert len(outputs) == 1, name
 
 
+    def test_petrie_at_a_radius_without_interior_edge(self, capsys):
+        # the Petrie dual is decided on the quotient, so it exists even where
+        # the region holds no vertex of the cube; its patch is then empty
+        from skelforge.cli import main
+
+        def obj(*argv):
+            assert main([*argv, "--format", "obj"]) == 0
+            return capsys.readouterr().out
+
+        small = obj("petrie", "--preset", "cube", "--radius", "1/2")
+        assert small == obj("export", "--preset", "petrie(cube)", "--radius", "1/2")
+        full = obj("petrie", "--preset", "cube")
+        assert sum(line.startswith("l ") for line in full.splitlines()) == 4
+        assert small.splitlines()[0] == full.splitlines()[0] == "# petrie({4,3})"
+
+
 class TestErrorJson:
     @pytest.mark.parametrize(
         "args,code",

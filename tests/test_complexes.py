@@ -212,6 +212,28 @@ class TestValidation:
         for radius in (Fraction(1, 2), 3):
             assert validate(built(name, radius)).discreteness == discreteness
 
+    def test_a_failed_scan_is_kept(self, monkeypatch):
+        # a blend is scanned; at radius 1 no lattice shows, and reading the
+        # lattice again must not repeat the scan
+        from skelforge import orbit
+        from skelforge.errors import NotPeriodicError
+        from skelforge.presets import build
+
+        patch = build("blend(sq44,seg:1)", Region((0, 0, 0), 1))
+        calls = []
+        scan = orbit.detect_translation_lattice
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(orbit, "detect_translation_lattice", counted)
+        for _ in range(3):
+            assert patch.lattice is None and not patch.is_finite
+        with pytest.raises(NotPeriodicError):
+            patch.classes
+        assert len(calls) == 1
+
 
 class TestGraphIdentify:
     def test_catalog_self_identification(self):

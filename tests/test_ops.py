@@ -86,6 +86,19 @@ class TestPetrieDual:
         assert validate(dual, "polyhedron").passed
         assert {classify_polygon(f).kind for f in dual.faces} == {"helical"}
 
+    @pytest.mark.parametrize("name", [
+        "tet", "cube", "oct", "sq44", "tri36", "hex63", "P:1,0", "P:1,1",
+        "P:1,-1", "P:2,1", "P2:0,1", "P2:1,0", "P2:1,1", "petrie(cube)",
+        "petrie(sq44)",
+    ])
+    def test_dual_classes_do_not_depend_on_the_radius(self, built, name):
+        # a radius-1/2 patch shows no face count per edge, but the
+        # quotient is built from the classes
+        small = petrie_dual(built(name, Fraction(1, 2)), quotient_scale=2)
+        large = petrie_dual(built(name, 3), quotient_scale=2)
+        assert small.classes.faces.keys() == large.classes.faces.keys()
+        assert small.classes.lattice.basis == large.classes.lattice.basis
+
     def test_helix_dual_independent_of_quotient_scale(self, built):
         # Petrie helices close only after several periods modulo the
         # quotient lattice; their translates must still all be found
@@ -160,6 +173,21 @@ class TestTraces:
             for e in sig:
                 per_edge[e] += 1  # both directions hit the same signature
         assert set(per_edge.values()) == {2}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("name", ["cube", "sq44", "P:1,0", "P2:1,0"])
+    def test_each_step_is_an_involution(self, built, name):
+        from skelforge.orbit import build_quotient
+        from skelforge.ops import GeomFlag
+
+        closed = build_quotient(built(name), scale=2)
+        for dart in range(closed.dart_count()):
+            flag = GeomFlag(closed, dart)
+            for i in (0, 1, 2):
+                back = flag.step(i).step(i)
+                assert back.dart == dart, (name, dart, i)
+                assert back.vertex_point() == flag.vertex_point(), (name, dart, i)
 
 
 class TestBlends:
