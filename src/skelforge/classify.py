@@ -31,7 +31,6 @@ from .geometry import (
     fixed_space_dim,
     lattice_intersection,
     matrix_rank,
-    norm_inf,
     order_or_translation,
     scalar,
     solve_isometry,
@@ -291,23 +290,18 @@ class PatchFlag:
 
 
 def base_flag(patch):
-    center = patch.region.center
-    vid = min(
-        patch.interior_vertex_ids(),
-        key=lambda i: (norm_inf(vsub(patch.vertices[i], center)), patch.vertices[i]),
-    )
-    v = patch.vertices[vid]
-    eid = min(patch.vertex_edges[vid], key=lambda e: patch.edge_points[e])
-    edge = patch.edge_points[eid]
+    """The flag at the central vertex along its least edge, in its least face."""
+    v = patch.central_vertex()
+    eid = min(patch.vertex_edges[patch.vindex[v]], key=lambda e: patch.edge_points[e])
     fid = min(f for f, _ in patch.edge_faces[eid])
-    return PatchFlag(patch, v, edge, fid)
+    return PatchFlag(patch, v, patch.edge_points[eid], fid)
 
 
-def _walk_length(flag, want=6):
+def _walk_length(flag):
     f = flag.face
     if f.period_vector is None:
-        return min(max(want, 4), len(f))
-    return max(want, len(f) + 2)
+        return min(6, len(f))
+    return max(6, len(f) + 2)
 
 
 def is_symmetry(patch, iso):
@@ -352,35 +346,42 @@ def is_symmetry(patch, iso):
     )
 
 
-def _solve_flag_map(src_pts, dst_pts):
+def _flags_at(patch, vertex, eids):
+    """The patch flags at a vertex along the given edges, face by face."""
+    return [PatchFlag(patch, vertex, patch.edge_points[e], fid)
+            for e in eids for fid in sorted({g for g, _ in patch.edge_faces[e]})]
+
+
+def _adjacent_flags(patch, flag):
+    """The 0-, 1- and 2-adjacent flags of a patch flag, as three lists."""
+    prev = flag.face.vertex(flag.pos - flag.direction)
+    return (
+        [PatchFlag(patch, flag.other_end(), flag.edge, flag.fid)],
+        [PatchFlag(patch, flag.vertex, tuple(sorted((flag.vertex, prev))), flag.fid)],
+        [g for g in _flags_at(patch, flag.vertex, [patch.eindex[flag.edge]])
+         if g.fid != flag.fid],
+    )
+
+
+def flag_map_candidates(flag, target):
+    """Isometry candidates sending one flag's walk onto another's."""
+    count = max(_walk_length(flag), _walk_length(target))
     try:
-        return _cycling_isometry(src_pts, dst_pts)
+        return _cycling_isometry(flag.walk(count), target.walk(count))
     except UnderdeterminedError:
         return []
 
 
-def _adjacent_flag_targets(patch, flag):
-    """The 0-, 1-, 2-adjacent flags of a patch flag."""
-    v, edge, fid = flag.vertex, flag.edge, flag.fid
-    targets = {}
-    targets[0] = PatchFlag(patch, flag.other_end(), edge, fid)
-    f = flag.face
-    prev_pt = f.vertex(flag.pos - flag.direction)
-    e1 = tuple(sorted((v, prev_pt)))
-    targets[1] = PatchFlag(patch, v, e1, fid)
-    eid = patch.eindex[edge]
-    others = sorted({g for g, _ in patch.edge_faces[eid] if g != fid})
-    targets[2] = [PatchFlag(patch, v, edge, g) for g in others]
-    return targets
+def _symmetries(patch, flag, targets, keep=None):
+    """The symmetries of the structure sending the flag's walk onto a
+    target's walk that pass ``keep``, target by target."""
+    for target in targets:
+        for cand in flag_map_candidates(flag, target):
+            if (keep is None or keep(cand)) and is_symmetry(patch, cand):
+                yield cand
 
 
-def flag_map_candidates(patch, flag, target):
-    """Isometry candidates sending one flag's walk onto another's."""
-    count = max(_walk_length(flag), _walk_length(target))
-    return _solve_flag_map(flag.walk(count), target.walk(count))
-
-
-def find_flag_symmetries(patch, flag=None):
+def find_flag_symmetries(patch):
     """Recover distinguished generators from the base flag, if any exist.
 
     Returns {"family": "R", "R0": ..., "R1": ..., "R2": ...} when symmetries
@@ -388,70 +389,36 @@ def find_flag_symmetries(patch, flag=None):
     {"family": "S", "S1": ..., "S2": ...} when face and vertex rotations
     exist (the chiral case), otherwise None.
     """
-    if flag is None:
-        flag = base_flag(patch)
-    targets = _adjacent_flag_targets(patch, flag)
-    rs = {}
-    for i in (0, 1):
-        for cand in flag_map_candidates(patch, flag, targets[i]):
-            if cand.is_involution() and is_symmetry(patch, cand):
-                rs[f"R{i}"] = cand
-                break
-    for tgt in targets[2]:
-        if "R2" in rs:
+    flag = base_flag(patch)
+    rs = {"family": "R"}
+    for i, targets in enumerate(_adjacent_flags(patch, flag)):
+        r = next(_symmetries(patch, flag, targets, keep=Isometry.is_involution), None)
+        if r is None:
             break
-        for cand in flag_map_candidates(patch, flag, tgt):
-            if cand.is_involution() and is_symmetry(patch, cand):
-                rs["R2"] = cand
-                break
-    if len(rs) == 3:
-        return {"family": "R", **rs}
+        rs[f"R{i}"] = r
+    else:
+        return rs
 
-    s1 = s2 = None
-    count = _walk_length(flag, 7)
-    w = flag.walk(count + 1)
-    for cand in _solve_flag_map(w[:count], w[1:count + 1]):
-        if is_symmetry(patch, cand):
-            s1 = cand
-            break
+    # S1 moves the base flag one step along its face
+    ahead, beyond = flag.walk(3)[1:]
+    step = PatchFlag(patch, ahead, tuple(sorted((ahead, beyond))), flag.fid)
+    s1 = next(_symmetries(patch, flag, [step]), None)
     if s1 is None:
         return None
     vid = patch.vindex[flag.vertex]
     q = len(patch.vertex_faces[vid])
-    s2_options = []
-    for eid in patch.vertex_edges[vid]:
-        edge2 = patch.edge_points[eid]
-        for fid2, _ in patch.edge_faces[eid]:
-            tgt = PatchFlag(patch, flag.vertex, edge2, fid2)
-            for cand in flag_map_candidates(patch, flag, tgt):
-                power = order_or_translation(cand, q + 1)
-                if (power.kind, power.n) != ("order", q):
-                    continue
-                if is_symmetry(patch, cand):
-                    s2_options.append(cand)
-    for cand in s2_options:
+
+    def order_q(g):
+        power = order_or_translation(g, q + 1)
+        return (power.kind, power.n) == ("order", q)
+
+    at_vertex = _flags_at(patch, flag.vertex, patch.vertex_edges[vid])
+    for cand in _symmetries(patch, flag, at_vertex, keep=order_q):
         for s1_try in (s1, s1.inverse()):
             for s2_try in (cand, cand.inverse()):
                 t = s1_try.then(s2_try)
                 if t.then(t).is_identity and t(flag.vertex) == flag.other_end():
                     return {"family": "S", "S1": s1_try, "S2": s2_try}
-    return None
-
-
-def has_adjacent_flag_symmetry(patch, flag=None):
-    """Does any symmetry of the structure map a flag to one of its neighbors?
-
-    This is the certificate separating chiral structures (no) from regular
-    ones probed with only their rotation subgroup (yes).
-    """
-    if flag is None:
-        flag = base_flag(patch)
-    targets = _adjacent_flag_targets(patch, flag)
-    all_targets = [targets[0], targets[1], *targets[2]]
-    for tgt in all_targets:
-        for cand in flag_map_candidates(patch, flag, tgt):
-            if is_symmetry(patch, cand):
-                return cand
     return None
 
 
@@ -524,7 +491,9 @@ def verdict(patch, generators, quotient_scale=4):
     if count == 1:
         return SymmetryVerdict("regular", 1, split)
     if count == 2 and split:
-        extra = has_adjacent_flag_symmetry(patch)
+        flag = base_flag(patch)
+        adjacent = [t for ts in _adjacent_flags(patch, flag) for t in ts]
+        extra = next(_symmetries(patch, flag, adjacent), None)
         if extra is None:
             return SymmetryVerdict("chiral", 2, True)
         return SymmetryVerdict("regular", 2, True, extra_symmetry=extra)
@@ -714,56 +683,18 @@ class EdgeStabilizer:
         return f"C{self.order}"
 
 
-def edge_stabilizer(patch, edge=None):
-    """The pointwise stabilizer of a central edge, acting on its faces.
+def edge_stabilizer(patch):
+    """The pointwise stabilizer of the base flag's edge, acting on its faces.
 
-    Candidates come from wedge correspondences between the faces at the
-    edge; each is decided by :func:`is_symmetry`, and the symmetries found
-    are closed under composition.  Dihedral means some element reverses the
-    orientation of the perpendicular plane.
+    Such a symmetry sends the base flag to a flag at the same vertex and
+    edge.  The walk correspondence to that flag determines it, up to the
+    reflection in the plane of a planar face, which the correspondence
+    tries as well; so the symmetries to those flags are the whole
+    stabilizer.  Dihedral means some element reverses the orientation of
+    the perpendicular plane.
     """
-    if edge is None:
-        center = patch.region.center
-        eid = min(
-            patch.interior_edge_ids(),
-            key=lambda e: (
-                norm_inf(vsub(patch.edge_points[e][0], center)),
-                patch.edge_points[e],
-            ),
-        )
-    else:
-        eid = patch.eindex[tuple(sorted(edge))]
-    u, v = patch.edge_points[eid]
-    slots = patch.edge_faces[eid]
-
-    wedges = []
-    for fid, slot in slots:
-        f = patch.faces[fid]
-        pos_u = [k for k in f.positions_of(u) if f.vertex(k + 1) == v or f.vertex(k - 1) == v]
-        k = pos_u[0]
-        d = 1 if f.vertex(k + 1) == v else -1
-        a = f.vertex(k - d)       # the walk point before u, on the u side
-        b = f.vertex(k + 2 * d)   # the walk point after v, on the v side
-        wedges.append((a, b))
-
-    found = {}
-    src = [u, v, wedges[0][0], wedges[0][1]]
-    for a, b in wedges:
-        for cand in _solve_flag_map(src, [u, v, a, b]):
-            if cand not in found and is_symmetry(patch, cand):
-                found[cand] = True
-    # close under composition (the group is small)
-    group = set(found)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(group):
-            for h in list(group):
-                gh = g.then(h)
-                if gh not in group:
-                    group.add(gh)
-                    changed = True
-        if len(group) > 4 * len(slots) + 8:
-            raise PatchTooSmallError("edge stabilizer closure runaway")
+    flag = base_flag(patch)
+    eid = patch.eindex[flag.edge]
+    group = set(_symmetries(patch, flag, _flags_at(patch, flag.vertex, [eid])))
     dihedral = any(g.det() == -1 for g in group)
-    return EdgeStabilizer(len(group), dihedral, len(slots))
+    return EdgeStabilizer(len(group), dihedral, len(patch.edge_faces[eid]))

@@ -107,11 +107,7 @@ def _cmd_classify(args):
         counts[sym] = counts.get(sym, 0) + members
     out["face_classes"] = counts
 
-    center = min(
-        (patch.vertices[i] for i in patch.interior_vertex_ids()),
-        key=lambda v: (max(abs(c) for c in v), v),
-    )
-    vf = patch.vertex_figure(center)
+    vf = patch.vertex_figure(patch.central_vertex())
     out["vertex_figure"] = graph_identify(vf)
     out["vertex_set"] = nets.identify_vertex_set(patch)
 

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BoundaryError, DegenerateFaceError, NotPeriodicError
-from .geometry import finite_lattice, scalar, vadd, vdot, vec_str, vneg, vscale, vsub
+from .errors import BoundaryError, DegenerateFaceError, NotPeriodicError, PatchTooSmallError
+from .geometry import (
+    finite_lattice, norm_inf, scalar, vadd, vdot, vec_str, vneg, vscale, vsub,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +354,14 @@ class SkeletalComplex:
             for i, (a, b) in enumerate(self.edges)
             if self.in_region[a] and self.in_region[b]
         ]
+
+    def central_vertex(self):
+        """The interior vertex nearest the region centre, the least on ties."""
+        c = self.region.center
+        inside = [p for p, ok in zip(self.vertices, self.in_region) if ok]
+        if not inside:
+            raise PatchTooSmallError("the patch has no interior vertex; enlarge the region")
+        return min(inside, key=lambda p: (norm_inf(vsub(p, c)), p))
 
     def counts(self):
         return len(self.vertices), len(self.edges), len(self.faces)

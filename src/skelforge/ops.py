@@ -32,6 +32,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
+from .quotient import _face_class
 
 WORDS = {
     "petrie": (0, 1, 2),
@@ -467,23 +468,20 @@ def covering_check(patch, target, projection="compress"):
         if lat is None:
             raise ProjectionError("no translation lattice to compress by")
         # the full translation lattice can over-fold (extra symmetries of a
-        # regular structure add translations); probe small-index sublattices,
-        # pruning by a cheap vertex-class count before building incidence
-        want_v = target_closed.counts()[0]
+        # regular structure add translations).  The lattice acts freely on
+        # darts, so a quotient by an index-k sublattice has k times the
+        # darts modulo the lattice, two per lift point of each face class:
+        # the target's dart count fixes k
+        darts = 2 * sum(len(_face_class(lat, f)[1]) for f in patch.classes.faces.values())
+        k, rest = divmod(target_closed.dart_count(), darts)
         candidates = []
-        for k in (1, 2, 3, 4):
-            for sub in sublattices_of_index(lat, k):
-                vcount = len({sub.reduce_key(v) for v in patch.vertices})
-                if vcount != want_v:
-                    continue
-                try:
-                    closed = build_quotient(patch, sublattice=sub)
-                except SelfIdentificationError:
-                    continue
-                if closed.counts() == target_closed.counts():
-                    candidates.append(closed)
-            if candidates:
-                break
+        for sub in sublattices_of_index(lat, k) if k and not rest else ():
+            try:
+                closed = build_quotient(patch, sublattice=sub)
+            except SelfIdentificationError:
+                continue
+            if closed.counts() == target_closed.counts():
+                candidates.append(closed)
     for source_closed in candidates:
         iso = _flag_system_isomorphism(source_closed, target_closed)
         if iso is None:

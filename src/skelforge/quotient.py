@@ -75,7 +75,10 @@ def lattice_translates(lattice, points, region):
 
     The vectors are enumerated along an echelon basis, one pivot coordinate
     at a time, so a full-rank lattice yields no candidate outside the box.
+    A finite structure (the trivial lattice) is unrolled whole: [0].
     """
+    if not lattice.rank:
+        return [ZERO3]
     ivals = region.intervals()
     lo = [ivals[i][0] - max(p[i] for p in points) for i in range(3)]
     hi = [ivals[i][1] - min(p[i] for p in points) for i in range(3)]
@@ -92,7 +95,9 @@ def lattice_translates(lattice, points, region):
 
 
 def face_translates(lattice, desc, region):
-    """The distinct translates of a face by the lattice that touch the region.
+    """The distinct translates of a face by the lattice that touch the region,
+    or the face itself under the trivial lattice: a finite structure is kept
+    whole.
 
     An infinite face is its own translate by m periods, m the closure
     multiple, so every translate touching the region is also one that moves
@@ -105,7 +110,7 @@ def face_translates(lattice, desc, region):
     out = {}
     for t in lattice_translates(lattice, points, region):
         moved = desc.translate(t)
-        if moved.window(region) is not None:
+        if not lattice.rank or moved.window(region) is not None:
             out.setdefault(moved.canonical_key(), moved)
     return list(out.values())
 
@@ -126,33 +131,30 @@ def _coset_vectors(lattice, sublattice):
 
 
 def _face_class(lattice, desc):
-    """Canonical (key, lift, closure) of a face modulo the lattice."""
-    if desc.period_vector is None:
-        seqs = [desc.vertices, tuple(reversed(desc.vertices))]
-        m = len(desc.vertices)
-        best = None
-        for seq in seqs:
-            for a in range(m):
-                rot = seq[a:] + seq[:a]
-                shift = vsub(lattice.reduce_point(rot[0]), rot[0])
-                cand = tuple(vadd(p, shift) for p in rot)
-                if best is None or cand < best:
-                    best = cand
-        return (("fin",) + best, best, (0, 0, 0))
-    k = _closure_multiple(lattice, desc.period_vector)
-    n = len(desc.vertices)
-    m = n * k
-    best = None
-    for d in (desc, desc.reversed()):
-        closure = vscale(k, d.period_vector)
-        for a in range(m):
-            seq = tuple(d.vertex(a + i) for i in range(m))
-            shift = vsub(lattice.reduce_point(seq[0]), seq[0])
-            cand = (tuple(vadd(p, shift) for p in seq), vadd(closure, (0, 0, 0)))
-            if best is None or cand < best:
-                best = cand
-    lift, closure = best
-    return (("inf",) + lift + (closure,), lift, closure)
+    """Canonical (key, lift, closure) of a face modulo the lattice.
+
+    The lift is the least walk of one closure period over every start and
+    both directions, moved so that it starts at a reduced point; only a
+    start whose reduced point is least can give it.  A finite face closes
+    after one cycle, with closure zero.
+    """
+    t = desc.period_vector
+    if t is None:
+        m, closure = len(desc.vertices), ZERO3
+    else:
+        k = _closure_multiple(lattice, t)
+        m, closure = k * len(desc.vertices), vscale(k, t)
+    points = [desc.vertex(i) for i in range(m)]
+    reduced = [lattice.reduce_point(p) for p in points]
+    least = min(reduced)
+    lift, closure = min(
+        (tuple(vadd(desc.vertex(a + d * i), shift) for i in range(m)), vscale(d, closure))
+        for a in range(m) if reduced[a] == least
+        for shift in [vsub(least, points[a])]
+        for d in (1, -1)
+    )
+    key = ("fin",) + lift if t is None else ("inf",) + lift + (closure,)
+    return key, lift, closure
 
 
 class ClosedComplex:

@@ -14,8 +14,8 @@ from skelforge.errors import (
     RegionMismatchError,
 )
 from skelforge.classify import (
-    PatchFlag,
-    _adjacent_flag_targets,
+    _adjacent_flags,
+    _flags_at,
     _winding_number,
     base_flag,
     classify_polygon,
@@ -76,13 +76,9 @@ def flag_map_candidates_at_base(patch):
     """Every isometry candidate from the base flag to its 0-, 1- and
     2-adjacent flags and to every flag at the base vertex."""
     flag = base_flag(patch)
-    adjacent = _adjacent_flag_targets(patch, flag)
-    targets = [adjacent[0], adjacent[1], *adjacent[2]]
-    vid = patch.vindex[flag.vertex]
-    for eid in patch.vertex_edges[vid]:
-        for fid, _ in patch.edge_faces[eid]:
-            targets.append(PatchFlag(patch, flag.vertex, patch.edge_points[eid], fid))
-    return [c for t in targets for c in flag_map_candidates(patch, flag, t)]
+    targets = [t for ts in _adjacent_flags(patch, flag) for t in ts]
+    targets += _flags_at(patch, flag.vertex, patch.vertex_edges[patch.vindex[flag.vertex]])
+    return [c for t in targets for c in flag_map_candidates(flag, t)]
 
 
 class TestClassifyPolygon:
@@ -287,12 +283,12 @@ class TestIsSymmetry:
             is_symmetry(bare, translation((1, 0, 0)))
 
     def test_built_patch_without_faces_decides_on_its_classes(self, built):
-        # no vertex of the octahedron lies in this region: edges, no faces,
-        # but the patch keeps the classes it was built from
-        empty = built("oct", Fraction(1, 2))
+        # no vertex of the hexagonal tiling lies in this region: edges, no
+        # faces, but the patch keeps the classes it was built from
+        empty = built("hex63", Fraction(1, 2))
         assert empty.faces == [] and empty.edges
         assert not is_symmetry(empty, translation((1, 0, 0)))
-        assert is_symmetry(empty, reflection_in_plane((1, -1, 0), (0, 0, 0)))
+        assert is_symmetry(empty, reflection_in_plane((0, 1, -1), (0, 0, 0)))
 
     @pytest.mark.parametrize(
         "name,iso",
@@ -342,12 +338,21 @@ class TestRadiusIndependence:
         ],
     )
     def test_symmetry_answers_do_not_depend_on_radius(self, name, expected):
-        answers = {r: _symmetry_answers(name, r) for r in range(2, 7)}
+        radii = (Fraction(1, 2), 1, 2, 3, 4, 5, 6)
+        answers = {r: _symmetry_answers(name, r) for r in radii}
         assert len(set(answers.values())) == 1, answers
         got = answers[2]
         if len(got) == 4:
             got = (dict(got[0])["family"],) + got[1:]
         assert got == expected
+
+    def test_no_interior_vertex_is_patch_too_small(self, built):
+        # every vertex of the cube lies outside this region: no base flag
+        cube = built("cube", Fraction(1, 2))
+        for search in (find_flag_symmetries, edge_stabilizer,
+                       lambda patch: patch.central_vertex()):
+            with pytest.raises(PatchTooSmallError):
+                search(cube)
 
     def test_hexagon_tiling_reflections_from_a_unit_patch(self, built):
         # a radius-1 patch shows too few vertices for a patch-bound check to

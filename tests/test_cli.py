@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from test_presets import CATALOG_SWEEP
+
 
 def run_cli(*args, expect_code=0):
     proc = subprocess.run(
@@ -93,7 +95,8 @@ class TestSmallRegions:
 
     def test_petrie_at_a_radius_without_interior_edge(self, capsys):
         # the Petrie dual is decided on the quotient, so it exists even where
-        # the region holds no vertex of the cube; its patch is then empty
+        # the region holds no vertex of the cube; a finite structure's patch
+        # is the whole structure at any radius
         from skelforge.cli import main
 
         def obj(*argv):
@@ -103,8 +106,34 @@ class TestSmallRegions:
         small = obj("petrie", "--preset", "cube", "--radius", "1/2")
         assert small == obj("export", "--preset", "petrie(cube)", "--radius", "1/2")
         full = obj("petrie", "--preset", "cube")
-        assert sum(line.startswith("l ") for line in full.splitlines()) == 4
+        for out in (small, full):
+            assert sum(line.startswith("l ") for line in out.splitlines()) == 4
         assert small.splitlines()[0] == full.splitlines()[0] == "# petrie({4,3})"
+
+    def test_finite_export_is_whole_at_any_radius(self, capsys):
+        from skelforge.cli import main
+
+        main(["export", "--preset", "cube", "--radius", "1/2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("v ") for line in lines) == 8
+        assert sum(line.startswith("f ") for line in lines) == 6
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
+    def test_every_command_ends_cleanly_at_half_radius(self, capsys, name):
+        # exit 0, 1 (an error as one line of JSON) or 2 (failed validation),
+        # never an uncaught exception
+        from skelforge.cli import main
+
+        for command in ("build", "classify", "validate", "net", "petrie", "export"):
+            try:
+                code = main([command, "--preset", name, "--radius", "1/2"])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), (command, code)
+            if code == 1:
+                assert out.count("\n") == 1, (command, out)
+                assert set(json.loads(out)) == {"code", "detail"}, (command, out)
 
 
 class TestErrorJson:

@@ -254,11 +254,14 @@ class TestBlends:
 
 class TestCovering:
     def test_helix_compresses_onto_cube(self, built):
+        # the index of the covering comes from the dart counts, not from the
+        # vertices a patch shows, so a patch of radius 1/2 covers as well
         target = built("P2:0,1")
-        ok, witness = covering_check(built("P2:1,1", 6), target)
-        assert ok
-        assert witness["kind"] == "compress"
-        assert len(witness["class_map"]) == 8
+        for radius in (Fraction(1, 2), 6):
+            ok, witness = covering_check(built("P2:1,1", radius), target)
+            assert ok, radius
+            assert witness["kind"] == "compress"
+            assert len(witness["class_map"]) == 8
 
     def test_regular_helix_also_covers(self, built):
         target = built("P2:0,1")

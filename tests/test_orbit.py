@@ -306,6 +306,39 @@ class TestLatticeScan:
                     assert big.has_face(f.translate(b))
 
 
+def face_class_oracle(lattice, desc):
+    """Oracle for ``quotient._face_class``: every start and both directions
+    built in full, each start reduced on its own."""
+    from skelforge.geometry import vscale
+    from skelforge.quotient import _closure_multiple
+
+    if desc.period_vector is None:
+        seqs = [desc.vertices, tuple(reversed(desc.vertices))]
+        m = len(desc.vertices)
+        best = None
+        for seq in seqs:
+            for a in range(m):
+                rot = seq[a:] + seq[:a]
+                shift = vsub(lattice.reduce_point(rot[0]), rot[0])
+                cand = tuple(vadd(p, shift) for p in rot)
+                if best is None or cand < best:
+                    best = cand
+        return (("fin",) + best, best, (0, 0, 0))
+    k = _closure_multiple(lattice, desc.period_vector)
+    m = len(desc.vertices) * k
+    best = None
+    for d in (desc, desc.reversed()):
+        closure = vscale(k, d.period_vector)
+        for a in range(m):
+            seq = tuple(d.vertex(a + i) for i in range(m))
+            shift = vsub(lattice.reduce_point(seq[0]), seq[0])
+            cand = (tuple(vadd(p, shift) for p in seq), vadd(closure, (0, 0, 0)))
+            if best is None or cand < best:
+                best = cand
+    lift, closure = best
+    return (("inf",) + lift + (closure,), lift, closure)
+
+
 class TestQuotient:
     def test_square_mod_4(self, built):
         sq = built("sq44")
@@ -365,6 +398,23 @@ class TestQuotient:
         for f in patch.faces:
             rep = classes.faces[_face_class(classes.lattice, f)[0]]
             assert patch.faces.index(rep) <= patch.faces.index(f)
+
+    @pytest.mark.parametrize(
+        "name", ["cube", "petrie(cube)", "hex63", "P:1,0", "P2:1,0", "P2:2,1", "K5_12"]
+    )
+    def test_face_class_matches_the_oracle(self, built, name):
+        # each patch face, also moved off the lattice, modulo the structure's
+        # lattice and two of its multiples
+        from skelforge.quotient import _face_class
+
+        patch = built(name, 1)
+        lattice = patch.classes.lattice
+        moved = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+        faces = patch.faces + [f.translate(moved) for f in patch.faces]
+        for scale in (1, 2, 3):
+            lat = Lattice([tuple(scale * c for c in b) for b in lattice.basis])
+            for f in faces:
+                assert _face_class(lat, f) == face_class_oracle(lat, f), (name, scale, f)
 
     def test_quotient_faces_come_from_the_class_map(self, built):
         p10 = built("P:1,0", 3)
