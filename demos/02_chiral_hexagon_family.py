@@ -27,14 +27,14 @@ print("discovered family:", fam["family"], "(rotations only, no mirrors)")
 
 # b = a: convex faces, skew vertex figures, holes of length 3
 p11 = build("P:1,1")
-print("\nP(1,1):", verdict(p11, finite_faced_chiral(1, 1).isometries(), quotient_scale=2))
+print("\nP(1,1):", verdict(p11, finite_faced_chiral(1, 1).isometries()))
 fam = find_flag_symmetries(p11)
 print("mirror vector:", mirror_vector(fam["R0"], fam["R1"], fam["R2"]))
-holes = trace(p11, "hole", quotient_scale=2)
+holes = trace(p11, "hole")
 print("hole circuits:", sorted({t.length for t in holes}), "- the '| 3' in its symbol")
 
 # b = -a: skew faces, planar vertex figures, Petrie polygons of length 4
 p1m1 = build("P:1,-1")
-print("\nP(1,-1):", verdict(p1m1, finite_faced_chiral(1, -1).isometries(), quotient_scale=2))
-petries = trace(p1m1, "petrie", quotient_scale=2)
+print("\nP(1,-1):", verdict(p1m1, finite_faced_chiral(1, -1).isometries()))
+petries = trace(p1m1, "petrie")
 print("petrie circuits:", sorted({t.length for t in petries}), "- the subscript 4")

@@ -35,8 +35,7 @@ cube = build("P2:0,1")
 print("\nP2(0,1):", cube.summary(), "(the finite member of the family)")
 
 chiral = build("P2:1,1", Region((0, 0, 0), 6))
-print("\nP2(1,1):", verdict(chiral, helix_faced_chiral(1, 1).isometries(),
-                            quotient_scale=2))
+print("\nP2(1,1):", verdict(chiral, helix_faced_chiral(1, 1).isometries()))
 ok, witness = covering_check(chiral, cube)
 print("covers the cube:", ok)
 print("compression lattice:", witness["lattice"])

@@ -20,7 +20,7 @@ from skelforge import (
 for name in ("skel2cubic", "K1_12", "K4_12", "K5_12"):
     c = build(name)
     rep = validate(c, "complex")
-    st = schlafli(c, mode="complex", quotient_scale=2)
+    st = schlafli(c, mode="complex")
     g2 = edge_stabilizer(c)
     vf = graph_identify(c.vertex_figure((0, 0, 0)))
     print(f"{c.name}:")

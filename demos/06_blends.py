@@ -21,14 +21,14 @@ seg = blend_with_segment(sq, 1)
 print("segment blend:", seg.summary())
 print("  z values:", sorted({v[2] for v in seg.vertices}))
 print("  face class:", classify_polygon(seg.faces[0]).symbol)
-print("  type:", schlafli(seg, quotient_scale=2))
+print("  type:", schlafli(seg))
 print("  projections: plane ->", len({(v[0], v[1]) for v in seg.vertices}),
       "tessellation vertices; axis ->", sorted({v[2] for v in seg.vertices}))
 
 hel = blend_with_apeirogon(sq, 1)
 print("\napeirogon blend:", hel.summary())
 print("  face class:", classify_polygon(hel.faces[0]).symbol)
-print("  type:", schlafli(hel, quotient_scale=2))
+print("  type:", schlafli(hel))
 print("  valid polyhedron:", validate(hel, "polyhedron").passed)
 print("  sample helix:", hel.faces[0])
 

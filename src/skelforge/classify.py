@@ -40,7 +40,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .orbit import build_quotient
+from .orbit import _coset_representatives, _translation_lattice, build_quotient
 from .quotient import _coset_vectors, _edge_key, _face_class
 
 
@@ -456,16 +456,37 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def verdict(patch, generators, quotient_scale=4):
+def _orbit_lattice(patch, generators):
+    """The translations to count the generated group's flag orbits modulo:
+    the structure's lattice when the group's translations (Schreier's
+    lemma) contain it, else the lattice common to both."""
+    lattice = patch.classes.lattice
+    if not lattice.rank:
+        return lattice
+    own = _translation_lattice(generators, _coset_representatives(generators))
+    if lattice.sublattice_of(own):
+        return lattice
+    common = lattice_intersection([lattice, own])
+    if common is None:
+        raise GeneratorsDoNotDescendError(
+            "the generators' translations do not span the structure's lattice"
+        )
+    return common
+
+
+def verdict(patch, generators, quotient_scale=None):
     """Regular, chiral, or neither, from flag orbits plus a certificate.
 
-    Orbits of the generated group are counted on the quotient.  One orbit
-    means regular outright.  Two orbits with every adjacent pair split
-    means chiral only if no symmetry to an adjacent flag exists; if one
-    does, the generators were merely a rotation subgroup of a regular
-    structure.
+    Orbits of the generated group are counted on the quotient modulo the
+    translations it shares with the structure (see ``_orbit_lattice``).
+    One orbit means regular outright.  Two orbits with every adjacent pair
+    split means chiral only if no symmetry to an adjacent flag exists; if
+    one does, the generators were merely a rotation subgroup of a regular
+    structure.  ``quotient_scale`` is accepted and ignored: the quotient is
+    fixed by the structure and the generators.
     """
-    closed = build_quotient(patch, scale=quotient_scale)
+    generators = list(generators)
+    closed = build_quotient(patch, sublattice=_orbit_lattice(patch, generators))
     if closed.r != 2:
         raise NotPolyhedronError("verdict requires a polyhedron (r = 2)")
     n = closed.dart_count()
@@ -517,16 +538,18 @@ class SchlafliType:
         return body if self.r is None else f"{body} r={self.r}"
 
 
-def schlafli(patch, mode="polyhedron", quotient_scale=4):
+def schlafli(patch, mode="polyhedron", quotient_scale=None):
     """The basic type {p, q}, with the face count r appended in complex mode.
 
     One polygon per face class is classified, and the face counts per edge
-    and per vertex are read from the quotient.  A patch without an interior
-    edge shows no face count per edge, so it is too small, not evidence.
+    and per vertex are read from the quotient modulo the structure's
+    lattice.  A patch without an interior edge shows no face count per
+    edge, so it is too small, not evidence.  ``quotient_scale`` is accepted
+    and ignored.
     """
     if not patch.interior_edge_ids():
         raise PatchTooSmallError("the patch has no interior edge; enlarge the region")
-    closed = build_quotient(patch, scale=quotient_scale)
+    closed = build_quotient(patch)
     if closed.r is None:
         raise NotEquivelarError("face count per edge is not constant")
     classes = [classify_polygon(rep) for rep in patch.classes.faces.values()]

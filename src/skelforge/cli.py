@@ -86,14 +86,13 @@ def _iso_json(iso):
 
 def _cmd_classify(args):
     patch = _load_structure(args)
-    scale = args.quotient
     report = validate(patch, "polyhedron")
     mode = "polyhedron" if report.r == 2 else "complex"
     if mode == "complex":
         report = validate(patch, "complex")
     out = {"name": patch.name, "mode": mode, "valid": report.passed, "r": report.r}
 
-    st = cls.schlafli(patch, mode=mode, quotient_scale=scale)
+    st = cls.schlafli(patch, mode=mode)
     out["schlafli"] = {
         "p": "inf" if st.p is None else st.p,
         "q": st.q,
@@ -127,7 +126,7 @@ def _cmd_classify(args):
         if gens is None and made is not None:
             gens = made.isometries()
         if gens is not None:
-            v = cls.verdict(patch, gens, quotient_scale=scale)
+            v = cls.verdict(patch, gens)
             out["verdict"] = v.kind
             out["flag_orbits"] = v.orbit_count
     else:
@@ -143,7 +142,7 @@ def _cmd_classify(args):
 
 def _cmd_petrie(args):
     patch = _load_structure(args)
-    dual = ops.petrie_dual(patch, quotient_scale=args.quotient)
+    dual = ops.petrie_dual(patch)
     _write(args, _format_structure(dual, args))
 
 
@@ -187,7 +186,11 @@ def main(argv=None):
         p.add_argument("--preset", help="catalog name, e.g. P:1,0 or K4_12")
         p.add_argument("--input", help="generator-set JSON file")
         p.add_argument("--radius", default="4", help="region radius (p/q)")
-        p.add_argument("--quotient", type=int, default=4, help="quotient scale")
+        p.add_argument(
+            "--quotient", type=int,
+            help="accepted and ignored: quotients are taken modulo the "
+            "structure's own lattice",
+        )
         p.add_argument(
             "--format", choices=("json", "obj", "pgr"), default="json"
         )

@@ -43,10 +43,6 @@ class NotPeriodicError(SkelforgeError):
     code = "not-periodic"
 
 
-class SelfIdentificationError(SkelforgeError):
-    code = "self-identification"
-
-
 class BoundaryError(SkelforgeError):
     code = "boundary"
 

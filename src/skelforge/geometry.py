@@ -9,6 +9,7 @@ translation vector.  Nothing in this module ever rounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -605,29 +606,26 @@ def finite_lattice():
 
 
 def sublattices_of_index(lattice, k):
-    """All sublattices of the given index, via Hermite normal forms."""
-    if lattice.rank != 3:
-        raise ValueError("index enumeration implemented for rank 3 only")
+    """All sublattices of index k, each once, as Hermite normal forms.
+
+    Row i of a form is d_i b_i plus c_ij b_j over the earlier basis vectors,
+    with d_1 ... d_n = k and 0 <= c_ij < d_j.
+    """
     b = lattice.basis
-    out = []
-    for d1 in range(1, k + 1):
-        if k % d1:
-            continue
-        for d2 in range(1, k // d1 + 1):
-            if (k // d1) % d2:
-                continue
-            d3 = k // (d1 * d2)
-            for s in range(d2):
-                for t in range(d3):
-                    for u in range(d3):
-                        r1 = vscale(d1, b[0])
-                        r2 = vadd(vscale(s, b[0]), vscale(d2, b[1]))
-                        r3 = vadd(
-                            vadd(vscale(t, b[0]), vscale(u, b[1])),
-                            vscale(d3, b[2]),
-                        )
-                        out.append(Lattice([r1, r2, r3]))
-    return out
+    forms = [((), ())]  # the rows so far and their diagonal entries
+    for i in range(lattice.rank):
+        grown = []
+        for rows, diag in forms:
+            for d in range(1, k + 1):
+                if k % (math.prod(diag) * d):
+                    continue
+                for cs in itertools.product(*map(range, diag)):
+                    row = vscale(d, b[i])
+                    for c, bj in zip(cs, b):
+                        row = vadd(row, vscale(c, bj))
+                    grown.append((rows + (row,), diag + (d,)))
+        forms = grown
+    return [Lattice(rows) for rows, diag in forms if math.prod(diag) == k]
 
 
 LAMBDA_1 = Lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], name="cubic")

@@ -1,9 +1,10 @@
 """Structural operations: Petrie duals, word traces, blends, coverings.
 
 Word traces and Petrie duals walk flags geometrically on the finite quotient
-while tracking the actual translation picked up in 3-space, so a circuit
-that closes combinatorially but not geometrically is reported with its
-period vector instead of pretending to be finite.
+modulo the structure's lattice while tracking the actual translation picked
+up in 3-space, so a circuit that closes combinatorially but not
+geometrically is reported with its period vector instead of pretending to
+be finite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     NotBipartiteError,
     NotPolyhedronError,
     ProjectionError,
-    SelfIdentificationError,
     ZeroParameterError,
 )
 from .geometry import (
@@ -32,7 +32,6 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
-from .quotient import _face_class
 
 WORDS = {
     "petrie": (0, 1, 2),
@@ -121,12 +120,12 @@ def _walk_circuit(closed, start_dart, word):
     raise NotPolyhedronError("word orbit failed to close on the quotient")
 
 
-def _circuits(patch, word_name, quotient_scale):
+def _circuits(patch, word_name):
     """One ``_walk_circuit`` per orbit of a flag word on the patch's
     quotient, which must have r = 2."""
     if word_name not in WORDS:
         raise InvalidParametersError(f"unknown trace word {word_name!r}")
-    closed = build_quotient(patch, scale=quotient_scale)
+    closed = build_quotient(patch)
     if closed.r != 2:
         raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
     seen = set()
@@ -162,17 +161,20 @@ def _primitive_walk(vertices, disp):
     return vertices, disp
 
 
-def trace(patch, word_name, quotient_scale=4):
+def trace(patch, word_name, quotient_scale=None):
     """All distinct circuits of a flag word, with lengths or periods.
 
-    A circuit that closes geometrically reports its edge length; one that
-    only closes on the quotient reports its primitive step count and the
-    translation it picks up per period.
+    One circuit is walked per orbit of the word on the darts modulo the
+    structure's lattice Lambda, so each circuit stands for all its
+    Lambda-translates.  A circuit that closes geometrically reports its
+    edge length; one that only closes on the quotient reports its
+    primitive step count and the translation it picks up per period, whose
+    sign follows the direction of the walk.  ``quotient_scale`` is accepted
+    and ignored.
     """
     out = []
     sigs = set()
-    for steps, disp, _, vertices, edge_ids in _circuits(patch, word_name,
-                                                         quotient_scale):
+    for steps, disp, _, vertices, edge_ids in _circuits(patch, word_name):
         closed_up = disp == (0, 0, 0)
         if closed_up:
             length, period = steps, None
@@ -193,16 +195,17 @@ def trace(patch, word_name, quotient_scale=4):
 # Petrie dual
 
 
-def petrie_dual(patch, quotient_scale=4):
+def petrie_dual(patch, quotient_scale=None):
     """Same vertices and edges; the faces become the Petrie polygons.
 
     Requires r = 2 on the quotient.  On infinite structures the Petrie
     polygons are found as word circuits on the quotient, unrolled into
     concrete (possibly zigzag or helical) faces, and translated around the
-    region by the structure's lattice.
+    region by the structure's lattice.  ``quotient_scale`` is accepted and
+    ignored.
     """
     circuit_faces = []
-    for _, disp, _, vertices, _ in _circuits(patch, "petrie", quotient_scale):
+    for _, disp, _, vertices, _ in _circuits(patch, "petrie"):
         if disp == (0, 0, 0):
             circuit_faces.append(FaceDescriptor(vertices))
         else:
@@ -470,16 +473,11 @@ def covering_check(patch, target, projection="compress"):
         # the full translation lattice can over-fold (extra symmetries of a
         # regular structure add translations).  The lattice acts freely on
         # darts, so a quotient by an index-k sublattice has k times the
-        # darts modulo the lattice, two per lift point of each face class:
-        # the target's dart count fixes k
-        darts = 2 * sum(len(_face_class(lat, f)[1]) for f in patch.classes.faces.values())
-        k, rest = divmod(target_closed.dart_count(), darts)
+        # darts modulo the lattice: the target's dart count fixes k
+        k, rest = divmod(target_closed.dart_count(), build_quotient(patch).dart_count())
         candidates = []
         for sub in sublattices_of_index(lat, k) if k and not rest else ():
-            try:
-                closed = build_quotient(patch, sublattice=sub)
-            except SelfIdentificationError:
-                continue
+            closed = build_quotient(patch, sublattice=sub)
             if closed.counts() == target_closed.counts():
                 candidates.append(closed)
     for source_closed in candidates:

@@ -103,19 +103,19 @@ def build_base_face(gen):
     raise DegenerateFaceError("face generator has no finite order or translation power")
 
 
-def _coset_representatives(gen):
-    """One element of the generated group per linear part: {matrix: isometry}.
+def _coset_representatives(isometries):
+    """One element of the group the isometries generate per linear part:
+    {matrix: isometry}.
 
     A breadth-first search over the linear parts, which form the point
     group.  A finite group of rational orthogonal matrices has at most 48
     elements, so a larger point group means the generators are not discrete.
     """
-    gens = gen.isometries()
     reps = {IDENTITY3: identity()}
     queue = deque(reps.values())
     while queue:
         r = queue.popleft()
-        for g in gens:
+        for g in isometries:
             h = r.then(g)
             if h.m in reps:
                 continue
@@ -129,15 +129,16 @@ def _coset_representatives(gen):
     return reps
 
 
-def _translation_lattice(gen, reps):
-    """The translation subgroup of the generated group, by Schreier's lemma.
+def _translation_lattice(isometries, reps):
+    """The translation subgroup of the group the isometries generate, by
+    Schreier's lemma.
 
     It is generated by the translations r*g*rep(r*g)^-1 over coset
     representatives r and generators g.
     """
     vectors = []
     for r in reps.values():
-        for g in gen.isometries():
+        for g in isometries:
             h = r.then(g)
             t = h.then(reps[h.m].inverse()).t
             if t != ZERO3:
@@ -159,8 +160,8 @@ def wythoff_patch(gen, region, name=None):
     Its window reaches the largest generator translation length plus 2 past
     the region.
     """
-    reps = _coset_representatives(gen)
-    lattice = _translation_lattice(gen, reps)
+    reps = _coset_representatives(gen.isometries())
+    lattice = _translation_lattice(gen.isometries(), reps)
     base_face = build_base_face(gen)
     edges = [(r(gen.base_vertex), r(gen.base_edge_other)) for r in reps.values()]
     margin = max(
@@ -263,36 +264,31 @@ def _is_translation_symmetry(patch, tau, verts, edges, faces):
 # quotients
 
 
-def build_quotient(patch, sublattice=None, scale=4):
-    """Finite quotient modulo ``scale`` times the structure's own lattice.
+def build_quotient(patch, sublattice=None, scale=1):
+    """Finite quotient modulo the structure's own lattice Lambda.
 
-    An explicit sublattice overrides the scaled default; it must consist of
-    translations of the structure.  Finite patches quotient by the trivial
-    lattice, so the result is just the closed form of the patch.
+    Every answer reads this quotient.  A ``scale`` k or an explicit
+    sublattice of Lambda gives a larger cover, modulo k Lambda or that
+    sublattice, as coverings and Euler characteristics need.  Finite
+    patches quotient by the trivial lattice, so the result is just the
+    closed form of the patch.
     """
-    cache = getattr(patch, "_quotient_cache", None)
-    if cache is None:
-        cache = patch._quotient_cache = {}
-    cache_key = ("scale", scale) if sublattice is None else (
-        "lattice", tuple(sublattice.basis)
-    )
-    if cache_key in cache:
-        return cache[cache_key]
-
     lat = patch.classes.lattice
     if not lat.rank:
         sublattice = lat
     elif sublattice is None:
-        sublattice = lat.scaled(scale)
+        sublattice = lat if scale == 1 else lat.scaled(scale)
     elif sublattice.rank != lat.rank or not sublattice.sublattice_of(lat):
         raise NotPeriodicError(
             "requested sublattice is not a full-rank sublattice of translations"
         )
-    closed = ClosedComplex.from_patch(patch, sublattice)
-    if closed.r is None and sublattice.rank:
-        raise PatchTooSmallError(
-            "quotient classes are incomplete (nonconstant face count per "
-            "edge): a class of the lattice is missing; enlarge the region"
-        )
-    cache[cache_key] = closed
-    return closed
+    cache = vars(patch).setdefault("_quotient_cache", {})
+    if sublattice.basis not in cache:
+        closed = ClosedComplex.from_patch(patch, sublattice)
+        if closed.r is None and sublattice.rank:
+            raise PatchTooSmallError(
+                "quotient classes are incomplete (nonconstant face count per "
+                "edge): a class of the lattice is missing; enlarge the region"
+            )
+        cache[sublattice.basis] = closed
+    return cache[sublattice.basis]

@@ -1,11 +1,16 @@
 """Closed incidence structures: finite complexes and periodic quotients.
 
-Reducing a periodic patch modulo a sublattice of its translation lattice
-yields a finite complex of translation classes on which every flag operation
-is total.  Finite complexes use the same machinery with the trivial lattice.
-Infinite faces wind up into closed cycles: the face's lift is a concrete
-point path in 3-space whose last step returns to the start shifted by a
-lattice vector (the closure), so all incidence stays exact and geometric.
+Reducing a periodic structure modulo its translation lattice, or a
+sublattice of it, yields a finite complex of translation classes on which
+every flag operation is total: the labelled quotient graph of Chung, Hahn
+and Klee taken up to flags.  Finite complexes use the same machinery with
+the trivial lattice.  Infinite faces wind up into closed cycles: the face's
+lift is a concrete point path in 3-space whose last step returns to the
+start shifted by a lattice vector (the closure), so all incidence stays
+exact and geometric.  A dart is a face slot and side, not a class triple:
+a face may meet one vertex or edge class several times, at different
+lattice translates, and the quotient modulo the structure's own lattice is
+still exact.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from .errors import (
     GeneratorsDoNotDescendError,
     NotPeriodicError,
-    SelfIdentificationError,
+    NotPolyhedronError,
 )
 from .geometry import ZERO3, is_integer, lattice_basis_from, vadd, vscale, vsub
 
@@ -25,14 +30,11 @@ from .geometry import ZERO3, is_integer, lattice_basis_from, vadd, vscale, vsub
 class QuotientFace:
     """One face class: a lift path of M points closing up to a lattice shift."""
 
-    __slots__ = ("lift", "closure", "vclasses", "eclasses", "source")
+    __slots__ = ("lift", "closure")
 
-    def __init__(self, lift, closure, source):
+    def __init__(self, lift, closure):
         self.lift = tuple(lift)
         self.closure = tuple(closure)
-        self.vclasses = None
-        self.eclasses = None
-        self.source = source  # a FaceDescriptor of the class
 
     def __len__(self):
         return len(self.lift)
@@ -158,108 +160,72 @@ def _face_class(lattice, desc):
 
 
 class ClosedComplex:
-    """Finite incidence model; all flag operations are total."""
+    """Finite incidence model; all flag operations are total.
+
+    Darts are numbered face by face: face class f at lift slot j (the edge
+    from lift point j to j + 1) gives dart ``first[f] + 2 j + side``, whose
+    vertex is the slot's start (side 0) or end (side 1).  A dart is a flag
+    of the structure modulo the lattice, which acts freely on flags, so the
+    numbering holds even where a face meets a vertex or edge class twice.
+    """
 
     def __init__(self, lattice, classes, name=""):
         self.lattice = lattice
         self.name = name
         # classes maps each face class key to its QuotientFace
-        self.fkeys = {k: i for i, k in enumerate(sorted(classes))}
-        self.faces = faces = [classes[k] for k in self.fkeys]
+        self.faces = faces = [classes[k] for k in sorted(classes)]
 
-        vkeys = {}
-        vreps = []
-        for f in faces:
-            for p in f.lift:
-                k = lattice.reduce_key(p)
-                if k not in vkeys:
-                    vkeys[k] = len(vreps)
-                    vreps.append(lattice.reduce_point(p))
-        self.vkeys = vkeys
-        self.vreps = vreps
-
-        ekeys = {}
-        ereps = []
-        eends = []
-        for f in faces:
-            m = len(f.lift)
-            for j in range(m):
-                p, q = f.point(j), f.point(j + 1)
-                k = _edge_key(lattice, p, q)
-                if k not in ekeys:
-                    ekeys[k] = len(ereps)
-                    ereps.append(k)
-                    a = vkeys[lattice.reduce_key(p)]
-                    b = vkeys[lattice.reduce_key(q)]
-                    if a == b:
-                        raise SelfIdentificationError(
-                            "lattice identifies the endpoints of an edge"
-                        )
-                    eends.append((a, b))
-        self.ekeys = ekeys
-        self.edge_reps = ereps
-        self.edge_ends = eends
-
-        for f in faces:
-            m = len(f.lift)
-            vcl = tuple(vkeys[lattice.reduce_key(p)] for p in f.lift)
-            if len(set(vcl)) != m:
-                raise SelfIdentificationError(
-                    "lattice identifies a face with itself"
-                )
-            f.vclasses = vcl
-            f.eclasses = tuple(
-                ekeys[_edge_key(lattice, f.point(j), f.point(j + 1))]
-                for j in range(m)
-            )
-
-        # darts: one per (face, slot, side); indexed by the (v, e, f) triple
-        self.edge_slots = [[] for _ in ereps]
-        darts = []
-        self.dart_index = {}
+        self.vkeys, self.vreps, self.ekeys, self.edge_reps = {}, [], {}, []
+        self.first, self.darts = [], []
+        self.slots_at = []  # per vertex class: the (face, slot) starting there
+        ends = []  # per edge class: the darts at each end of its key
         for fid, f in enumerate(faces):
-            m = len(f.lift)
-            for j in range(m):
-                eid = f.eclasses[j]
-                self.edge_slots[eid].append((fid, j))
-                for side in (0, 1):
-                    v = f.vclasses[(j + side) % m]
-                    did = len(darts)
-                    darts.append((v, eid, fid, j, side))
-                    self.dart_index[(v, eid, fid)] = did
-        self.darts = darts
+            self.first.append(len(self.darts))
+            for j in range(len(f)):
+                p, q = f.point(j), f.point(j + 1)
+                v = self._vertex_class(p)
+                key = _edge_key(lattice, p, q)
+                e = self.ekeys.setdefault(key, len(self.edge_reps))
+                if e == len(self.edge_reps):
+                    self.edge_reps.append(key)
+                    ends.append(([], []))
+                # the slot runs from key[0] to key[1], or the other way
+                start = 0 if vsub(key[1], key[0]) == vsub(q, p) else 1
+                d = len(self.darts)
+                ends[e][start].append(d)
+                ends[e][1 - start].append(d + 1)
+                self.slots_at[v].append((fid, j))
+                self.darts.append((v, e, fid, j, 0))
+                self.darts.append((self._vertex_class(q), e, fid, j, 1))
 
-        n = len(darts)
-        self.rho0 = [0] * n
+        n = len(self.darts)
+        self.rho0 = [d ^ 1 for d in range(n)]
         self.rho1 = [0] * n
         self.rho2_sets = [()] * n
-        for did, (v, eid, fid, j, side) in enumerate(darts):
-            f = faces[fid]
-            m = len(f.lift)
-            # 0-adjacent: the other end of the same edge slot
-            other_v = f.vclasses[(j + 1 - side) % m]
-            self.rho0[did] = self.dart_index[(other_v, eid, fid)]
-            # 1-adjacent: the other edge of this face at the same vertex
-            j2 = (j + 1) % m if side == 1 else (j - 1) % m
-            self.rho1[did] = self.dart_index[(v, f.eclasses[j2], fid)]
-        for eid, slots in enumerate(self.edge_slots):
-            for fid, j in slots:
-                f = faces[fid]
-                m = len(f.lift)
-                for side in (0, 1):
-                    v = f.vclasses[(j + side) % m]
-                    did = self.dart_index[(v, eid, fid)]
-                    others = tuple(
-                        sorted(
-                            self.dart_index[(v, eid, fid2)]
-                            for fid2, j2 in slots
-                            if fid2 != fid
-                        )
-                    )
-                    self.rho2_sets[did] = others
+        for d, (_, _, fid, j, side) in enumerate(self.darts):
+            # the other edge of the face at the dart's vertex
+            self.rho1[d] = self.dart(fid, j + 1, 0) if side else self.dart(fid, j - 1, 1)
+        for at_ends in ends:
+            for darts in at_ends:
+                for d in darts:
+                    self.rho2_sets[d] = tuple(x for x in darts if x != d)
 
-        rcounts = {len(s) for s in self.edge_slots}
+        rcounts = {len(at_ends[0]) for at_ends in ends}
         self.r = rcounts.pop() if len(rcounts) == 1 else None
+
+    def _vertex_class(self, p):
+        k = self.lattice.reduce_key(p)
+        v = self.vkeys.get(k)
+        if v is None:
+            v = self.vkeys[k] = len(self.vreps)
+            self.vreps.append(self.lattice.reduce_point(p))
+            self.slots_at.append([])
+        return v
+
+    def dart(self, fid, j, side):
+        """The dart of face class ``fid`` at slot j (taken modulo the face's
+        length) and side."""
+        return self.first[fid] + 2 * (j % len(self.faces[fid])) + side
 
     # -- construction -------------------------------------------------------
 
@@ -273,10 +239,9 @@ class ClosedComplex:
         classes = {}
         for t in _coset_vectors(lattice, sublattice):
             for desc in faces.values():
-                moved = desc.translate(t)
-                key, lift, closure = _face_class(sublattice, moved)
+                key, lift, closure = _face_class(sublattice, desc.translate(t))
                 if key not in classes:
-                    classes[key] = QuotientFace(lift, closure, moved)
+                    classes[key] = QuotientFace(lift, closure)
         closed = cls(sublattice, classes, name=patch.name)
         # every vertex and edge class must lie on a face class
         for p in vertices:
@@ -302,15 +267,8 @@ class ClosedComplex:
     def vertex_class_of(self, p):
         return self.vkeys.get(self.lattice.reduce_key(p))
 
-    def edge_class_of(self, p, q):
-        return self.ekeys.get(_edge_key(self.lattice, p, q))
-
     def faces_per_vertex(self):
-        counts = [0] * len(self.vreps)
-        for f in self.faces:
-            for v in f.vclasses:
-                counts[v] += 1
-        return counts
+        return [len(slots) for slots in self.slots_at]
 
     def adjacent(self, did, i):
         """i-adjacent dart(s): single dart for i in (0, 1), tuple for i = 2."""
@@ -327,7 +285,7 @@ class ClosedComplex:
         if i == 2:
             others = self.rho2_sets[did]
             if len(others) != 1:
-                raise SelfIdentificationError(
+                raise NotPolyhedronError(
                     f"rho2 is not an involution: edge has {len(others) + 1} faces"
                 )
             return others[0]
@@ -335,20 +293,28 @@ class ClosedComplex:
 
     # -- symmetry action ----------------------------------------------------
 
-    def vertex_permutation(self, iso):
-        perm = []
-        for p in self.vreps:
-            vid = self.vertex_class_of(iso(p))
-            if vid is None:
-                return None
-            perm.append(vid)
-        return perm
+    def _face_image(self, iso, f):
+        """(g, a, d): ``iso`` maps lift point i of f onto point a + d i of
+        face class g, moved by one lattice vector; None when no class fits."""
+        pts = [iso(f.point(i)) for i in range(len(f) + 1)]
+        v = self.vertex_class_of(pts[0])
+        for g, a in self.slots_at[v] if v is not None else ():
+            face = self.faces[g]
+            if len(face) != len(f):
+                continue
+            t = vsub(face.point(a), pts[0])
+            for d in (1, -1):
+                if all(vadd(p, t) == face.point(a + d * i) for i, p in enumerate(pts)):
+                    return g, a, d
+        return None
 
     def dart_permutation(self, iso):
         """How ``iso`` permutes darts, or None if it does not act here.
 
         The isometry must normalize the lattice (so it descends to classes)
-        and map every class to an existing class.
+        and map every face class onto a class.  Dart (f, j, side) goes to
+        the image class's slot and side that carry the image of its vertex
+        and edge.
         """
         lat = self.lattice
         for b in lat.basis:
@@ -356,28 +322,17 @@ class ClosedComplex:
                 raise GeneratorsDoNotDescendError(
                     "isometry does not normalize the quotient lattice"
                 )
-        pv = self.vertex_permutation(iso)
-        if pv is None:
-            return None
-        pe = []
-        for p, q in self.edge_reps:
-            eid = self.edge_class_of(iso(p), iso(q))
-            if eid is None:
-                return None
-            pe.append(eid)
-        pf = []
-        for f in self.faces:
-            key, _, _ = _face_class(lat, f.source.transform(iso))
-            fid = self.fkeys.get(key)
-            if fid is None:
-                return None
-            pf.append(fid)
         perm = []
-        for v, e, fidx, _, _ in self.darts:
-            did = self.dart_index.get((pv[v], pe[e], pf[fidx]))
-            if did is None:
+        for f in self.faces:
+            image = self._face_image(iso, f)
+            if image is None:
                 return None
-            perm.append(did)
+            g, a, d = image
+            for j in range(len(f)):
+                if d == 1:
+                    perm += [self.dart(g, a + j, 0), self.dart(g, a + j, 1)]
+                else:
+                    perm += [self.dart(g, a - j - 1, 1), self.dart(g, a - j - 1, 0)]
         return perm
 
     def __repr__(self):

@@ -69,20 +69,20 @@ def test_criterion_02_chiral_p10(built):
 
 def test_criterion_03_degenerations(built):
     p11 = built("P:1,1")
-    v = classify.verdict(p11, finite_faced_chiral(1, 1).isometries(), quotient_scale=2)
+    v = classify.verdict(p11, finite_faced_chiral(1, 1).isometries())
     assert v.kind == "regular"
     assert all(classify.classify_polygon(f).kind == "convex" for f in p11.faces[:20])
-    holes = ops.trace(p11, "hole", quotient_scale=2)
+    holes = ops.trace(p11, "hole")
     assert holes and all(t.closed_up and t.length == 3 for t in holes)
 
     p1m1 = built("P:1,-1")
-    v = classify.verdict(p1m1, finite_faced_chiral(1, -1).isometries(), quotient_scale=2)
+    v = classify.verdict(p1m1, finite_faced_chiral(1, -1).isometries())
     assert v.kind == "regular"
     assert all(classify.classify_polygon(f).kind == "skew" for f in p1m1.faces[:20])
     vf = p1m1.vertex_figure((0, 0, 0))
     vc = classify.classify_polygon(FaceDescriptor(vf.cycle_order()))
     assert vc.kind == "convex"
-    petries = ops.trace(p1m1, "petrie", quotient_scale=2)
+    petries = ops.trace(p1m1, "petrie")
     assert petries and all(t.closed_up and t.length == 4 for t in petries)
     report(3, "P(1,1) regular convex with holes of length 3; "
               "P(1,-1) regular skew with petrie length 4")
@@ -113,7 +113,7 @@ def test_criterion_05_helix_family(built):
     fam = classify.find_flag_symmetries(p2_10)
     assert fam["family"] == "R"
     assert classify.mirror_vector(fam["R0"], fam["R1"], fam["R2"]) == (1, 1, 1)
-    v = classify.verdict(p2_10, helix_faced_chiral(1, 0).isometries(), quotient_scale=2)
+    v = classify.verdict(p2_10, helix_faced_chiral(1, 0).isometries())
     assert v.kind == "regular"
     for f in p2_10.faces[:10]:
         c = classify.classify_polygon(f)
@@ -122,7 +122,7 @@ def test_criterion_05_helix_family(built):
     assert (power.kind, power.n, power.vector) == ("translation", 4, (0, 4, 0))
 
     p2_11 = built("P2:1,1", 6)
-    v = classify.verdict(p2_11, helix_faced_chiral(1, 1).isometries(), quotient_scale=2)
+    v = classify.verdict(p2_11, helix_faced_chiral(1, 1).isometries())
     assert v.kind == "chiral"
     ok, _ = ops.covering_check(p2_11, cube)
     assert ok
@@ -271,7 +271,7 @@ def test_criterion_10_planar_family(built):
     expected = {"sq44": (4, 4), "tri36": (3, 6), "hex63": (3, 3)}
     for name, (radius, q) in expected.items():
         patch = built(name, radius)
-        dual = ops.petrie_dual(patch, quotient_scale=2 if name != "sq44" else 4)
+        dual = ops.petrie_dual(patch)
         kinds = {classify.classify_polygon(f).kind for f in dual.faces}
         assert kinds == {"zigzag"}, name
         center = min(
@@ -282,7 +282,7 @@ def test_criterion_10_planar_family(built):
         fam = classify.find_flag_symmetries(dual)
         assert fam["family"] == "R", name
         gens = [fam["R0"], fam["R1"], fam["R2"]]
-        v = classify.verdict(dual, gens, quotient_scale=2 if name != "sq44" else 4)
+        v = classify.verdict(dual, gens)
         assert v.kind == "regular", name
     report(10, "petrie duals of {4,4}, {3,6}, {6,3} are zigzag-faced with "
                "4, 6, 3 faces per vertex and regular")

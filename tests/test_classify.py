@@ -377,23 +377,23 @@ class TestVerdicts:
 
     def test_regular_p11_from_rotations(self, built):
         gen = finite_faced_chiral(1, 1)
-        v = verdict(built("P:1,1"), gen.isometries(), quotient_scale=2)
+        v = verdict(built("P:1,1"), gen.isometries())
         assert v.kind == "regular"
         assert v.extra_symmetry is not None
 
     def test_regular_p1m1(self, built):
         gen = finite_faced_chiral(1, -1)
-        v = verdict(built("P:1,-1"), gen.isometries(), quotient_scale=2)
+        v = verdict(built("P:1,-1"), gen.isometries())
         assert v.kind == "regular"
 
     def test_chiral_helix(self, built):
         gen = helix_faced_chiral(1, 1)
-        v = verdict(built("P2:1,1", 6), gen.isometries(), quotient_scale=2)
+        v = verdict(built("P2:1,1", 6), gen.isometries())
         assert v.kind == "chiral"
 
     def test_regular_helix(self, built):
         gen = helix_faced_chiral(1, 0)
-        v = verdict(built("P2:1,0"), gen.isometries(), quotient_scale=2)
+        v = verdict(built("P2:1,0"), gen.isometries())
         assert v.kind == "regular"
 
     def test_two_face_classes_is_neither(self, built):
@@ -426,7 +426,7 @@ class TestVerdicts:
             reflection_in_plane((0, 1, 0), (0, 0, 0)),
             half_turn((0, 0, 0), (0, 0, 1)),
         ]
-        v = verdict(bricks, gens, quotient_scale=2)
+        v = verdict(bricks, gens)
         assert v.kind == "neither"
         assert not v.adjacent_always_split
 
@@ -437,6 +437,25 @@ class TestVerdicts:
         with pytest.raises(GeneratorsDoNotDescendError) as err:
             verdict(built("cube"), [shift])
         assert repr(shift) in err.value.detail
+
+    def test_scanned_helix_orbits_do_not_depend_on_the_scale(self, built):
+        # read back from JSON, P2:1,0 scans a lattice that the generators'
+        # translations 4Z^3 do not contain, so its flag orbits are counted
+        # modulo 4Z^3 whatever scale is passed
+        from skelforge.serialization import complex_from_json, complex_to_json
+
+        patch = complex_from_json(complex_to_json(built("P2:1,0")))
+        assert patch.lattice.basis == ((-2, -2, -2), (0, 4, 0), (0, 0, 4))
+        gens = helix_faced_chiral(1, 0).isometries()
+        for s in (1, 2, 3, 4):
+            v = verdict(patch, gens, quotient_scale=s)
+            assert (v.kind, v.orbit_count) == ("regular", 2), s
+
+    def test_generators_without_translations_do_not_descend(self, built):
+        # a vertex stabilizer has infinitely many flag orbits on P(1,0)
+        gen = finite_faced_chiral(1, 0)
+        with pytest.raises(GeneratorsDoNotDescendError):
+            verdict(built("P:1,0"), [gen.generators["S2"]])
 
     def test_verdict_stable_across_scales(self, built):
         gen = finite_faced_chiral(1, 0)
@@ -463,12 +482,17 @@ class TestSchlafli:
         ],
     )
     def test_types(self, built, name, p, q, scale):
+        # the type is read modulo the lattice; a scale-k cover has the same q
+        from skelforge.orbit import build_quotient
+
         radius = 3 if name in ("tri36", "hex63") else 4
-        st = schlafli(built(name, radius), quotient_scale=scale)
+        st = schlafli(built(name, radius))
         assert (st.p, st.q) == (p, q)
+        cover = build_quotient(built(name, radius), scale=scale)
+        assert set(cover.faces_per_vertex()) == {q}
 
     def test_complex_mode_appends_r(self, built):
-        st = schlafli(built("K1_12", 3), mode="complex", quotient_scale=2)
+        st = schlafli(built("K1_12", 3), mode="complex")
         assert (st.p, st.q, st.r) == (4, 24, 4)
         assert st.face_class.symbol == "4_s"
 

@@ -136,6 +136,24 @@ class TestSmallRegions:
                 assert set(json.loads(out)) == {"code", "detail"}, (command, out)
 
 
+class TestQuotientFlag:
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
+    def test_quotient_flag_changes_nothing(self, capsys, name):
+        # every answer reads the quotient modulo the structure's own lattice,
+        # so --quotient is accepted and ignored
+        from skelforge.cli import main
+
+        for command in ("classify", "petrie"):
+            outputs = set()
+            for flags in ([], ["--quotient", "1"], ["--quotient", "2"]):
+                try:
+                    code = main([command, "--preset", name, *flags])
+                except SystemExit as exc:
+                    code = exc.code
+                outputs.add((code, capsys.readouterr().out))
+            assert len(outputs) == 1, (command, outputs)
+
+
 class TestErrorJson:
     @pytest.mark.parametrize(
         "args,code",

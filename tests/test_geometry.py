@@ -21,6 +21,7 @@ from skelforge.geometry import (
     identity,
     lattice_basis_from,
     lattice_intersection,
+    mat_det,
     mat_inverse,
     mat_transpose,
     mat_vec,
@@ -31,6 +32,7 @@ from skelforge.geometry import (
     scalar,
     scalar_str,
     solve_isometry,
+    sublattices_of_index,
     translation,
     vadd,
     vcross,
@@ -305,6 +307,22 @@ class TestLattices:
         flat = Lattice([(1, 0, 0), (0, 1, 0)])
         assert lattice_intersection([flat, Lattice([(1, 0, 0), (0, 0, 1)])]) is None
         assert lattice_intersection([flat, LAMBDA_2]) is None
+
+    @pytest.mark.parametrize("lat,counts", [
+        (Lattice([(1, 1, 0), (1, -1, 0)]), [1, 3, 4, 7, 6, 12]),
+        (LAMBDA_2, [1, 7, 13, 35, 31, 91]),
+    ], ids=["rank2", "rank3"])
+    def test_sublattices_of_index_are_all_there_once(self, lat, counts):
+        # Z^2 has sigma(k) sublattices of index k, Z^3 the sum of d sigma(d)
+        # over the divisors d of k
+        for k, count in enumerate(counts, start=1):
+            subs = sublattices_of_index(lat, k)
+            assert len(subs) == count, k
+            for i, a in enumerate(subs):
+                rows = [lat.coords(b) for b in a.basis]
+                rows += [(0, 0, 1)] * (3 - lat.rank)
+                assert abs(mat_det(rows)) == k
+                assert not any(a.sublattice_of(b) for b in subs[i + 1:]), k
 
     def test_basis_from_generators(self):
         basis = lattice_basis_from([(2, 0, 0), (0, 2, 0), (1, 1, 1), (3, 1, 1)])

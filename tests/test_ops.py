@@ -20,6 +20,11 @@ from skelforge.ops import (
 )
 from skelforge.classify import classify_polygon
 
+from test_presets import CATALOG_SWEEP
+
+POLYHEDRA = [name for name, _, mode in CATALOG_SWEEP if mode == "polyhedron"]
+RADIUS = {name: radius for name, radius, _ in CATALOG_SWEEP}
+
 
 class TestPetrieDual:
     def test_cube_dual_counts(self, built):
@@ -80,9 +85,9 @@ class TestPetrieDual:
     def test_helix_faced_input_permitted(self, built):
         # traces through helical faces are periodic, so the dual exists
         p = built("P2:1,0")
-        circuits = trace(p, "petrie", quotient_scale=2)
+        circuits = trace(p, "petrie")
         assert circuits and all(not t.closed_up and t.length == 3 for t in circuits)
-        dual = petrie_dual(p, quotient_scale=2)
+        dual = petrie_dual(p)
         assert validate(dual, "polyhedron").passed
         assert {classify_polygon(f).kind for f in dual.faces} == {"helical"}
 
@@ -94,8 +99,8 @@ class TestPetrieDual:
     def test_dual_classes_do_not_depend_on_the_radius(self, built, name):
         # a radius-1/2 patch shows no face count per edge, but the
         # quotient is built from the classes
-        small = petrie_dual(built(name, Fraction(1, 2)), quotient_scale=2)
-        large = petrie_dual(built(name, 3), quotient_scale=2)
+        small = petrie_dual(built(name, Fraction(1, 2)))
+        large = petrie_dual(built(name, 3))
         assert small.classes.faces.keys() == large.classes.faces.keys()
         assert small.classes.lattice.basis == large.classes.lattice.basis
 
@@ -123,11 +128,11 @@ class TestTraces:
         assert all(t.closed_up and t.length == 4 for t in circuits)
 
     def test_petriecoxeter_holes_close_after_three(self, built):
-        circuits = trace(built("P:1,1"), "hole", quotient_scale=2)
+        circuits = trace(built("P:1,1"), "hole")
         assert circuits and all(t.closed_up and t.length == 3 for t in circuits)
 
     def test_skewfaced_regular_petrie_length_four(self, built):
-        circuits = trace(built("P:1,-1"), "petrie", quotient_scale=2)
+        circuits = trace(built("P:1,-1"), "petrie")
         assert circuits and all(t.closed_up and t.length == 4 for t in circuits)
 
     @pytest.mark.parametrize("name", ["P:1,0", "P2:1,0", "cube", "hex63"])
@@ -176,12 +181,14 @@ class TestTraces:
 
 
 class TestFlags:
-    @pytest.mark.parametrize("name", ["cube", "sq44", "P:1,0", "P2:1,0"])
+    @pytest.mark.parametrize("name", POLYHEDRA)
     def test_each_step_is_an_involution(self, built, name):
+        # on the quotient modulo the structure's own lattice, where a face
+        # may meet a vertex or edge class more than once
         from skelforge.orbit import build_quotient
         from skelforge.ops import GeomFlag
 
-        closed = build_quotient(built(name), scale=2)
+        closed = build_quotient(built(name, RADIUS[name]))
         for dart in range(closed.dart_count()):
             flag = GeomFlag(closed, dart)
             for i in (0, 1, 2):
@@ -273,6 +280,12 @@ class TestCovering:
         ok, witness = covering_check(cube, cube, projection=lambda p: p)
         assert ok
         assert witness["kind"] == "point-map"
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 2), 1, 3, 6])
+    def test_plane_tiling_does_not_compress_onto_a_solid(self, built, radius):
+        # a rank-2 lattice has sublattices of every index too
+        for target in ("cube", "P2:0,1"):
+            assert covering_check(built("sq44", radius), built(target)) == (False, None)
 
     def test_unrelated_structures_do_not_cover(self, built):
         ok, _ = covering_check(built("P:1,0"), built("P2:0,1"))

@@ -11,7 +11,6 @@ from skelforge.errors import (
     ExplosionError,
     Not3PeriodicError,
     NotPeriodicError,
-    SelfIdentificationError,
 )
 from skelforge.geometry import Isometry, Lattice, mat_det, mat_vec, vadd, vsub
 from skelforge.nets import extract_net
@@ -201,7 +200,7 @@ class TestWythoff:
         monkeypatch.setattr(orbit, "detect_translation_lattice", scan)
         patch = build(name, Region((0, 0, 0), radius))
         assert validate(patch, "polyhedron").passed
-        assert build_quotient(patch, scale=2).r == 2
+        assert build_quotient(patch).r == 2
         lat = patch.lattice
         if lat is not None and lat.rank == 3:
             assert extract_net(patch).node_count() > 0
@@ -346,10 +345,16 @@ class TestQuotient:
         assert q.counts() == (16, 32, 16)
         assert q.euler_characteristic() == 0
 
-    def test_square_mod_1_self_identifies(self, built):
+    def test_square_mod_1(self, built):
+        # one square whose four corners are one vertex class: the darts are
+        # its slots, so the torus {4,4}_(1,0) is exact
         sq = built("sq44")
-        with pytest.raises(SelfIdentificationError):
-            build_quotient(sq, sublattice=Lattice([(1, 0, 0), (0, 1, 0)]))
+        q = build_quotient(sq, sublattice=Lattice([(1, 0, 0), (0, 1, 0)]))
+        assert q.counts() == (1, 2, 1)
+        assert q.euler_characteristic() == 0
+        assert q.dart_count() == 8
+        assert q.r == 2
+        assert build_quotient(sq) is q
 
     def test_non_symmetry_sublattice_rejected(self, built):
         p10 = built("P:1,0")
@@ -417,10 +422,12 @@ class TestQuotient:
                 assert _face_class(lat, f) == face_class_oracle(lat, f), (name, scale, f)
 
     def test_quotient_faces_come_from_the_class_map(self, built):
+        from skelforge.quotient import _face_class
+
         p10 = built("P:1,0", 3)
-        reps = {rep.vertices for rep in p10.classes.faces.values()}
         q = build_quotient(p10, scale=2)
-        assert {f.source.vertices for f in q.faces} >= reps
+        reps = {_face_class(q.lattice, rep)[1] for rep in p10.classes.faces.values()}
+        assert {f.lift for f in q.faces} >= reps
         assert p10.classes is p10.classes
 
     @pytest.mark.parametrize("name", ["P:1,1", "K4_12"])
@@ -472,8 +479,10 @@ class TestFlagInvolutions:
                 assert e != d
 
     def test_rho0_rho2_commute(self, built):
-        for name, scale in (("cube", 4), ("P:1,0", 2)):
-            closed = build_quotient(built(name), scale=scale)
+        for name, radius, mode in CATALOG_SWEEP:
+            if mode != "polyhedron":
+                continue
+            closed = build_quotient(built(name, radius))
             for d in range(closed.dart_count()):
                 a = closed.adjacent_flag(closed.adjacent_flag(d, 0), 2)
                 b = closed.adjacent_flag(closed.adjacent_flag(d, 2), 0)
@@ -481,7 +490,7 @@ class TestFlagInvolutions:
 
     def test_orbit_bijections(self, built):
         # <rho0, rho1> orbits are the faces; <rho1, rho2> orbits the vertices
-        closed = build_quotient(built("P:1,0"), scale=2)
+        closed = build_quotient(built("P:1,0"))
         parent = list(range(closed.dart_count()))
 
         def find(x):
@@ -507,7 +516,7 @@ class TestFlagInvolutions:
         assert n_vertex_orbits == closed.counts()[0]
 
     def test_complex_mode_rho2_sets(self, built):
-        closed = build_quotient(built("skel2cubic", 3), scale=2)
+        closed = build_quotient(built("skel2cubic", 3))
         assert closed.r == 4
         for d in range(0, closed.dart_count(), 7):
             others = closed.adjacent(d, 2)

@@ -182,8 +182,7 @@ class TestCatalogSweep:
 
         for a, b in ((1, 0), (2, 1)):
             patch = built(f"P:{a},{b}")
-            v = verdict(patch, finite_faced_chiral(a, b).isometries(),
-                        quotient_scale=2)
+            v = verdict(patch, finite_faced_chiral(a, b).isometries())
             assert v.kind == "chiral", (a, b)
             assert classify_polygon(patch.faces[0]).kind == "skew"
             vf = patch.vertex_figure((0, 0, 0))
