@@ -252,56 +252,19 @@ def mirror_vector(r0, r1, r2):
 
 
 # ---------------------------------------------------------------------------
-# flags on a patch, and symmetry discovery
-
-
-class PatchFlag:
-    """A concrete flag of a patch: vertex point, edge pair, face with walk."""
-
-    def __init__(self, patch, vertex, edge, fid):
-        self.patch = patch
-        self.vertex = vertex
-        self.edge = edge  # sorted point pair
-        self.fid = fid
-        face = patch.faces[fid]
-        other = edge[1] if edge[0] == vertex else edge[0]
-        pos = None
-        for cand in face.positions_of(vertex):
-            for d in (1, -1):
-                if face.vertex(cand + d) == other:
-                    pos, self.direction = cand, d
-        if pos is None:
-            raise ValueError("flag is not incident")
-        self.pos = pos
-
-    @property
-    def face(self):
-        return self.patch.faces[self.fid]
-
-    def walk(self, count):
-        """count points along the face, starting at the flag vertex."""
-        f = self.face
-        if f.period_vector is None:
-            count = min(count, len(f))
-        return [f.vertex(self.pos + self.direction * i) for i in range(count)]
-
-    def other_end(self):
-        return self.edge[1] if self.edge[0] == self.vertex else self.edge[0]
+# flags of the structure, and symmetry discovery
 
 
 def base_flag(patch):
-    """The flag at the central vertex along its least edge, in its least face."""
-    v = patch.central_vertex()
-    eid = min(patch.vertex_edges[patch.vindex[v]], key=lambda e: patch.edge_points[e])
-    fid = min(f for f, _ in patch.edge_faces[eid])
-    return PatchFlag(patch, v, patch.edge_points[eid], fid)
+    """The flag at the structure vertex nearest the region centre, along
+    its least edge, in the face with the least key."""
+    return build_quotient(patch).flags_at(patch.central_vertex())[0]
 
 
 def _walk_length(flag):
-    f = flag.face
-    if f.period_vector is None:
-        return min(6, len(f))
-    return max(6, len(f) + 2)
+    # a walk along a finite face stops at its length
+    face = flag.face()
+    return 6 if face.is_finite else max(6, len(face) + 2)
 
 
 def is_symmetry(patch, iso):
@@ -346,23 +309,6 @@ def is_symmetry(patch, iso):
     )
 
 
-def _flags_at(patch, vertex, eids):
-    """The patch flags at a vertex along the given edges, face by face."""
-    return [PatchFlag(patch, vertex, patch.edge_points[e], fid)
-            for e in eids for fid in sorted({g for g, _ in patch.edge_faces[e]})]
-
-
-def _adjacent_flags(patch, flag):
-    """The 0-, 1- and 2-adjacent flags of a patch flag, as three lists."""
-    prev = flag.face.vertex(flag.pos - flag.direction)
-    return (
-        [PatchFlag(patch, flag.other_end(), flag.edge, flag.fid)],
-        [PatchFlag(patch, flag.vertex, tuple(sorted((flag.vertex, prev))), flag.fid)],
-        [g for g in _flags_at(patch, flag.vertex, [patch.eindex[flag.edge]])
-         if g.fid != flag.fid],
-    )
-
-
 def flag_map_candidates(flag, target):
     """Isometry candidates sending one flag's walk onto another's."""
     count = max(_walk_length(flag), _walk_length(target))
@@ -391,8 +337,8 @@ def find_flag_symmetries(patch):
     """
     flag = base_flag(patch)
     rs = {"family": "R"}
-    for i, targets in enumerate(_adjacent_flags(patch, flag)):
-        r = next(_symmetries(patch, flag, targets, keep=Isometry.is_involution), None)
+    for i in range(3):
+        r = next(_symmetries(patch, flag, flag.adjacent(i), keep=Isometry.is_involution), None)
         if r is None:
             break
         rs[f"R{i}"] = r
@@ -400,24 +346,22 @@ def find_flag_symmetries(patch):
         return rs
 
     # S1 moves the base flag one step along its face
-    ahead, beyond = flag.walk(3)[1:]
-    step = PatchFlag(patch, ahead, tuple(sorted((ahead, beyond))), flag.fid)
-    s1 = next(_symmetries(patch, flag, [step]), None)
+    s1 = next(_symmetries(patch, flag, [flag.step(0).step(1)]), None)
     if s1 is None:
         return None
-    vid = patch.vindex[flag.vertex]
-    q = len(patch.vertex_faces[vid])
+    closed = flag.closed
+    q = closed.faces_per_vertex()[closed.darts[flag.dart][0]]
 
     def order_q(g):
         power = order_or_translation(g, q + 1)
         return (power.kind, power.n) == ("order", q)
 
-    at_vertex = _flags_at(patch, flag.vertex, patch.vertex_edges[vid])
-    for cand in _symmetries(patch, flag, at_vertex, keep=order_q):
+    vertex, other_end = flag.walk(2)
+    for cand in _symmetries(patch, flag, closed.flags_at(vertex), keep=order_q):
         for s1_try in (s1, s1.inverse()):
             for s2_try in (cand, cand.inverse()):
                 t = s1_try.then(s2_try)
-                if t.then(t).is_identity and t(flag.vertex) == flag.other_end():
+                if t.then(t).is_identity and t(vertex) == other_end:
                     return {"family": "S", "S1": s1_try, "S2": s2_try}
     return None
 
@@ -513,7 +457,7 @@ def verdict(patch, generators, quotient_scale=None):
         return SymmetryVerdict("regular", 1, split)
     if count == 2 and split:
         flag = base_flag(patch)
-        adjacent = [t for ts in _adjacent_flags(patch, flag) for t in ts]
+        adjacent = [g for i in range(3) for g in flag.adjacent(i)]
         extra = next(_symmetries(patch, flag, adjacent), None)
         if extra is None:
             return SymmetryVerdict("chiral", 2, True)
@@ -543,12 +487,8 @@ def schlafli(patch, mode="polyhedron", quotient_scale=None):
 
     One polygon per face class is classified, and the face counts per edge
     and per vertex are read from the quotient modulo the structure's
-    lattice.  A patch without an interior edge shows no face count per
-    edge, so it is too small, not evidence.  ``quotient_scale`` is accepted
-    and ignored.
+    lattice.  ``quotient_scale`` is accepted and ignored.
     """
-    if not patch.interior_edge_ids():
-        raise PatchTooSmallError("the patch has no interior edge; enlarge the region")
     closed = build_quotient(patch)
     if closed.r is None:
         raise NotEquivelarError("face count per edge is not constant")
@@ -717,7 +657,7 @@ def edge_stabilizer(patch):
     the perpendicular plane.
     """
     flag = base_flag(patch)
-    eid = patch.eindex[flag.edge]
-    group = set(_symmetries(patch, flag, _flags_at(patch, flag.vertex, [eid])))
+    at_edge = [flag] + flag.adjacent(2)
+    group = set(_symmetries(patch, flag, at_edge))
     dihedral = any(g.det() == -1 for g in group)
-    return EdgeStabilizer(len(group), dihedral, len(patch.edge_faces[eid]))
+    return EdgeStabilizer(len(group), dihedral, len(at_edge))

@@ -6,26 +6,27 @@ patch (:class:`SkeletalComplex`) is the view of those classes unrolled over
 a bounded region: everything of the structure that touches the region.  It
 keeps the classes it was made from (:attr:`SkeletalComplex.classes`), and
 every structural answer reads them, not the patch: its lattice and whether
-it is finite, quotients, nets, symmetry tests, and the face count per edge
-of Schläfli types and traces.  Only a patch given as bare element lists
-scans itself, once, for its lattice and classes.  Finite faces always
-carry their complete vertex cycle even when it pokes out of the region;
-infinite faces carry one period plus the period vector, which is likewise
-a complete description.  The axiom checks restrict to elements whose
-incident data is guaranteed present (anything touching the region proper).
+it is finite, quotients, nets, symmetry tests, the face count per edge of
+Schläfli types and traces, the axiom checks, vertex figures and vertex
+sets.  Only a patch given as bare element lists scans itself, once, for its
+lattice and classes.  Finite faces always carry their complete vertex cycle
+even when it pokes out of the region; infinite faces carry one period plus
+the period vector, which is likewise a complete description.  The region
+shapes only the patch's own elements: what ``build`` and ``export`` print
+and the per-patch face counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundaryError, DegenerateFaceError, NotPeriodicError, PatchTooSmallError
 from .geometry import (
-    finite_lattice, norm_inf, scalar, vadd, vdot, vec_str, vneg, vscale, vsub,
+    finite_lattice, scalar, vadd, vdot, vec_str, vneg, vscale, vsub,
 )
 
 
@@ -246,10 +247,6 @@ class FaceDescriptor:
                 yield j, p, q
                 p = q
 
-    def neighbors_of(self, k):
-        """The two walk points adjacent to walk position k."""
-        return self.vertex(k - 1), self.vertex(k + 1)
-
     def positions_of(self, p, region=None):
         """Walk indices where point p occurs (0 or 1 for valid faces)."""
         n = len(self.vertices)
@@ -326,20 +323,12 @@ class SkeletalComplex:
         ne = len(self.edges)
         self.edge_faces = [[] for _ in range(ne)]
         self.vertex_edges = [[] for _ in range(len(self.vertices))]
-        self.vertex_faces = [[] for _ in range(len(self.vertices))]
         for i, (a, b) in enumerate(self.edges):
             self.vertex_edges[a].append(i)
             self.vertex_edges[b].append(i)
         for fi, f in enumerate(faces):
-            seen_v = set()
             for slot, p, q in f.edge_slots(self.window):
-                ei = self.eindex[tuple(sorted((p, q)))]
-                self.edge_faces[ei].append((fi, slot))
-                for pt in (p, q):
-                    vi = self.vindex[pt]
-                    if vi not in seen_v:
-                        seen_v.add(vi)
-                        self.vertex_faces[vi].append(fi)
+                self.edge_faces[self.eindex[tuple(sorted((p, q)))]].append((fi, slot))
 
         self.in_region = [region.contains(p) for p in self.vertices]
 
@@ -348,20 +337,12 @@ class SkeletalComplex:
     def interior_vertex_ids(self):
         return [i for i, ok in enumerate(self.in_region) if ok]
 
-    def interior_edge_ids(self):
-        return [
-            i
-            for i, (a, b) in enumerate(self.edges)
-            if self.in_region[a] and self.in_region[b]
-        ]
-
     def central_vertex(self):
-        """The interior vertex nearest the region centre, the least on ties."""
-        c = self.region.center
-        inside = [p for p, ok in zip(self.vertices, self.in_region) if ok]
-        if not inside:
-            raise PatchTooSmallError("the patch has no interior vertex; enlarge the region")
-        return min(inside, key=lambda p: (norm_inf(vsub(p, c)), p))
+        """The structure vertex nearest the region centre, the least on
+        ties, found from the vertex classes: the region need hold none."""
+        from .orbit import build_quotient
+
+        return build_quotient(self).nearest_vertex(self.region.center)
 
     def counts(self):
         return len(self.vertices), len(self.edges), len(self.faces)
@@ -493,35 +474,35 @@ class SkeletalComplex:
 
     # -- vertex figures -----------------------------------------------------
 
-    def vertex_figure(self, p):
-        """Graph on the neighbors of p, one edge per face passing through p.
+    def _face_slots_at(self, p):
+        """The quotient and the face slots through the vertex p of the
+        structure, anywhere in space; BoundaryError when p is no vertex."""
+        from .orbit import build_quotient
 
-        Raises BoundaryError outside the region, where incident faces may be
-        missing from the patch.
-        """
+        closed = build_quotient(self)
+        slots = closed.face_slots_at(p)
+        if not slots:
+            raise BoundaryError(f"{vec_str(p)} is not a vertex of the structure")
+        return closed, slots
+
+    def vertex_figure(self, p):
+        """Graph on the neighbors of p, one edge per face passing through p,
+        read from p's vertex class."""
         p = tuple(p)
-        vid = self.vindex.get(p)
-        if vid is None or not self.in_region[vid]:
-            raise BoundaryError(f"vertex {vec_str(p)} is not interior")
+        closed, slots = self._face_slots_at(p)
         edges = Counter()
-        nodes = set()
-        for eid in self.vertex_edges[vid]:
-            a, b = self.edge_points[eid]
-            nodes.add(b if a == p else a)
-        for fid in self.vertex_faces[vid]:
-            f = self.faces[fid]
-            pos = f.positions_of(p)
-            for k in pos:
-                u, w = f.neighbors_of(k)
-                edges[frozenset((u, w))] += 1
-        return VertexFigureGraph(p, frozenset(nodes), dict(edges))
+        for fid, j, t in slots:
+            f = closed.faces[fid]
+            edges[frozenset((vadd(f.point(j - 1), t), vadd(f.point(j + 1), t)))] += 1
+        return VertexFigureGraph(p, frozenset(x for e in edges for x in e), dict(edges))
 
     def faces_at_vertex(self, p):
-        p = tuple(p)
-        vid = self.vindex.get(p)
-        if vid is None or not self.in_region[vid]:
-            raise BoundaryError(f"vertex {vec_str(p)} is not interior")
-        return [self.faces[fid] for fid in self.vertex_faces[vid]]
+        """The faces through the vertex p, in face-key order."""
+        from .quotient import GeomFlag
+
+        closed, slots = self._face_slots_at(tuple(p))
+        faces = [GeomFlag(closed, closed.dart(fid, j, 0), t).face() for fid, j, t in slots]
+        return sorted(faces, key=FaceDescriptor.canonical_key)
 
     # -- serialization hook (full formats live in serialization.py) ---------
 
@@ -740,67 +721,47 @@ class ValidationReport:
 
 
 def validate(complex_, mode="polyhedron"):
-    """Check the defining axioms on the patch; failures are report entries.
+    """Check the defining axioms on the structure's classes; failures are
+    report entries, never exceptions.
 
-    (a) connected edge graph, (b) connected vertex figures, (c) a constant
-    number r of faces per edge (r = 2 in polyhedron mode), (d) discreteness,
-    certified by finiteness or by exhibiting the translation lattice.
+    (a) the edge graph connects the periodic cover: its labelled quotient
+    graph is connected and its cycle voltages span the lattice, (b) the
+    vertex figure of every vertex class is connected, (c) the quotient has
+    a constant number r of faces per edge (r = 2 in polyhedron mode), (d)
+    discreteness, certified by finiteness or by exhibiting the translation
+    lattice.  When the quotient cannot be built (a scanned patch that
+    shows no lattice, or classes that hold no face), (a) to (c) fail with
+    the reason.
     """
-    report = ValidationReport(mode)
-    interior_v = complex_.interior_vertex_ids()
+    from .nets import quotient_graph
+    from .orbit import build_quotient
 
-    # (a) edge-graph connectivity over the patch
-    if interior_v:
-        seen = set()
-        start = interior_v[0]
-        queue = deque([start])
-        adj = complex_.vertex_edges
-        while queue:
-            u = queue.popleft()
-            if u in seen:
-                continue
-            seen.add(u)
-            for eid in adj[u]:
-                a, b = complex_.edges[eid]
-                nxt = b if a == u else a
-                if nxt not in seen:
-                    queue.append(nxt)
-        missing = [v for v in interior_v if v not in seen]
+    report = ValidationReport(mode)
+    try:
+        closed = build_quotient(complex_)
+    except (NotPeriodicError, PatchTooSmallError) as exc:
+        for axiom in ("a:edge-graph-connected", "b:vertex-figures-connected",
+                      "c:faces-per-edge"):
+            report.add(axiom, False, exc.detail)
+    else:
+        graph = quotient_graph(complex_.classes)
+        nv = len(closed.vreps)
         report.add(
             "a:edge-graph-connected",
-            not missing,
-            f"{len(interior_v)} interior vertices, {len(missing)} unreachable",
+            graph.is_connected_cover(),
+            f"{nv} vertex classes, {len(graph.edges)} edge classes",
         )
-    else:
-        report.add("a:edge-graph-connected", False, "no interior vertices")
-
-    # (b) vertex-figure connectivity
-    bad = []
-    for vid in interior_v:
-        vf = complex_.vertex_figure(complex_.vertices[vid])
-        if not vf.is_connected():
-            bad.append(vid)
-    report.add(
-        "b:vertex-figures-connected",
-        not bad,
-        f"{len(bad)} disconnected of {len(interior_v)}",
-    )
-
-    # (c) constant face count per edge
-    counts = Counter()
-    for eid in complex_.interior_edge_ids():
-        counts[len(complex_.edge_faces[eid])] += 1
-    if len(counts) == 1:
-        r = next(iter(counts))
-        report.r = r
-        if mode == "polyhedron":
+        bad = sum(not complex_.vertex_figure(p).is_connected() for p in closed.vreps)
+        report.add("b:vertex-figures-connected", not bad,
+                   f"{bad} disconnected of {nv} vertex classes")
+        r = report.r = closed.r
+        if r is None:
+            counts = sorted(Counter(closed.faces_per_edge()).items())
+            report.add("c:faces-per-edge", False, f"nonconstant: {dict(counts)}")
+        elif mode == "polyhedron":
             report.add("c:faces-per-edge", r == 2, f"r = {r} (need 2)")
         else:
             report.add("c:faces-per-edge", r >= 2, f"r = {r}")
-    elif not counts:
-        report.add("c:faces-per-edge", False, "no interior edge")
-    else:
-        report.add("c:faces-per-edge", False, f"nonconstant: {dict(counts)}")
 
     # (d) discreteness certificate
     if complex_.is_finite:

@@ -658,6 +658,13 @@ class VertexSetSpec:
             return any(lat.member(vsub(v, off)) for off, lat in self.cosets)
         raise ValueError(self.kind)
 
+    @property
+    def period(self):
+        """The lattice M of which the set is a union of cosets: the
+        intersection of the lattices it is made from."""
+        lattices = [self.lattice] if self.lattice is not None else []
+        return lattice_intersection(lattices + [lat for _, lat in self.cosets + self.excluded])
+
     def __repr__(self):
         return f"VertexSetSpec({self.name})"
 

@@ -13,7 +13,9 @@ tests.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from fractions import Fraction
 
 from .complexes import FaceDescriptor
 from .errors import Not3PeriodicError, NotUninodalError, ParseError
@@ -23,11 +25,14 @@ from .geometry import (
     LAMBDA_3,
     SET_V,
     SET_W,
+    Lattice,
+    lattice_basis_from,
+    lattice_intersection,
     scalar,
     vadd,
     vsub,
 )
-from .quotient import _face_class
+from .quotient import _coset_vectors, _face_class
 
 
 class PeriodicGraph:
@@ -67,11 +72,13 @@ class PeriodicGraph:
         return adj
 
     def is_connected_cover(self):
-        """Connectivity of the infinite periodic graph, not just the quotient."""
+        """Connectivity of the infinite periodic graph, not just the quotient:
+        the quotient is connected and its cycle voltages span Z^rank."""
         if not self.nodes:
             return False
+        rank = len(self.basis)
         adj = self.neighbors()
-        # quotient connectivity with potentials; cycle voltages must span Z^3
+        # quotient connectivity with potentials
         seen = {0: (0, 0, 0)}
         voltages = []
         queue = deque([0])
@@ -86,13 +93,13 @@ class PeriodicGraph:
                     voltages.append(vsub(pot, seen[v]))
         if len(seen) != len(self.nodes):
             return False
-        from .geometry import Lattice, lattice_basis_from
-
+        if not rank:
+            return True
         basis = lattice_basis_from([v for v in voltages if v != (0, 0, 0)])
-        if len(basis) < 3:
+        if len(basis) < rank:
             return False
         lat = Lattice(basis)
-        return all(lat.member(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return all(lat.member(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))[:rank])
 
     def shells(self, source, depth):
         """BFS shell sizes 1..depth around (source, origin) in the cover."""
@@ -174,13 +181,12 @@ class PeriodicGraph:
 
 
 def periodic_graph_from_edges(lattice, edge_points, name=""):
-    """Quotient the straight-edge set by a rank-3 lattice.
+    """Quotient the straight-edge set by a lattice of rank 0, 2 or 3; the
+    voltages are padded with zeros past the lattice's rank.
 
     Nodes are the vertex classes, numbered in sorted order of their reduced
     representatives, so the graph depends only on the edge classes given.
     """
-    if lattice is None or lattice.rank != 3:
-        raise Not3PeriodicError("structure has no rank-3 translation lattice")
     reps = sorted({lattice.reduce_point(x) for e in edge_points for x in e})
     nodes = {lattice.reduce_key(x): i for i, x in enumerate(reps)}
     edges = []
@@ -189,7 +195,7 @@ def periodic_graph_from_edges(lattice, edge_points, name=""):
         i, j = nodes[ki], nodes[kj]
         off_p = [c for c in lattice.coords(vsub(p, reps[i]))][: lattice.rank]
         off_q = [c for c in lattice.coords(vsub(q, reps[j]))][: lattice.rank]
-        t = tuple(int(b - a) for a, b in zip(off_p, off_q))
+        t = tuple(int(b - a) for a, b in zip(off_p, off_q)) + (0,) * (3 - lattice.rank)
         if i == j and all(c == 0 for c in t):
             raise Not3PeriodicError("lattice identifies the ends of an edge")
         edges.append((i, j, t))
@@ -206,19 +212,23 @@ def _face_edges(lattice, faces):
     return out
 
 
+def quotient_graph(classes, name=""):
+    """The labelled quotient graph of a structure's edge classes: those of
+    its face classes and the others it was given."""
+    edges = classes.edges + _face_edges(classes.lattice, classes.faces.values())
+    return periodic_graph_from_edges(classes.lattice, edges, name=name)
+
+
 def extract_net(complex_):
     """The edge graph of a 3-periodic complex as a periodic quotient graph,
-    read from its edge classes: those of its face classes and the others
-    it was given."""
+    read from its edge classes."""
     lat = complex_.lattice
     if lat is None or lat.rank != 3:
         raise Not3PeriodicError(
             "only 3-periodic structures have nets (finite and planar "
             "polyhedra do not)"
         )
-    classes = complex_.classes
-    edges = classes.edges + _face_edges(classes.lattice, classes.faces.values())
-    net = periodic_graph_from_edges(lat, edges, name=f"net({complex_.name})")
+    net = quotient_graph(complex_.classes, name=f"net({complex_.name})")
     if not net.is_connected_cover():
         raise Not3PeriodicError("edge graph does not connect the periodic cover")
     return net
@@ -325,54 +335,46 @@ def identify_net(net):
 # vertex-set identification
 
 
+# each catalog set with the lattice M whose cosets it is a union of
 _VERTEX_SETS = [
-    ("Lambda1", LAMBDA_1.member),
-    ("Lambda2", LAMBDA_2.member),
-    ("Lambda3", LAMBDA_3.member),
-    ("V", SET_V.member),
-    ("W", SET_W.member),
+    ("Lambda1", LAMBDA_1, LAMBDA_1),
+    ("Lambda2", LAMBDA_2, LAMBDA_2),
+    ("Lambda3", LAMBDA_3, LAMBDA_3),
+    ("V", SET_V, SET_V.period),
+    ("W", SET_W, SET_W.period),
 ]
 
 
 def identify_vertex_set(complex_):
     """Match the vertex set exactly against the catalog sets.
 
-    The test is two-sided inside the region: every structure vertex lies in
-    the candidate set and every candidate point in the region is a vertex.
-    One-sided containment reports subset-of(name); no match reports other.
+    The vertex set is the union of the cosets v + Lambda of its vertex
+    classes, and a catalog set is a union of cosets of its lattice M.  For
+    a rank-3 Lambda both are unions of cosets of their common lattice, so
+    comparing the finitely many cosets modulo it decides equality (the
+    name) and containment (subset-of(name)).  A structure of lower rank can
+    only be contained; its points are tested modulo N Lambda, for an N
+    that puts N Lambda inside M.  No containment reports other.
     """
-    import math
+    from .orbit import build_quotient
 
-    region = complex_.region
-    verts = [v for v, ok in zip(complex_.vertices, complex_.in_region) if ok]
-    if not verts:
-        return "other"
-    lo = [math.ceil(iv[0]) for iv in region.intervals()]
-    hi = [math.floor(iv[1]) for iv in region.intervals()]
-    integral = all(isinstance(c, int) for v in verts for c in v)
-    vset = set(verts)
-    forward_only = []
-    for name, member in _VERTEX_SETS:
-        if not all(member(v) for v in verts):
+    closed = build_quotient(complex_)
+    lattice = closed.lattice
+    contained = []
+    for name, catalog_set, period in _VERTEX_SETS:
+        if lattice.rank == 3:
+            common = lattice_intersection([lattice, period])
+        else:
+            n = math.lcm(1, *(Fraction(c).denominator
+                              for b in lattice.basis for c in period.coords(b)))
+            common = lattice.scaled(n)
+        points = [vadd(v, t) for v in closed.vreps for t in _coset_vectors(lattice, common)]
+        if not all(catalog_set.member(p) for p in points):
             continue
-        if not integral:
-            forward_only.append(name)
-            continue
-        full = True
-        for x in range(lo[0], hi[0] + 1):
-            for y in range(lo[1], hi[1] + 1):
-                for z in range(lo[2], hi[2] + 1):
-                    p = (x, y, z)
-                    if region.contains(p) and member(p) and p not in vset:
-                        full = False
-                        break
-                if not full:
-                    break
-            if not full:
-                break
-        if full:
-            return name
-        forward_only.append(name)
-    if forward_only:
-        return f"subset-of({forward_only[0]})"
-    return "other"
+        if lattice.rank == 3:
+            held = {common.reduce_key(p) for p in points}
+            # common lies in M, and M in Z^3
+            if len(held) == sum(map(catalog_set.member, _coset_vectors(LAMBDA_1, common))):
+                return name
+        contained.append(name)
+    return f"subset-of({contained[0]})" if contained else "other"

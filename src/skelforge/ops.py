@@ -32,46 +32,13 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
+from .quotient import GeomFlag, _primitive_walk
 
 WORDS = {
     "petrie": (0, 1, 2),
     "hole": (0, 1, 2, 1),
     "two_zigzag": (0, 1, 2, 1, 2),
 }
-
-
-# ---------------------------------------------------------------------------
-# geometric flag walking on a closed complex
-
-
-class GeomFlag:
-    """A concrete flag: a quotient dart moved by a translation."""
-
-    __slots__ = ("closed", "dart", "shift")
-
-    def __init__(self, closed, dart, shift=(0, 0, 0)):
-        self.closed = closed
-        self.dart = dart
-        self.shift = shift
-
-    def vertex_point(self):
-        _, _, fid, j, side = self.closed.darts[self.dart]
-        return vadd(self.closed.faces[fid].point(j + side), self.shift)
-
-    def step(self, i):
-        """The i-adjacent flag (polyhedra only for i = 2)."""
-        dart = self.closed.adjacent_flag(self.dart, i)
-        if i == 0:
-            return GeomFlag(self.closed, dart, self.shift)
-        # rho1 and rho2 keep the vertex: move the new dart onto it
-        lift = GeomFlag(self.closed, dart).vertex_point()
-        return GeomFlag(self.closed, dart, vsub(self.vertex_point(), lift))
-
-    def apply_word(self, word):
-        g = self
-        for i in word:
-            g = g.step(i)
-        return g
 
 
 @dataclass
@@ -134,31 +101,6 @@ def _circuits(patch, word_name):
             circuit = _walk_circuit(closed, start, WORDS[word_name])
             seen.update(circuit[2])
             yield circuit
-
-
-def _primitive_walk(vertices, disp):
-    """Reduce a quotient circuit to its primitive geometric period.
-
-    ``vertices`` is one quotient circuit of the walk and ``disp`` the
-    translation after the full circuit; the walk extends by v[i+L] = v[i] +
-    disp.  Returns (period_vertices, period_vector), possibly the whole
-    circuit when it is already primitive.
-    """
-    length = len(vertices)
-    for k in range(1, length + 1):
-        if length % k:
-            continue
-        tau = vsub(vertices[k], vertices[0]) if k < length else disp
-        ok = True
-        for i in range(length):
-            j = i + k
-            w = vertices[j] if j < length else vadd(vertices[j - length], disp)
-            if w != vadd(vertices[i], tau):
-                ok = False
-                break
-        if ok:
-            return vertices[:k], tau
-    return vertices, disp
 
 
 def trace(patch, word_name, quotient_scale=None):

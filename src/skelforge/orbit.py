@@ -191,6 +191,10 @@ def detect_translation_lattice(patch):
     taken once, so the shrunk region is a bound on those distances.  Every
     candidate is verified, in vertex order, because the echelon basis of the
     result depends on the list of verified vectors, not only on its span.
+    The shrunk region must hold a vertex, a whole edge and a face to check:
+    a vector that maps a lone vertex onto a vertex proves nothing.  A long
+    vector is verified on little of the patch, so a lattice that holds a
+    refuted candidate shows no lattice at all.
     """
     if not patch.vertices:
         return None
@@ -209,14 +213,18 @@ def detect_translation_lattice(patch):
         for f in patch.faces
     ]
     inside = {}
-    verified = []
+    verified, refuted = [], []
     for tau, n in lengths.items():
         if n not in inside:
             inside[n] = _inside(patch, depth, face_depth, n)
-        if _is_translation_symmetry(patch, tau, *inside[n]):
-            verified.append(tau)
+        if all(inside[n]):
+            ok = _is_translation_symmetry(patch, tau, *inside[n])
+            (verified if ok else refuted).append(tau)
     basis = lattice_basis_from(verified)
-    return Lattice(basis) if len(basis) > 1 else None
+    if len(basis) < 2:
+        return None
+    lattice = Lattice(basis)
+    return None if any(lattice.member(tau) for tau in refuted) else lattice
 
 
 def _inside(patch, depth, face_depth, margin):
@@ -239,13 +247,7 @@ def _inside(patch, depth, face_depth, margin):
 
 
 def _is_translation_symmetry(patch, tau, verts, edges, faces):
-    """Does tau map the given vertices, edges and faces into the patch?
-
-    The shrunk region must hold a vertex, a whole edge and a face to check:
-    a vector that maps a lone vertex onto a vertex proves nothing.
-    """
-    if not (verts and edges and faces):
-        return False
+    """Does tau map the given vertices, edges and faces into the patch?"""
     for v in verts:
         if (v[0] + tau[0], v[1] + tau[1], v[2] + tau[2]) not in patch.vindex:
             return False
@@ -271,9 +273,12 @@ def build_quotient(patch, sublattice=None, scale=1):
     sublattice of Lambda gives a larger cover, modulo k Lambda or that
     sublattice, as coverings and Euler characteristics need.  Finite
     patches quotient by the trivial lattice, so the result is just the
-    closed form of the patch.
+    closed form of the patch.  Classes that hold no face have nothing to
+    decide on.
     """
-    lat = patch.classes.lattice
+    lat, _, _, faces, _ = patch.classes
+    if not faces:
+        raise PatchTooSmallError("the patch holds no face to decide on")
     if not lat.rank:
         sublattice = lat
     elif sublattice is None:

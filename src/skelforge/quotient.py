@@ -10,7 +10,9 @@ start shifted by a lattice vector (the closure), so all incidence stays
 exact and geometric.  A dart is a face slot and side, not a class triple:
 a face may meet one vertex or edge class several times, at different
 lattice translates, and the quotient modulo the structure's own lattice is
-still exact.
+still exact.  A flag of the structure is a dart moved by a lattice
+vector (:class:`GeomFlag`), so flag walks and symmetry searches read the
+quotient alone.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import math
 from collections import deque
 from fractions import Fraction
 
+from .complexes import FaceDescriptor, Region
 from .errors import (
     GeneratorsDoNotDescendError,
     NotPeriodicError,
     NotPolyhedronError,
 )
-from .geometry import ZERO3, is_integer, lattice_basis_from, vadd, vscale, vsub
+from .geometry import (
+    ZERO3, is_integer, lattice_basis_from, norm_inf, vadd, vscale, vsub,
+)
 
 
 class QuotientFace:
@@ -45,6 +50,31 @@ class QuotientFace:
         q, r = divmod(pos, m)
         p = self.lift[r]
         return p if q == 0 else vadd(p, vscale(q, self.closure))
+
+
+def _primitive_walk(vertices, disp):
+    """Reduce a quotient circuit to its primitive geometric period.
+
+    ``vertices`` is one quotient circuit of the walk and ``disp`` the
+    translation after the full circuit; the walk extends by v[i+L] = v[i] +
+    disp.  Returns (period_vertices, period_vector), possibly the whole
+    circuit when it is already primitive.
+    """
+    length = len(vertices)
+    for k in range(1, length + 1):
+        if length % k:
+            continue
+        tau = vsub(vertices[k], vertices[0]) if k < length else disp
+        ok = True
+        for i in range(length):
+            j = i + k
+            w = vertices[j] if j < length else vadd(vertices[j - length], disp)
+            if w != vadd(vertices[i], tau):
+                ok = False
+                break
+        if ok:
+            return vertices[:k], tau
+    return vertices, disp
 
 
 def _edge_key(lattice, p, q):
@@ -210,7 +240,7 @@ class ClosedComplex:
                 for d in darts:
                     self.rho2_sets[d] = tuple(x for x in darts if x != d)
 
-        rcounts = {len(at_ends[0]) for at_ends in ends}
+        rcounts = set(self.faces_per_edge())
         self.r = rcounts.pop() if len(rcounts) == 1 else None
 
     def _vertex_class(self, p):
@@ -269,6 +299,47 @@ class ClosedComplex:
 
     def faces_per_vertex(self):
         return [len(slots) for slots in self.slots_at]
+
+    def faces_per_edge(self):
+        counts = [0] * len(self.edge_reps)
+        for d, (_, e, _, _, _) in enumerate(self.darts):
+            counts[e] = len(self.rho2_sets[d]) + 1
+        return counts
+
+    def face_slots_at(self, p):
+        """(fid, j, t) for each face through the point p: face class fid
+        moved by the lattice vector t has p at lift point j.  Empty when p
+        is no vertex of the structure."""
+        v = self.vertex_class_of(p)
+        return [(fid, j, vsub(p, self.faces[fid].point(j)))
+                for fid, j in (self.slots_at[v] if v is not None else ())]
+
+    def flags_at(self, p):
+        """The flags at the vertex p, two per face slot there, sorted by
+        edge and then by face key."""
+        flags = []
+        for fid, j, _ in self.face_slots_at(p):
+            flags += [GeomFlag.at(self, self.dart(fid, j, 0), p),
+                      GeomFlag.at(self, self.dart(fid, j - 1, 1), p)]
+        return sorted(flags, key=lambda g: (g.edge(), g.face().canonical_key()))
+
+    def nearest_vertex(self, centre):
+        """The structure vertex nearest ``centre`` in the max norm, the
+        least point on ties.
+
+        Each class representative reduced next to the centre bounds the
+        distance, so only the translates in the box of that half-width
+        are compared.
+        """
+        lat = self.lattice
+        bound = min(norm_inf(lat.reduce_point(vsub(p, centre))) for p in self.vreps)
+        if not bound:
+            return centre
+        box = Region(centre, bound)
+        return min(
+            (vadd(p, t) for p in self.vreps for t in lattice_translates(lat, [p], box)),
+            key=lambda x: (norm_inf(vsub(x, centre)), x),
+        )
 
     def adjacent(self, did, i):
         """i-adjacent dart(s): single dart for i in (0, 1), tuple for i = 2."""
@@ -338,3 +409,69 @@ class ClosedComplex:
     def __repr__(self):
         nv, ne, nf = self.counts()
         return f"<ClosedComplex {self.name}: {nv}v {ne}e {nf}f, {len(self.darts)} darts>"
+
+
+class GeomFlag:
+    """A flag of the structure: a quotient dart moved by a lattice vector."""
+
+    __slots__ = ("closed", "dart", "shift")
+
+    def __init__(self, closed, dart, shift=ZERO3):
+        self.closed = closed
+        self.dart = dart
+        self.shift = shift
+
+    @classmethod
+    def at(cls, closed, dart, p):
+        """The flag of ``dart`` moved so that its vertex is the point p."""
+        return cls(closed, dart, vsub(p, cls(closed, dart).vertex_point()))
+
+    def walk(self, count):
+        """``count`` points along the face, from the flag's vertex through
+        the other end of its edge; a finite face gives at most its length."""
+        _, _, fid, j, side = self.closed.darts[self.dart]
+        f = self.closed.faces[fid]
+        if f.closure == ZERO3:
+            count = min(count, len(f))
+        d = 1 - 2 * side
+        return [vadd(f.point(j + side + d * i), self.shift) for i in range(count)]
+
+    def vertex_point(self):
+        return self.walk(1)[0]
+
+    def edge(self):
+        """The flag's edge as its sorted point pair."""
+        return tuple(sorted(self.walk(2)))
+
+    def face(self):
+        """The flag's face: its vertex cycle, or one primitive period of an
+        apeirogon with its period vector."""
+        f = self.closed.faces[self.closed.darts[self.dart][2]]
+        if f.closure == ZERO3:
+            desc = FaceDescriptor(f.lift, check=False)
+        else:
+            desc = FaceDescriptor(*_primitive_walk(f.lift, f.closure), check=False)
+        return desc.translate(self.shift)
+
+    def step(self, i):
+        """The i-adjacent flag (polyhedra only for i = 2)."""
+        dart = self.closed.adjacent_flag(self.dart, i)
+        if i == 0:
+            return GeomFlag(self.closed, dart, self.shift)
+        # rho1 and rho2 keep the vertex: move the new dart onto it
+        return GeomFlag.at(self.closed, dart, self.vertex_point())
+
+    def adjacent(self, i):
+        """The i-adjacent flags: one for i = 0 and 1, one per other face at
+        the edge for i = 2, sorted by face key."""
+        if i < 2:
+            return [self.step(i)]
+        p = self.vertex_point()
+        others = [GeomFlag.at(self.closed, d, p) for d in self.closed.rho2_sets[self.dart]]
+        return sorted(others, key=lambda g: g.face().canonical_key())
+
+    def apply_word(self, word):
+        g = self
+        for i in word:
+            g = g.step(i)
+        return g

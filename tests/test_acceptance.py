@@ -229,7 +229,9 @@ def test_criterion_08_blends(built):
         c = classify.classify_polygon(f)
         assert (c.kind, c.k) == ("helical", 4)
     # adjacent helices share every fourth edge
-    for eid in helix.interior_edge_ids():
+    interior = [eid for eid, (a, b) in enumerate(helix.edges)
+                if helix.in_region[a] and helix.in_region[b]]
+    for eid in interior:
         fids = sorted({f for f, _ in helix.edge_faces[eid]})
         assert len(fids) == 2
     f0 = helix.faces[0]

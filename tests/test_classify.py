@@ -14,8 +14,6 @@ from skelforge.errors import (
     RegionMismatchError,
 )
 from skelforge.classify import (
-    _adjacent_flags,
-    _flags_at,
     _winding_number,
     base_flag,
     classify_polygon,
@@ -76,8 +74,8 @@ def flag_map_candidates_at_base(patch):
     """Every isometry candidate from the base flag to its 0-, 1- and
     2-adjacent flags and to every flag at the base vertex."""
     flag = base_flag(patch)
-    targets = [t for ts in _adjacent_flags(patch, flag) for t in ts]
-    targets += _flags_at(patch, flag.vertex, patch.vertex_edges[patch.vindex[flag.vertex]])
+    targets = [g for i in range(3) for g in flag.adjacent(i)]
+    targets += flag.closed.flags_at(flag.vertex_point())
     return [c for t in targets for c in flag_map_candidates(flag, t)]
 
 
@@ -282,6 +280,25 @@ class TestIsSymmetry:
         with pytest.raises(PatchTooSmallError):
             is_symmetry(bare, translation((1, 0, 0)))
 
+    def test_quotient_of_a_patch_without_faces_is_too_small(self, built):
+        # the same bare patch has no quotient: the Schläfli type and the
+        # axioms (a) to (c) have nothing to decide on either
+        from skelforge.complexes import validate
+        from skelforge.orbit import build_quotient
+
+        oct_ = built("oct", Fraction(1, 2))
+        bare = SkeletalComplex(oct_.vertices, oct_.edge_points, [], oct_.region)
+        detail = "the patch holds no face to decide on"
+        for decide in (build_quotient, schlafli):
+            with pytest.raises(PatchTooSmallError) as err:
+                decide(bare)
+            assert err.value.detail == detail
+        rep = validate(bare)
+        assert rep.entries[:3] == [
+            (axiom, False, detail) for axiom in
+            ("a:edge-graph-connected", "b:vertex-figures-connected", "c:faces-per-edge")
+        ]
+
     def test_built_patch_without_faces_decides_on_its_classes(self, built):
         # no vertex of the hexagonal tiling lies in this region: edges, no
         # faces, but the patch keeps the classes it was built from
@@ -346,13 +363,13 @@ class TestRadiusIndependence:
             got = (dict(got[0])["family"],) + got[1:]
         assert got == expected
 
-    def test_no_interior_vertex_is_patch_too_small(self, built):
-        # every vertex of the cube lies outside this region: no base flag
+    def test_base_flag_needs_no_interior_vertex(self, built):
+        # every vertex of the cube lies outside this region; the base flag
+        # is taken at the structure vertex nearest the centre all the same
         cube = built("cube", Fraction(1, 2))
-        for search in (find_flag_symmetries, edge_stabilizer,
-                       lambda patch: patch.central_vertex()):
-            with pytest.raises(PatchTooSmallError):
-                search(cube)
+        assert not cube.interior_vertex_ids()
+        assert cube.central_vertex() == (-1, -1, -1)
+        assert find_flag_symmetries(cube) == find_flag_symmetries(built("cube", 3))
 
     def test_hexagon_tiling_reflections_from_a_unit_patch(self, built):
         # a radius-1 patch shows too few vertices for a patch-bound check to

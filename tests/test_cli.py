@@ -75,11 +75,16 @@ class TestCommands:
 
 class TestSmallRegions:
     @pytest.mark.parametrize("name", ["cube", "oct"])
-    def test_classify_without_interior_edge_is_patch_too_small(self, name):
-        # radius 1/2 holds no edge of either solid: no evidence, no verdict
-        out = run_cli("classify", "--preset", name, "--radius", "1/2",
-                      expect_code=1)
-        assert json.loads(out)["code"] == "patch-too-small"
+    def test_classify_without_interior_edge_answers_as_at_radius_3(self, capsys, name):
+        # radius 1/2 holds no vertex of either solid; the answer comes from
+        # the classes, and a finite patch is whole, so even the face counts
+        # agree
+        from skelforge.cli import main
+
+        main(["classify", "--preset", name, "--radius", "1/2"])
+        small = capsys.readouterr().out
+        main(["classify", "--preset", name, "--radius", "3"])
+        assert small == capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["P:1,1", "P2:1,0"])
     def test_net_and_pgr_do_not_depend_on_radius(self, capsys, name):
@@ -135,6 +140,34 @@ class TestSmallRegions:
                 assert out.count("\n") == 1, (command, out)
                 assert set(json.loads(out)) == {"code", "detail"}, (command, out)
 
+
+CLASS_BUILT = [name for name, _, _ in CATALOG_SWEEP if not name.startswith("blend(")]
+
+
+class TestRadiusInvariance:
+    @pytest.mark.parametrize("name", CLASS_BUILT)
+    def test_answers_do_not_depend_on_radius(self, capsys, name):
+        # a built preset keeps its classes, and validate, net and classify
+        # read only them; classify's face_classes counts the patch's faces
+        from skelforge.cli import main
+
+        def run(command, radius):
+            try:
+                code = main([command, "--preset", name, "--radius", radius])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            if command == "classify" and code == 0:
+                data = json.loads(out)
+                del data["face_classes"]
+                out = json.dumps(data, sort_keys=True)
+            return code, out
+
+        for command in ("validate", "net", "classify"):
+            answers = {r: run(command, r) for r in ("1/2", "1", "3", "4", "6")}
+            assert len(set(answers.values())) == 1, (command, answers)
+            if command == "validate":
+                assert answers["1/2"][0] == 0, answers["1/2"]
 
 class TestQuotientFlag:
     @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])

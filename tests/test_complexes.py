@@ -15,6 +15,7 @@ from skelforge.complexes import (
     _multigraph_isomorphic,
 )
 from skelforge.errors import BoundaryError, DegenerateFaceError
+from skelforge.geometry import vadd
 
 
 SQUARE = FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
@@ -144,6 +145,18 @@ class TestSkeletalComplex:
         with pytest.raises(BoundaryError):
             cube.vertex_figure((9, 9, 9))
 
+    def test_vertex_figure_anywhere_in_space(self, built):
+        # figures are read from the vertex class: a vertex far outside the
+        # region has the origin's figure and faces, moved with it
+        p10 = built("P:1,0", 1)
+        t = tuple(5 * c for c in p10.lattice.basis[0])
+        near, far = p10.vertex_figure((0, 0, 0)), p10.vertex_figure(t)
+        assert far.nodes == {vadd(p, t) for p in near.nodes}
+        assert far.edges == {frozenset(vadd(p, t) for p in e): m
+                             for e, m in near.edges.items()}
+        assert ([f.canonical_key() for f in p10.faces_at_vertex(t)]
+                == [f.translate(t).canonical_key() for f in p10.faces_at_vertex((0, 0, 0))])
+
     def test_cube_vertex_figure_is_a_triangle_cycle(self, built):
         cube = built("cube")
         vf = cube.vertex_figure((1, 1, 1))
@@ -197,6 +210,35 @@ class TestValidation:
         rep = validate(broken, "complex")
         assert not rep.passed
         assert "c:faces-per-edge" in rep.failed_axioms()
+
+    def test_details_count_classes(self, built):
+        # at radius 1/2 the region holds no vertex of the cube; the axioms
+        # are checked on its classes
+        rep = validate(built("cube", Fraction(1, 2)))
+        assert rep.entries[:3] == [
+            ("a:edge-graph-connected", True, "8 vertex classes, 12 edge classes"),
+            ("b:vertex-figures-connected", True, "0 disconnected of 8 vertex classes"),
+            ("c:faces-per-edge", True, "r = 2 (need 2)"),
+        ]
+
+    def test_each_axiom_fails_on_its_own(self, built):
+        # two cubes apart, two cubes sharing a vertex, a cube without a face
+        faces = built("cube").faces
+
+        def moved(t):
+            return [f.translate(t) for f in faces]
+
+        cases = [
+            (faces + moved((4, 0, 0)), "a:edge-graph-connected",
+             "16 vertex classes, 24 edge classes"),
+            (faces + moved((2, 2, 2)), "b:vertex-figures-connected",
+             "1 disconnected of 15 vertex classes"),
+            (faces[1:], "c:faces-per-edge", "nonconstant: {1: 4, 2: 8}"),
+        ]
+        for fs, axiom, detail in cases:
+            rep = validate(SkeletalComplex([], [], fs, Region((0, 0, 0), 6)))
+            assert rep.failed_axioms() == [axiom]
+            assert dict((a, d) for a, _, d in rep.entries)[axiom] == detail
 
     def test_periodic_discreteness_certificate(self, built):
         rep = validate(built("P:1,0"), "polyhedron")

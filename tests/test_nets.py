@@ -5,6 +5,8 @@ before being frozen; the oracle stays in the tests as the independent
 cross-check of the quotient-graph BFS.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from skelforge.complexes import Region
@@ -16,6 +18,7 @@ from skelforge.nets import (
     identify_net,
     identify_vertex_set,
     periodic_graph_from_edges,
+    quotient_graph,
     reference_nets,
 )
 
@@ -150,6 +153,16 @@ class TestExtraction:
         net = extract_net(built("K1_12"))
         assert net.coordination_sequence(1)[0] == 12
 
+    @pytest.mark.parametrize(
+        "preset,shells", [("sq44", [4, 8, 12, 16]), ("cube", [3, 3, 1, 0])]
+    )
+    def test_quotient_graph_of_lower_rank(self, built, preset, shells):
+        # a planar tiling and a solid have no net, but their quotient graphs
+        # cover the plane and the solid's edge graph
+        graph = quotient_graph(built(preset).classes)
+        assert graph.is_connected_cover()
+        assert graph.coordination_sequence(4) == shells
+
     def test_two_skeleton_quotient_is_one_node_three_loops(self, built):
         net = extract_net(built("skel2cubic"))
         assert net.node_count() == 1
@@ -172,6 +185,22 @@ class TestVertexSets:
 
     def test_other(self, built):
         assert identify_vertex_set(built("hex63", 3)) == "other"
+
+    @pytest.mark.parametrize(
+        "preset,expected",
+        [("K5_12", "V"), ("P:1,-1", "Lambda2"), ("K1_12", "Lambda2"),
+         ("P2:1,1", "W"), ("P:1,0", "Lambda1"), ("K4_12", "Lambda1"),
+         ("sq44", "subset-of(Lambda1)"), ("tri36", "subset-of(Lambda1)"),
+         ("P:1,1", "subset-of(Lambda1)"), ("P2:0,1", "subset-of(Lambda1)"),
+         ("P2:1,0", "subset-of(Lambda1)"), ("petrie(sq44)", "subset-of(Lambda1)"),
+         ("tet", "subset-of(Lambda1)"), ("cube", "subset-of(Lambda1)"),
+         ("oct", "subset-of(Lambda1)"), ("petrie(cube)", "subset-of(Lambda1)"),
+         ("hex63", "other")],
+    )
+    def test_half_radius_reads_the_classes(self, built, preset, expected):
+        # this region holds few vertices or none; the set is compared coset
+        # by coset, so the answer is the one every radius >= 1 gives
+        assert identify_vertex_set(built(preset, Fraction(1, 2))) == expected
 
 
 class TestPgrFormat:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from skelforge import orbit
-from skelforge.complexes import Region, validate
+from skelforge.complexes import Region, SkeletalComplex, validate
 from skelforge.errors import (
     DegenerateFaceError,
     ExplosionError,
@@ -18,6 +18,7 @@ from skelforge.orbit import (
     GeneratorSet,
     build_base_face,
     build_quotient,
+    detect_translation_lattice,
     wythoff_patch,
 )
 from skelforge.presets import (
@@ -278,6 +279,17 @@ class TestLatticeScan:
         assert patch.lattice is None
         with pytest.raises(Not3PeriodicError):
             extract_net(patch)
+
+    def test_refuted_short_vector_rules_out_the_scan(self, built):
+        # without its centre face, the 2-skeleton's unit steps are refuted,
+        # yet long steps, checked only far from the gap, generate them: the
+        # scan must show no lattice rather than Z^3
+        skel = built("skel2cubic", 3)
+        gap = next(f for f in skel.faces
+                   if (0, 0, 0) in f.vertices and (1, 1, 0) in f.vertices)
+        broken = SkeletalComplex(skel.vertices, skel.edge_points,
+                                 [f for f in skel.faces if f is not gap], skel.region)
+        assert detect_translation_lattice(broken) is None
 
     def test_moved_p21_keeps_its_covolume(self):
         patch = loaded_moved_patch("P:2,1", 4)
