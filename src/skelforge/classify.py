@@ -41,7 +41,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import _coset_representatives, _translation_lattice, build_quotient
-from .quotient import _coset_vectors, _edge_key, _face_class
+from .quotient import GeomFlag, _coset_vectors, _edge_key, _face_class
 
 
 # ---------------------------------------------------------------------------
@@ -539,26 +539,16 @@ def face_center(face):
 
 def _centre_adjacency(patch):
     """Centres of faces sharing an edge: one pair per class modulo the
-    patch's class lattice, found from the face classes alone."""
-    lattice, _, _, faces, _ = patch.classes
-    reps = list(faces.values())
-    at_edge = {}
-    for f in reps:
-        for _, p, q in f.edge_slots():
-            at_edge.setdefault(_edge_key(lattice, p, q), []).append((f, p, q))
+    patch's class lattice, read from the quotient's rho2."""
+    closed = build_quotient(patch)
     pairs = {}
-    for f in reps:
-        c = face_center(f)
-        for _, p, q in f.edge_slots():
-            for f2, p2, q2 in at_edge[_edge_key(lattice, p, q)]:
-                for x, y in ((p, q), (q, p)):
-                    t = vsub(x, p2)
-                    if vadd(q2, t) == y and lattice.member(t):
-                        break
-                other = f2.translate(t)
-                if other.canonical_key() != f.canonical_key():
-                    c2 = face_center(other)
-                    pairs.setdefault(_edge_key(lattice, c, c2), (c, c2))
+    for d in range(closed.dart_count()):
+        flag = GeomFlag(closed, d)
+        face = flag.face()
+        for other in flag.adjacent(2):
+            if other.face().canonical_key() != face.canonical_key():
+                c, c2 = face_center(face), face_center(other.face())
+                pairs.setdefault(_edge_key(closed.lattice, c, c2), (c, c2))
     return list(pairs.values())
 
 

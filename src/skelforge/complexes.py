@@ -247,21 +247,6 @@ class FaceDescriptor:
                 yield j, p, q
                 p = q
 
-    def positions_of(self, p, region=None):
-        """Walk indices where point p occurs (0 or 1 for valid faces)."""
-        n = len(self.vertices)
-        if self.period_vector is None:
-            return [i for i, v in enumerate(self.vertices) if v == p]
-        t = self.period_vector
-        t2 = vdot(t, t)
-        out = []
-        for i, v in enumerate(self.vertices):
-            d = vsub(p, v)
-            lam = Fraction(vdot(d, t), t2)
-            if lam.denominator == 1 and vscale(lam, t) == d:
-                out.append(i + int(lam) * n)
-        return out
-
     def __repr__(self):
         kind = "fin" if self.period_vector is None else f"inf:{vec_str(self.period_vector)}"
         pts = " ".join(vec_str(p) for p in self.vertices)
@@ -288,8 +273,8 @@ class SkeletalComplex:
     A structure is a lattice plus finitely many vertex, edge and face
     classes modulo it; :meth:`from_classes` unrolls the classes over a
     region and keeps them.  A patch made from bare element lists (JSON
-    input, hand-built complexes, blends) finds its lattice and classes by
-    scanning itself, once, on first use.
+    input, hand-built complexes) finds its lattice and classes by scanning
+    itself, once, on first use.
     """
 
     def __init__(self, vertices, edges, faces, region, window_margin=2, name=""):

@@ -22,9 +22,13 @@ from .errors import (
     ZeroParameterError,
 )
 from .geometry import (
+    ZERO3,
+    Lattice,
+    lattice_basis_from,
     norm_inf,
     scalar,
     sublattices_of_index,
+    translation,
     vadd,
     vcross,
     vdot,
@@ -182,29 +186,18 @@ def _primitive_int_vector(v):
     return tuple(ints)
 
 
-def _patch_plane(patch):
-    """Primitive integer normal of the plane containing all patch vertices."""
-    vs = patch.vertices
-    if len(vs) < 3:
-        raise InvalidParametersError("too few vertices to determine a plane")
-    p0 = vs[0]
-    n = None
-    for p in vs[1:]:
-        for q in vs[1:]:
-            n_try = vcross(vsub(p, p0), vsub(q, p0))
-            if n_try != (0, 0, 0):
-                n = n_try
-                break
-        if n is not None:
-            break
+def _plane_normal(closed):
+    """Primitive integer normal of the one plane holding every face class of
+    the quotient and its lattice."""
+    points = [p for f in closed.faces for p in f.lift]
+    vectors = list(closed.lattice.basis) + [vsub(p, points[0]) for p in points]
+    n = next((c for u in vectors for w in vectors
+              for c in [vcross(u, w)] if c != ZERO3), None)
     if n is None:
         raise InvalidParametersError("vertices are collinear")
-    n = _primitive_int_vector(n)
-    off = vdot(n, p0)
-    for p in vs:
-        if vdot(n, p) != off:
-            raise InvalidParametersError("input complex is not planar")
-    return n
+    if any(vdot(n, v) for v in vectors):
+        raise InvalidParametersError("input complex is not planar")
+    return _primitive_int_vector(n)
 
 
 def _two_coloring(nodes, neighbors, what):
@@ -228,10 +221,16 @@ def _two_coloring(nodes, neighbors, what):
     return color
 
 
-def _vertex_neighbors(patch, u):
-    for eid in patch.vertex_edges[patch.vindex[u]]:
-        a, b = patch.edge_points[eid]
-        yield b if a == u else a
+def _even_part(basis, odd):
+    """Generators of the vectors of the lattice on ``basis`` whose
+    coordinates on the basis vectors flagged ``odd`` have an even sum: the
+    translations that keep a 2-coloring, when ``odd`` flags those that swap
+    it."""
+    swaps = [b for b, o in zip(basis, odd) if o]
+    gens = [b for b, o in zip(basis, odd) if not o]
+    if swaps:
+        gens += [vscale(2, swaps[0])] + [vadd(b, swaps[0]) for b in swaps[1:]]
+    return gens
 
 
 def blend_with_segment(patch, length):
@@ -239,68 +238,57 @@ def blend_with_segment(patch, length):
 
     Vertices move off the plane alternately by +-length along the primitive
     normal; the alternation is the 2-coloring forced by requiring every
-    face to alternate, and its absence is an error, not patched over.
+    face to alternate, and its absence is an error, not patched over.  A
+    translation keeps the coloring or swaps it, so the coloring is taken on
+    the vertex classes modulo 2 Lambda, from the least one; the blend's
+    lattice is the part of Lambda that keeps it.
     """
     length = scalar(length)
     if length == 0:
         raise ZeroParameterError("segment blend with zero length degenerates")
-    n = _patch_plane(patch)
-    color = _two_coloring(
-        patch.vertices, lambda u: _vertex_neighbors(patch, u), "vertices"
-    )
+    closed = build_quotient(patch, scale=2)
+    n = _plane_normal(closed)
+    neighbors = [[] for _ in closed.vreps]
+    for p, q in closed.edge_reps:
+        a, b = closed.vertex_class_of(p), closed.vertex_class_of(q)
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    order = sorted(range(len(closed.vreps)), key=closed.vreps.__getitem__)
+    color = _two_coloring(order, neighbors.__getitem__, "vertices")
 
     def lift(p):
-        sign = 1 if color[p] == 0 else -1
+        sign = 1 - 2 * color[closed.vertex_class_of(p)]
         return vadd(p, vscale(sign * length, n))
 
     faces = []
-    for f in patch.faces:
-        pv = f.period_vector
-        if pv is None:
-            faces.append(FaceDescriptor([lift(p) for p in f.vertices], check=False))
-        else:
-            probe = f.vertices[0]
-            shifted = vadd(probe, pv)
-            if shifted in color and color[shifted] != color[probe]:
-                doubled = list(f.vertices) + [vadd(p, pv) for p in f.vertices]
-                faces.append(
-                    FaceDescriptor([lift(p) for p in doubled], vscale(2, pv),
-                                   check=False)
-                )
-            else:
-                faces.append(
-                    FaceDescriptor([lift(p) for p in f.vertices], pv, check=False)
-                )
-    verts = [lift(p) for p in patch.vertices]
-    edges = [(lift(p), lift(q)) for p, q in patch.edge_points]
+    for f in closed.faces:
+        pts = [lift(p) for p in f.lift]
+        faces.append(FaceDescriptor(pts, check=False) if f.closure == ZERO3
+                     else FaceDescriptor(*_primitive_walk(pts, f.closure), check=False))
+    basis = patch.classes.lattice.basis
+    v0 = closed.vreps[0]
+    swaps = [color[closed.vertex_class_of(vadd(v0, b))] != color[0] for b in basis]
     margin = patch.window.radius - patch.region.radius + abs(length) * norm_inf(n)
-    return SkeletalComplex(
-        verts, edges, faces, patch.region, window_margin=margin,
+    return SkeletalComplex.from_classes(
+        Lattice(lattice_basis_from(_even_part(basis, swaps))),
+        faces,
+        patch.region,
+        vertices=[lift(p) for p in closed.vreps],
+        edges=[(lift(p), lift(q)) for p, q in closed.edge_reps],
+        window_margin=margin,
         name=f"blend({patch.name},seg:{length})",
     )
 
 
-def _orient_ccw(face, normal):
-    area2 = (0, 0, 0)
-    vs = face.vertices
-    for i in range(len(vs)):
-        area2 = vadd(area2, vcross(vs[i], vs[(i + 1) % len(vs)]))
+def _ccw(points, normal):
+    """Does the polygon run counterclockwise about ``normal``?"""
+    area2 = ZERO3
+    for i, p in enumerate(points):
+        area2 = vadd(area2, vcross(p, points[(i + 1) % len(points)]))
     s = vdot(area2, normal)
     if s == 0:
         raise InvalidParametersError("degenerate face orientation")
-    return face if s > 0 else face.reversed()
-
-
-def _face_adjacency(patch):
-    adjacency = [[] for _ in patch.faces]
-    for slots in patch.edge_faces:
-        fids = sorted({fid for fid, _ in slots})
-        if len(fids) == 2:
-            adjacency[fids[0]].append(fids[1])
-            adjacency[fids[1]].append(fids[0])
-        elif len(fids) > 2:
-            raise NotPolyhedronError("blend input has more than 2 faces at an edge")
-    return adjacency
+    return s > 0
 
 
 def blend_with_apeirogon(patch, step):
@@ -308,83 +296,80 @@ def blend_with_apeirogon(patch, step):
 
     Faces 2-color by adjacency; helices over one color wind one way, over
     the other color the opposite way, all ascending by ``step`` per edge.
-    Adjacent helices then share every p-th edge.
+    Adjacent helices then share every p-th edge.  The face coloring is
+    taken on the face classes modulo 2 Lambda, from the least one.  Heights
+    modulo p are found from the least vertex of those classes, at height 0,
+    modulo 2p Lambda: a translation of Lambda that keeps the coloring moves
+    every height by one constant, so 2p Lambda keeps both.  The blend's
+    lattice is spanned by the period p step n of the helices and by each
+    coloring-keeping translation of Lambda, lifted by its height shift.
     """
     step = scalar(step)
     if step == 0:
         raise ZeroParameterError("apeirogon blend with zero step degenerates")
-    n = _patch_plane(patch)
-    if any(f.period_vector is not None for f in patch.faces):
+    closed = build_quotient(patch, scale=2)
+    n = _plane_normal(closed)
+    if any(f.closure != ZERO3 for f in closed.faces):
         raise InvalidParametersError("apeirogon blend needs finite faces")
-    sizes = {len(f) for f in patch.faces}
+    sizes = {len(f) for f in closed.faces}
     if len(sizes) != 1:
         raise InvalidParametersError("apeirogon blend needs equal face sizes")
     p = sizes.pop()
+    if closed.r != 2:
+        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
 
-    oriented = [_orient_ccw(f, n) for f in patch.faces]
-    nf = len(patch.faces)
-    colors = _two_coloring(range(nf), _face_adjacency(patch).__getitem__, "faces")
-    fcolor = [colors[i] for i in range(nf)]
+    def neighbors(fid):
+        for d in range(closed.first[fid], closed.first[fid] + 2 * p):
+            for e in closed.rho2_sets[d]:
+                yield closed.darts[e][2]
 
-    # each edge ascends by one step in the direction its color-0 face
-    # traverses it (equal to the direction the color-1 face descends)
-    direction = {}
-    for f, c in zip(oriented, fcolor):
-        vs = f.vertices
-        for i in range(len(vs)):
-            u, w = vs[i], vs[(i + 1) % len(vs)]
-            key = frozenset((u, w))
-            d = (u, w) if c == 0 else (w, u)
-            if key in direction and direction[key] != d:
-                raise NotBipartiteError("inconsistent helix directions")
-            direction[key] = d
+    color = _two_coloring(range(len(closed.faces)), neighbors, "faces")
+    # each face ascends along its lift (+1) or against it (-1): color-0
+    # faces counterclockwise about n, color-1 faces clockwise
+    ascent = [(1 if _ccw(f.lift, n) else -1) * (1 - 2 * color[fid])
+              for fid, f in enumerate(closed.faces)]
 
+    fine = closed.lattice.scaled(p)
     height = {}
-    for start in sorted(patch.vertices):
-        if start in height:
+    for start in sorted(f.lift[0] for f in closed.faces):
+        if fine.reduce_key(start) in height:
             continue
-        height[start] = 0
+        height[fine.reduce_key(start)] = 0
         stack = [start]
         while stack:
             u = stack.pop()
-            for w in _vertex_neighbors(patch, u):
-                d = direction.get(frozenset((u, w)))
-                if d is None:
-                    continue
-                hw = height[u] + (1 if d == (u, w) else -1)
-                if w in height:
-                    if (height[w] - hw) % p != 0:
+            hu = height[fine.reduce_key(u)]
+            for fid, j, t in closed.face_slots_at(u):
+                f = closed.faces[fid]
+                for dh in (1, -1):
+                    w = vadd(f.point(j + dh * ascent[fid]), t)
+                    key = fine.reduce_key(w)
+                    if key not in height:
+                        height[key] = (hu + dh) % p
+                        stack.append(w)
+                    elif (height[key] - hu - dh) % p:
                         raise NotBipartiteError("height labeling inconsistent")
-                else:
-                    height[w] = hw
-                    stack.append(w)
 
     lift_step = vscale(step, n)
-
-    def lifted(v, h):
-        return vadd(v, vscale(h, lift_step))
-
     faces = []
-    for f, c in zip(oriented, fcolor):
-        cyc = f.vertices if c == 0 else tuple(reversed(f.vertices))
-        h0 = height[cyc[0]]
-        pts = [lifted(cyc[i % p], h0 + i) for i in range(p)]
+    for f, d in zip(closed.faces, ascent):
+        h0 = height[fine.reduce_key(f.lift[0])]
+        pts = [vadd(f.point(d * i), vscale(h0 + i, lift_step)) for i in range(p)]
         faces.append(FaceDescriptor(pts, vscale(p, lift_step), check=False))
 
-    region = patch.region
-    verts = []
-    per_height = norm_inf(lift_step)
-    hmax = max(abs(height[v]) for v in height)
-    span = region.radius + norm_inf(region.center) + hmax * per_height
-    kmax = math.ceil(Fraction(span, p * per_height)) + 1
-    for v in patch.vertices:
-        for k in range(-kmax, kmax + 1):
-            w = lifted(v, height[v] + k * p)
-            if region.contains(w):
-                verts.append(w)
+    basis = patch.classes.lattice.basis
+    f0, v0 = closed.faces[0], closed.faces[0].lift[0]
+    swaps = [color[closed._face_image(translation(b), f0)[0]] != color[0] for b in basis]
+    gens = [vscale(p, lift_step)]
+    for b in _even_part(basis, swaps):
+        rise = height[fine.reduce_key(vadd(v0, b))] - height[fine.reduce_key(v0)]
+        gens.append(vadd(b, vscale(rise % p, lift_step)))
     margin = patch.window.radius - patch.region.radius
-    return SkeletalComplex(
-        verts, [], faces, region, window_margin=margin,
+    return SkeletalComplex.from_classes(
+        Lattice(lattice_basis_from(gens)),
+        faces,
+        patch.region,
+        window_margin=margin,
         name=f"blend({patch.name},apeiro:{step})",
     )
 

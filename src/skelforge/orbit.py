@@ -11,8 +11,8 @@ edge and face orbits are finitely many classes modulo that lattice, one
 image of the base element per representative, and the patch unrolls every
 class over the bounded region.  A generator-built patch therefore knows its
 lattice: the translation group of the given generators.  Patches of other
-origins (JSON input, hand-built complexes, blends) find theirs by scanning
-the patch, in :func:`detect_translation_lattice`.
+origins (JSON input, hand-built complexes) find theirs by scanning the
+patch, in :func:`detect_translation_lattice`.
 """
 
 from __future__ import annotations

@@ -141,11 +141,8 @@ class TestSmallRegions:
                 assert set(json.loads(out)) == {"code", "detail"}, (command, out)
 
 
-CLASS_BUILT = [name for name, _, _ in CATALOG_SWEEP if not name.startswith("blend(")]
-
-
 class TestRadiusInvariance:
-    @pytest.mark.parametrize("name", CLASS_BUILT)
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
     def test_answers_do_not_depend_on_radius(self, capsys, name):
         # a built preset keeps its classes, and validate, net and classify
         # read only them; classify's face_classes counts the patch's faces

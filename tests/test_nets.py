@@ -195,7 +195,8 @@ class TestVertexSets:
          ("P2:1,0", "subset-of(Lambda1)"), ("petrie(sq44)", "subset-of(Lambda1)"),
          ("tet", "subset-of(Lambda1)"), ("cube", "subset-of(Lambda1)"),
          ("oct", "subset-of(Lambda1)"), ("petrie(cube)", "subset-of(Lambda1)"),
-         ("hex63", "other")],
+         ("blend(sq44,seg:1)", "subset-of(Lambda1)"),
+         ("blend(sq44,apeiro:1)", "subset-of(Lambda1)"), ("hex63", "other")],
     )
     def test_half_radius_reads_the_classes(self, built, preset, expected):
         # this region holds few vertices or none; the set is compared coset

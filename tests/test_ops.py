@@ -251,12 +251,36 @@ class TestBlends:
             blend_with_apeirogon(built("sq44"), 0)
 
     def test_other_valid_blends(self, built):
-        assert validate(
-            blend_with_segment(built("hex63", 3), 1), "polyhedron"
-        ).passed
-        assert validate(
-            blend_with_apeirogon(built("tri36", 3), 1), "polyhedron"
-        ).passed
+        # at radius 6 the tri36 blend once showed no lattice to its scan
+        for blend, name, radius in ((blend_with_segment, "hex63", 3),
+                                    (blend_with_apeirogon, "tri36", 3),
+                                    (blend_with_apeirogon, "tri36", 6)):
+            assert validate(blend(built(name, radius), 1), "polyhedron").passed, \
+                (name, radius)
+
+    def test_apeirogon_blend_does_not_depend_on_radius(self, built):
+        # heights are anchored on the classes, not on the least patch vertex
+        region = Region((0, 0, 0), 3)
+        inside = [{v for v in blend_with_apeirogon(built("sq44", r), 1).vertices
+                   if region.contains(v)} for r in (3, 4)]
+        assert len(inside[0]) == 89 and inside[0] == inside[1]
+
+    @pytest.mark.parametrize("name", ["blend(sq44,seg:1)", "blend(sq44,apeiro:1)"])
+    def test_blends_are_not_scanned(self, monkeypatch, capsys, name):
+        # a blend is built from its input's classes and keeps its own
+        from skelforge import orbit
+        from skelforge.cli import main
+        from skelforge.presets import build
+
+        def scan(patch):
+            raise AssertionError(f"{patch.name} was scanned")
+
+        monkeypatch.setattr(orbit, "detect_translation_lattice", scan)
+        for radius in (Fraction(1, 2), 4):
+            patch = build(name, Region((0, 0, 0), radius))
+            assert patch.lattice is not None
+        assert main(["classify", "--preset", name]) == 0
+        capsys.readouterr()
 
 
 class TestCovering:
