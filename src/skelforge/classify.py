@@ -30,10 +30,10 @@ from .geometry import (
     Lattice,
     fixed_space_dim,
     lattice_intersection,
-    matrix_rank,
     order_or_translation,
     scalar,
     solve_isometry,
+    spanning_indices,
     vadd,
     vcross,
     vdot,
@@ -94,8 +94,9 @@ def _project_out(points, normal):
     return [(p[keep[0]], p[keep[1]]) for p in points]
 
 
-def _cycling_isometry(src, dst):
-    """Isometries realizing the ordered correspondence src -> dst (0 to 2)."""
+def _cycling_isometry(src, dst, first=False):
+    """Isometries realizing the ordered correspondence src -> dst (0 to 2),
+    or with ``first`` only the first one found."""
     pairs = list(zip(src, dst))
     try:
         iso = solve_isometry(pairs)
@@ -104,25 +105,20 @@ def _cycling_isometry(src, dst):
         pass
     p0, q0 = pairs[0]
     dsrc = [vsub(p, p0) for p, _ in pairs[1:]]
-    ddst = [vsub(q, q0) for _, q in pairs[1:]]
-    n_src = n_dst = None
-    for i in range(len(dsrc)):
-        for j in range(i + 1, len(dsrc)):
-            c = vcross(dsrc[i], dsrc[j])
-            if c != (0, 0, 0):
-                n_src = c
-                n_dst = vcross(ddst[i], ddst[j])
-                break
-        if n_src is not None:
-            break
-    if n_src is None:
+    kept = spanning_indices(dsrc)
+    if len(kept) < 2:
         raise UnderdeterminedError("correspondence sources are collinear")
+    i, j = kept
+    n_src = vcross(dsrc[i], dsrc[j])
+    n_dst = vcross(vsub(pairs[i + 1][1], q0), vsub(pairs[j + 1][1], q0))
     out = []
     for sign in (1, -1):
         aug = pairs + [(vadd(p0, n_src), vadd(q0, vscale(sign, n_dst)))]
         iso = solve_isometry(aug)
         if iso is not None:
             out.append(iso)
+            if first:
+                break
     return out
 
 
@@ -139,25 +135,17 @@ def classify_polygon(face):
         if n < 3:
             raise NotAPolygonError("fewer than 3 vertices")
         shifted = [pts[(i + 1) % n] for i in range(n)]
-        witnesses = _cycling_isometry(pts, shifted)
+        witnesses = _cycling_isometry(pts, shifted, first=True)
         witness = witnesses[0] if witnesses else None
         diffs = [vsub(p, pts[0]) for p in pts[1:]]
-        rank = matrix_rank(diffs)
-        if rank == 3:
+        kept = spanning_indices(diffs)
+        if len(kept) == 3:
             if witness is None:
                 raise NotAPolygonError("skew cycle admits no cycling isometry")
             return PolygonClass("skew", p=n, witness=witness)
-        normal = None
-        for i in range(len(diffs)):
-            for j in range(i + 1, len(diffs)):
-                c = vcross(diffs[i], diffs[j])
-                if c != (0, 0, 0):
-                    normal = c
-                    break
-            if normal:
-                break
-        if normal is None:
+        if len(kept) < 2:
             raise NotAPolygonError("vertices are collinear")
+        normal = vcross(diffs[kept[0]], diffs[kept[1]])
         centroid = tuple(
             scalar(Fraction(sum(Fraction(p[i]) for p in pts), n)) for i in range(3)
         )
@@ -184,7 +172,7 @@ def classify_polygon(face):
             raise NotAPolygonError("linear apeirogon with uneven steps")
         return PolygonClass("linear", witness=translation(d0))
     shifted = walk[1:] + [face.vertex(len(walk))]
-    witnesses = _cycling_isometry(walk, shifted)
+    witnesses = _cycling_isometry(walk, shifted, first=True)
     witness = witnesses[0] if witnesses else None
     even_anchor, odd_anchor = walk[0], walk[1]
     on_two_lines = all(

@@ -16,7 +16,7 @@ import sys
 from . import classify as cls
 from . import nets, ops, serialization
 from .complexes import Region, graph_identify, validate
-from .errors import ParseError, SkelforgeError
+from .errors import FileAccessError, ParseError, SkelforgeError
 from .geometry import scalar, scalar_str
 from .orbit import wythoff_patch
 from .presets import build as build_preset
@@ -27,8 +27,14 @@ def _load_structure(args):
     if args.preset:
         patch = build_preset(args.preset, region)
     elif args.input:
-        with open(args.input) as fh:
-            gen = serialization.ingest_generators(fh.read(), name=args.input)
+        try:
+            with open(args.input) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FileAccessError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"--input {args.input!r} is not UTF-8 text: {exc.reason}") from exc
+        gen = serialization.ingest_generators(text, name=args.input)
         patch = wythoff_patch(gen, region, name=gen.name)
         patch.generator_set = gen
     else:
@@ -38,8 +44,11 @@ def _load_structure(args):
 
 def _write(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FileAccessError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -24,9 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BoundaryError, DegenerateFaceError, NotPeriodicError, PatchTooSmallError
+from .errors import (
+    BoundaryError,
+    DegenerateFaceError,
+    InvalidParametersError,
+    NotPeriodicError,
+    PatchTooSmallError,
+)
 from .geometry import (
-    finite_lattice, scalar, vadd, vdot, vec_str, vneg, vscale, vsub,
+    finite_lattice, scalar, scalar_str, vadd, vdot, vec_str, vneg, vscale, vsub,
 )
 
 
@@ -43,7 +49,9 @@ class Region:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("region radius must be positive")
+            raise InvalidParametersError(
+                f"region radius must be positive, got {scalar_str(self.radius)}"
+            )
 
     def contains(self, p):
         c = self.center
@@ -137,14 +145,37 @@ class FaceDescriptor:
         v = self.vertices[r]
         return v if q == 0 else vadd(v, vscale(q, self.period_vector))
 
+    @classmethod
+    def _of(cls, vertices, period_vector, key=None):
+        """A face of vertex tuples and a period that are already normalized,
+        with its canonical key when it is known."""
+        face = object.__new__(cls)
+        object.__setattr__(face, "vertices", vertices)
+        object.__setattr__(face, "period_vector", period_vector)
+        object.__setattr__(face, "_key", key)
+        return face
+
     def transform(self, iso):
+        # an isometry's images are normalized scalars already
         pv = None if self.period_vector is None else iso.apply_vec(self.period_vector)
-        return FaceDescriptor([iso(p) for p in self.vertices], pv, check=False)
+        return FaceDescriptor._of(tuple(iso(p) for p in self.vertices), pv)
 
     def translate(self, v):
-        return FaceDescriptor(
-            [vadd(p, v) for p in self.vertices], self.period_vector, check=False
-        )
+        """The face moved by v.  A finite face's known key moves with it: the
+        least rotation of a translated cycle is the translated least rotation,
+        since adding one vector to every point keeps their order."""
+        x, y, z = v
+        if type(x) is int and type(y) is int and type(z) is int:
+            # a non-integral Fraction plus an int stays non-integral, so
+            # the sums need no normalizing
+            vertices = tuple((p[0] + x, p[1] + y, p[2] + z) for p in self.vertices)
+        else:
+            vertices = tuple(tuple(scalar(c) for c in vadd(p, v)) for p in self.vertices)
+        key = None
+        if self._key is not None and self.period_vector is None:
+            moved = dict(zip(self.vertices, vertices))
+            key = ("fin",) + tuple(moved[p] for p in self._key[1:])
+        return FaceDescriptor._of(vertices, self.period_vector, key)
 
     def reversed(self):
         if self.period_vector is None:

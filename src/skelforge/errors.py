@@ -2,7 +2,10 @@
 
 Every failure mode raised by the library carries a short ``code`` string so
 front ends (and the CLI's error JSON) can dispatch on it without parsing
-prose.
+prose.  Bad parameters (a region radius that is not positive, a negative
+net depth) raise ``invalid-parameters``; a ``--input`` file that cannot be
+read or a ``--out`` path that cannot be written raises ``io-error``, whose
+detail names the path.
 """
 
 
@@ -101,3 +104,7 @@ class RegionMismatchError(SkelforgeError):
 
 class InvalidParametersError(SkelforgeError):
     code = "invalid-parameters"
+
+
+class FileAccessError(SkelforgeError):
+    code = "io-error"

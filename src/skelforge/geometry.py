@@ -5,6 +5,15 @@ is kept as an int (ints hash/compare equal to the same Fraction, and integer
 arithmetic is an order of magnitude faster).  Points and vectors are plain
 3-tuples of scalars; isometries pair an exactly orthogonal 3x3 matrix with a
 translation vector.  Nothing in this module ever rounds.
+
+The kernels that run on every point keep rational data as integers over one
+common denominator: an :class:`Isometry` holds ``A``, ``b`` and ``D`` with
+``M = A / D`` and ``t = b / D``, a :class:`Lattice` the integer adjugate of
+its basis.  A point is scaled to integers by the lcm of its denominators,
+multiplied by the integer matrix and divided back by ``divmod``, so no
+``Fraction`` is built on the way and each result is an int when integral, a
+Fraction otherwise.  :func:`solve_isometry` solves through an integer
+adjugate the same way.
 """
 
 from __future__ import annotations
@@ -55,6 +64,29 @@ def scalar_str(x):
 
 def is_integer(x):
     return isinstance(x, int) or x.denominator == 1
+
+
+def _ratio(n, d):
+    """The rational n/d for ints n and d > 0: an int when integral."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
+
+
+def _integers(v):
+    """Ints (x, y, z) and q > 0 with v = (x, y, z) / q, q the lcm of the
+    denominators of v."""
+    x, y, z = v
+    q = math.lcm(x.denominator, y.denominator, z.denominator)
+    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator),
+            z.numerator * (q // z.denominator)), q
+
+
+def _integer_rows(rows):
+    """Integer rows and q > 0 with ``rows = integer rows / q``, q the lcm of
+    every denominator."""
+    q = math.lcm(*(c.denominator for row in rows for c in row))
+    return tuple(tuple(c.numerator * (q // c.denominator) for c in row)
+                 for row in rows), q
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +144,13 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
-    bt = mat_transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
+    b0, b1, b2 = b
+    return tuple(
+        (r[0] * b0[0] + r[1] * b1[0] + r[2] * b2[0],
+         r[0] * b0[1] + r[1] * b1[1] + r[2] * b2[1],
+         r[0] * b0[2] + r[1] * b1[2] + r[2] * b2[2])
+        for r in a
+    )
 
 
 def mat_transpose(m):
@@ -128,12 +165,9 @@ def mat_det(m):
     )
 
 
-def mat_inverse(m):
-    """Exact inverse via the adjugate; raises ZeroDivisionError if singular."""
-    d = mat_det(m)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    cof = (
+def _adjugate(m):
+    """The adjugate of m: m times it is det(m) times the identity."""
+    return (
         (m[1][1] * m[2][2] - m[1][2] * m[2][1],
          m[0][2] * m[2][1] - m[0][1] * m[2][2],
          m[0][1] * m[1][2] - m[0][2] * m[1][1]),
@@ -144,8 +178,15 @@ def mat_inverse(m):
          m[0][1] * m[2][0] - m[0][0] * m[2][1],
          m[0][0] * m[1][1] - m[0][1] * m[1][0]),
     )
+
+
+def mat_inverse(m):
+    """Exact inverse via the adjugate; raises ZeroDivisionError if singular."""
+    d = mat_det(m)
+    if d == 0:
+        raise ZeroDivisionError("singular matrix")
     inv = Fraction(1, 1) / d if not isinstance(d, int) else Fraction(1, d)
-    return tuple(tuple(scalar(inv * e) for e in row) for row in cof)
+    return tuple(tuple(scalar(inv * e) for e in row) for row in _adjugate(m))
 
 
 IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -164,10 +205,20 @@ class Isometry:
     """Affine isometry ``p -> M p + t`` with exactly orthogonal M.
 
     Immutable and hashable.  The linear part is validated at construction;
-    the determinant is therefore +1 or -1 automatically.
+    the determinant is therefore +1 or -1 automatically.  ``m`` and ``t``
+    hold normalized scalars; equality, hashing and ``repr`` read only them.
+
+    The kernels read a private integer form, computed once on first use:
+    ``A``, ``b`` and ``D > 0``, the least common denominator of M and t,
+    with ``M = A / D`` and ``t = b / D``.  A point is scaled to integers
+    (``x / q``), so its image is ``(A x + q b) / (D q)``: one integer
+    product, then ``divmod``.  When ``D`` is 1 and the point is integral no
+    division is needed.  Every image, vector and composed entry is an int
+    when integral and a Fraction otherwise, the same values and types as
+    :func:`scalar` gives.
     """
 
-    __slots__ = ("m", "t")
+    __slots__ = ("m", "t", "_int")
 
     def __init__(self, m, t=ZERO3, check=True):
         m = tuple(tuple(scalar(e) for e in row) for row in m)
@@ -176,29 +227,85 @@ class Isometry:
             raise NotIsometryError(f"linear part is not orthogonal: {m}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_int", None)
+
+    @classmethod
+    def _of(cls, m, t):
+        """The isometry of an orthogonal matrix and a translation that are
+        already tuples of normalized scalars."""
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "m", m)
+        object.__setattr__(iso, "t", t)
+        object.__setattr__(iso, "_int", None)
+        return iso
 
     def __setattr__(self, *a):
         raise AttributeError("Isometry is immutable")
 
-    def __call__(self, p):
+    def _form(self):
+        """``(A, b, D, integral)``: the integer form, and whether M itself
+        is integral."""
         m, t = self.m, self.t
+        entries = m[0] + m[1] + m[2] + t
+        if all(type(e) is int for e in entries):
+            form = (m, t, 1, True)
+        else:
+            d = math.lcm(*(e.denominator for e in entries))
+            a = tuple(tuple(e.numerator * (d // e.denominator) for e in row) for row in m)
+            b = tuple(e.numerator * (d // e.denominator) for e in t)
+            form = (a, b, d, all(type(e) is int for e in entries[:9]))
+        object.__setattr__(self, "_int", form)
+        return form
+
+    def __call__(self, p):
+        a, b, d, _ = self._int or self._form()
+        x, y, z = p
+        if type(x) is int and type(y) is int and type(z) is int:
+            if d == 1:
+                return (
+                    a[0][0] * x + a[0][1] * y + a[0][2] * z + b[0],
+                    a[1][0] * x + a[1][1] * y + a[1][2] * z + b[1],
+                    a[2][0] * x + a[2][1] * y + a[2][2] * z + b[2],
+                )
+            q = 1
+        else:
+            (x, y, z), q = _integers(p)
+        dq = d * q
         return (
-            m[0][0] * p[0] + m[0][1] * p[1] + m[0][2] * p[2] + t[0],
-            m[1][0] * p[0] + m[1][1] * p[1] + m[1][2] * p[2] + t[1],
-            m[2][0] * p[0] + m[2][1] * p[1] + m[2][2] * p[2] + t[2],
+            _ratio(a[0][0] * x + a[0][1] * y + a[0][2] * z + q * b[0], dq),
+            _ratio(a[1][0] * x + a[1][1] * y + a[1][2] * z + q * b[1], dq),
+            _ratio(a[2][0] * x + a[2][1] * y + a[2][2] * z + q * b[2], dq),
         )
 
     def apply_vec(self, v):
         """Apply the linear part only (directions, period vectors)."""
-        return mat_vec(self.m, v)
+        a, _, d, integral = self._int or self._form()
+        x, y, z = v
+        if integral and type(x) is int and type(y) is int and type(z) is int:
+            return mat_vec(self.m, v)
+        (x, y, z), q = _integers(v)
+        dq = d * q
+        return (
+            _ratio(a[0][0] * x + a[0][1] * y + a[0][2] * z, dq),
+            _ratio(a[1][0] * x + a[1][1] * y + a[1][2] * z, dq),
+            _ratio(a[2][0] * x + a[2][1] * y + a[2][2] * z, dq),
+        )
 
     def then(self, g):
         """The isometry 'self first, then g' (= g o self)."""
-        return Isometry(mat_mul(g.m, self.m), vadd(mat_vec(g.m, self.t), g.t), check=False)
+        if (self._int or self._form())[3] and (g._int or g._form())[3]:
+            m = mat_mul(g.m, self.m)
+        else:
+            m = mat_transpose([g.apply_vec(col) for col in mat_transpose(self.m)])
+        return Isometry._of(m, g(self.t))
 
     def inverse(self):
-        mt = mat_transpose(self.m)
-        return Isometry(mt, vneg(mat_vec(mt, self.t)), check=False)
+        """``p -> M^T p - M^T t``; M^T t is ``A^T b / D^2``."""
+        a, b, d, _ = self._int or self._form()
+        n = mat_vec(mat_transpose(a), b)
+        dd = d * d
+        return Isometry._of(mat_transpose(self.m),
+                            (_ratio(-n[0], dd), _ratio(-n[1], dd), _ratio(-n[2], dd)))
 
     def det(self):
         return mat_det(self.m)
@@ -378,6 +485,28 @@ def order_or_translation(g, max_n=48):
     return PowerResult("exceeded")
 
 
+def spanning_indices(vectors):
+    """Indices of the vectors, in order, that are independent of the ones
+    kept before them, at most three: the rows a row reduction of the
+    growing list would keep.  The test is a nonzero vector, then a nonzero
+    cross product with the first, then a nonzero determinant."""
+    kept, first, normal = [], None, None
+    for i, v in enumerate(vectors):
+        if first is None:
+            if v != ZERO3:
+                kept.append(i)
+                first = v
+        elif normal is None:
+            c = vcross(first, v)
+            if c != ZERO3:
+                kept.append(i)
+                normal = c
+        elif vdot(normal, v) != 0:
+            kept.append(i)
+            break
+    return kept
+
+
 def solve_isometry(pairs):
     """The unique isometry mapping each source point to its target, or None.
 
@@ -386,32 +515,40 @@ def solve_isometry(pairs):
     :class:`UnderdeterminedError` is raised.  Returns None when no exact
     isometry fits (the affine solution is non-orthogonal, or some pair
     disagrees).
+
+    With B the columns of three independent source differences and C those
+    of their images, M = C B^-1.  Both are scaled to integers (B = Bi / qb,
+    C = Ci / qc), so M = N / d with N = qb Ci adj(Bi) and d = qc det(Bi),
+    and M is orthogonal exactly when N^T N = d^2 I.
     """
     pairs = list(pairs)
     if len(pairs) < 4:
         raise UnderdeterminedError("need at least 4 point pairs")
     p0, q0 = pairs[0]
-    # pick three difference vectors forming a basis
-    basis, images = [], []
-    for p, q in pairs[1:]:
-        dp = vsub(p, p0)
-        if matrix_rank(basis + [dp]) > len(basis):
-            basis.append(dp)
-            images.append(vsub(q, q0))
-        if len(basis) == 3:
-            break
-    if len(basis) < 3:
+    diffs = [vsub(p, p0) for p, _ in pairs[1:]]
+    kept = spanning_indices(diffs)
+    if len(kept) < 3:
         raise UnderdeterminedError("source points do not affinely span 3-space")
-    # M * basis_k = images_k  =>  M = [images as columns] * [basis as columns]^-1
-    b_cols = mat_transpose(tuple(basis))
-    i_cols = mat_transpose(tuple(images))
-    m = mat_mul(i_cols, mat_inverse(b_cols))
-    m = tuple(tuple(scalar(e) for e in row) for row in m)
-    if not _is_orthogonal(m):
+    basis, qb = _integer_rows([diffs[i] for i in kept])
+    images, qc = _integer_rows([vsub(pairs[i + 1][1], q0) for i in kept])
+    b_cols = mat_transpose(basis)
+    d = qc * mat_det(b_cols)
+    n = mat_mul(mat_transpose(images), _adjugate(b_cols))
+    if d < 0:
+        d, qb = -d, -qb
+    n = tuple(tuple(qb * e for e in row) for row in n)
+    dd = d * d
+    if mat_mul(mat_transpose(n), n) != ((dd, 0, 0), (0, dd, 0), (0, 0, dd)):
         return None
-    iso = Isometry(m, vsub(q0, mat_vec(m, p0)), check=False)
-    for p, q in pairs:
-        if iso(p) != tuple(q):
+    m = tuple(tuple(_ratio(e, d) for e in row) for row in n)
+    # t = q0 - M p0, with p0 = x / q and q0 = y / q
+    (x, y), q = _integer_rows([p0, q0])
+    mx = mat_vec(n, x)
+    dq = d * q
+    t = tuple(_ratio(d * yi - mi, dq) for yi, mi in zip(y, mx))
+    iso = Isometry._of(m, t)
+    for src, dst in pairs:
+        if iso(src) != tuple(dst):
             return None
     return iso
 
@@ -460,12 +597,6 @@ def lattice_basis_from(vectors):
     return [tuple(scalar(Fraction(c, d)) for c in row) for row in basis]
 
 
-def _ratio(n, d):
-    """The rational n/d for ints n and d > 0: an int when integral."""
-    q, r = divmod(n, d)
-    return q if r == 0 else Fraction(n, d)
-
-
 class Lattice:
     """A rank-m lattice (m in 0..3) spanned by independent basis vectors.
 
@@ -511,10 +642,7 @@ class Lattice:
         x, y, z = v
         d = self._den
         if not (type(x) is int and type(y) is int and type(z) is int):
-            q = math.lcm(x.denominator, y.denominator, z.denominator)
-            x = x.numerator * (q // x.denominator)
-            y = y.numerator * (q // y.denominator)
-            z = z.numerator * (q // z.denominator)
+            (x, y, z), q = _integers(v)
             d *= q
         a0, a1, a2 = self._adj
         return (

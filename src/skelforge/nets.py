@@ -18,7 +18,7 @@ from collections import deque
 from fractions import Fraction
 
 from .complexes import FaceDescriptor
-from .errors import Not3PeriodicError, NotUninodalError, ParseError
+from .errors import InvalidParametersError, Not3PeriodicError, NotUninodalError, ParseError
 from .geometry import (
     LAMBDA_1,
     LAMBDA_2,
@@ -122,6 +122,8 @@ class PeriodicGraph:
 
     def coordination_sequence(self, depth=10):
         """Common shell sequence from every node; uninodal graphs only."""
+        if depth < 0:
+            raise InvalidParametersError(f"shell depth must be >= 0, got {depth}")
         if not self.nodes:
             raise NotUninodalError("empty graph")
         seqs = {tuple(self.shells(i, depth)) for i in range(len(self.nodes))}

@@ -134,13 +134,17 @@ def _translation_lattice(isometries, reps):
     Schreier's lemma.
 
     It is generated by the translations r*g*rep(r*g)^-1 over coset
-    representatives r and generators g.
+    representatives r and generators g.  With h = r*g and rep = rep(h),
+    which share their linear part M, that translation is M^T (t_h - t_rep),
+    the image of t_h under rep^-1: one inverse per representative, not
+    two isometries per pair.
     """
+    inverses = {m: r.inverse() for m, r in reps.items()}
     vectors = []
     for r in reps.values():
         for g in isometries:
             h = r.then(g)
-            t = h.then(reps[h.m].inverse()).t
+            t = inverses[h.m](h.t)
             if t != ZERO3:
                 vectors.append(t)
     basis = lattice_basis_from(vectors)

@@ -133,10 +133,13 @@ def face_translates(lattice, desc, region):
 
     An infinite face is its own translate by m periods, m the closure
     multiple, so every translate touching the region is also one that moves
-    a point of the face's first m periods into it.
+    a point of the face's first m periods into it.  A finite face's key is
+    computed once and moved with each translate (``FaceDescriptor.translate``).
     """
     points = desc.vertices
-    if desc.period_vector is not None:
+    if desc.period_vector is None:
+        desc.canonical_key()
+    else:
         m = _closure_multiple(lattice, desc.period_vector)
         points = [desc.vertex(i) for i in range(m * len(desc.vertices))]
     out = {}

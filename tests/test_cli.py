@@ -192,11 +192,38 @@ class TestErrorJson:
             (("build", "--preset", "nosuch"), "parse-error"),
             (("net", "--preset", "cube"), "not-3-periodic"),
             (("build",), "parse-error"),
+            (("classify", "--preset", "cube", "--radius", "0"), "invalid-parameters"),
+            (("classify", "--preset", "cube", "--radius", "-1"), "invalid-parameters"),
+            (("net", "--preset", "K4_12", "--radius", "3", "--depth", "-1"),
+             "invalid-parameters"),
         ],
     )
     def test_machine_readable_codes(self, args, code):
         out = run_cli(*args, expect_code=1)
+        assert len(out.splitlines()) == 1
         assert json.loads(out)["code"] == code
+
+    def test_unreadable_input_names_the_path(self, tmp_path):
+        missing = str(tmp_path / "nope.json")
+        out = run_cli("classify", "--input", missing, expect_code=1)
+        assert len(out.splitlines()) == 1
+        error = json.loads(out)
+        assert error["code"] == "io-error" and missing in error["detail"]
+
+    def test_undecodable_input_is_a_parse_error(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        out = run_cli("classify", "--input", str(binary), expect_code=1)
+        assert len(out.splitlines()) == 1
+        error = json.loads(out)
+        assert error["code"] == "parse-error" and str(binary) in error["detail"]
+
+    def test_unwritable_output_names_the_path(self, tmp_path):
+        target = str(tmp_path / "missing" / "x.json")
+        out = run_cli("build", "--preset", "cube", "--out", target, expect_code=1)
+        assert len(out.splitlines()) == 1
+        error = json.loads(out)
+        assert error["code"] == "io-error" and target in error["detail"]
 
 
 def _set(path, value):

@@ -83,7 +83,9 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from skelforge.geometry import Isometry
+from skelforge.geometry import Isometry, scalar
+from skelforge.presets import build
+from test_presets import CATALOG_SWEEP
 
 _PERMS = [
     tuple(tuple(s[i] if j == p[i] else 0 for j in range(3)) for i in range(3))
@@ -121,6 +123,42 @@ def test_face_key_depends_only_on_the_point_set(face, m, t, rot, rev):
     if rev:
         relisted = relisted.reversed()
     assert relisted.canonical_key() == moved.canonical_key()
+
+
+def _fresh_key(face):
+    return FaceDescriptor(face.vertices, face.period_vector, check=False).canonical_key()
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
+def test_face_translates_carry_the_canonical_key(name):
+    # a finite face's key is computed once per class and moved with every
+    # translate; it must be the key the translate would compute itself
+    from skelforge.quotient import face_translates
+
+    region = Region((0, 0, 0), 3)
+    classes = build(name, region).classes
+    for rep in classes.faces.values():
+        for face in face_translates(classes.lattice, rep, region):
+            if face.period_vector is None:
+                assert face._key is not None, name
+            assert face.canonical_key() == _fresh_key(face), name
+
+
+_RATIONAL_SHIFT = (Fraction(1, 3), Fraction(-1, 2), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FACES + [f.translate(_RATIONAL_SHIFT) for f in _FACES]),
+       st.one_of(st.tuples(*[st.integers(-3, 3)] * 3),
+                 st.tuples(*[st.fractions(-2, 2, max_denominator=3).map(scalar)] * 3)))
+def test_translate_moves_a_known_key(face, v):
+    face.canonical_key()
+    moved = face.translate(v)
+    assert moved.vertices == tuple(tuple(scalar(c) for c in vadd(p, v))
+                                   for p in face.vertices)
+    assert all(type(c) is int or c.denominator != 1
+               for p in moved.vertices for c in p)
+    assert moved.canonical_key() == _fresh_key(moved)
 
 
 class TestSkeletalComplex:

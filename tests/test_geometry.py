@@ -455,3 +455,149 @@ def test_lattice_kernel_matches_fraction_oracle(lat, p):
         assert got == want and _types(got) == _types(want), (method, lat, p)
     for b in lat.basis:
         assert lat.reduce_key(vadd(p, b)) == lat.reduce_key(p)
+
+
+# -- the integer isometry kernel against the plain Fraction formulas --------
+
+
+def _fmat_vec(m, v):
+    return tuple(sum(Fraction(m[i][j]) * v[j] for j in range(3)) for i in range(3))
+
+
+def _fmat_mul(a, b):
+    return tuple(
+        tuple(sum(Fraction(a[i][k]) * b[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _fmat_inverse(m):
+    """Gauss-Jordan inverse in Fractions."""
+    rows = [[Fraction(e) for e in m[i]] + [Fraction(int(i == j)) for j in range(3)]
+            for i in range(3)]
+    for c in range(3):
+        piv = next(i for i in range(c, 3) if rows[i][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for i in range(3):
+            if i != c:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+    return tuple(tuple(row[3:]) for row in rows)
+
+
+def _normalized(v):
+    return tuple(scalar(c) for c in v)
+
+
+def oracle_apply(g, p):
+    return _normalized(vadd(_fmat_vec(g.m, p), g.t))
+
+
+def oracle_apply_vec(g, v):
+    return _normalized(_fmat_vec(g.m, v))
+
+
+def oracle_then(g, h):
+    """g first, then h: the composition as the plain formula gives it."""
+    return (tuple(_normalized(r) for r in _fmat_mul(h.m, g.m)),
+            _normalized(vadd(_fmat_vec(h.m, g.t), h.t)))
+
+
+def oracle_solve(pairs):
+    """The isometry through the Fraction inverse of a greedily picked basis
+    of source differences, as None, a (matrix, translation) pair or the
+    UnderdeterminedError class."""
+    p0, q0 = pairs[0]
+    basis, images = [], []
+    for p, q in pairs[1:]:
+        dp = vsub(p, p0)
+        if matrix_rank(basis + [dp]) > len(basis):
+            basis.append(dp)
+            images.append(vsub(q, q0))
+        if len(basis) == 3:
+            break
+    if len(pairs) < 4 or len(basis) < 3:
+        return UnderdeterminedError
+    m = _fmat_mul(mat_transpose(tuple(images)),
+                  _fmat_inverse(mat_transpose(tuple(basis))))
+    if _fmat_mul(mat_transpose(m), m) != ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        return None
+    t = vsub(q0, _fmat_vec(m, p0))
+    for p, q in pairs:
+        if vadd(_fmat_vec(m, p), t) != tuple(q):
+            return None
+    return tuple(_normalized(r) for r in m), _normalized(t)
+
+
+def _int_when_integral(x):
+    return all(
+        (type(c) is int) == (Fraction(c).denominator == 1) for c in x
+    )
+
+
+@st.composite
+def cayley_isometries(draw):
+    """(I - S)(I + S)^-1 for a rational skew S, a rotation, times +-1 and a
+    signed permutation, with a translation that is rational or integral."""
+    a, b, c = draw(st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * 3))
+    s = ((0, -c, b), (c, 0, -a), (-b, a, 0))
+    plus = tuple(tuple(int(i == j) + s[i][j] for j in range(3)) for i in range(3))
+    minus = tuple(tuple(int(i == j) - s[i][j] for j in range(3)) for i in range(3))
+    q = _fmat_mul(minus, _fmat_inverse(plus))
+    q = _fmat_mul(draw(st.sampled_from(SIGNED_PERMS)), q)
+    t = draw(st.one_of(vec3, st.tuples(*[st.integers(-5, 5)] * 3)))
+    return Isometry(q, t)
+
+
+kernel_points = st.one_of(st.tuples(*[st.integers(-9, 9)] * 3), vec3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cayley_isometries(), cayley_isometries(), kernel_points)
+def test_isometry_kernel_matches_fraction_oracle(g, h, p):
+    for got, want in ((g(p), oracle_apply(g, p)), (g.apply_vec(p), oracle_apply_vec(g, p))):
+        assert got == want and _int_when_integral(got), (g, p)
+    m, t = oracle_then(g, h)
+    gh = g.then(h)
+    assert gh.m == m and gh.t == t, (g, h)
+    assert all(_int_when_integral(row) for row in gh.m + (gh.t,))
+    assert gh(p) == oracle_apply(gh, p) == h(g(p))
+    inv = g.inverse()
+    assert inv.then(g).is_identity and g.then(inv).is_identity
+    assert all(_int_when_integral(row) for row in inv.m + (inv.t,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SIGNED_PERMS), st.tuples(*[st.integers(-5, 5)] * 3),
+       st.tuples(*[st.integers(-9, 9)] * 3))
+def test_integer_isometries_give_ints(m, t, p):
+    g = Isometry(m, t)
+    for got in (g(p), g.apply_vec(p), g.then(g).m[0], g.then(g).t, g.inverse().t):
+        assert all(type(c) is int for c in got)
+    assert g(p) == oracle_apply(g, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cayley_isometries(), st.lists(kernel_points, min_size=4, max_size=6),
+       st.sampled_from(("image", "image", "moved", "random")), vec3)
+def test_solve_isometry_matches_fraction_oracle(g, sources, target, extra):
+    if target == "image":
+        pairs = [(p, g(p)) for p in sources]
+    elif target == "moved":
+        pairs = [(p, g(p)) for p in sources[:-1]] + [(sources[-1], extra)]
+    else:
+        pairs = [(p, vadd(p, extra)) if i % 2 else (p, extra)
+                 for i, p in enumerate(sources)]
+    want = oracle_solve(pairs)
+    if want is UnderdeterminedError:
+        with pytest.raises(UnderdeterminedError):
+            solve_isometry(pairs)
+        return
+    got = solve_isometry(pairs)
+    if want is None:
+        assert got is None, pairs
+    else:
+        assert (got.m, got.t) == want, pairs
+        assert all(_int_when_integral(row) for row in got.m + (got.t,))
+    if target == "image":
+        assert got == g
