@@ -395,7 +395,7 @@ def _orbit_lattice(patch, generators):
     lattice = patch.classes.lattice
     if not lattice.rank:
         return lattice
-    own = _translation_lattice(generators, _coset_representatives(generators))
+    own = _translation_lattice(*_coset_representatives(generators))
     if lattice.sublattice_of(own):
         return lattice
     common = lattice_intersection([lattice, own])

@@ -14,13 +14,20 @@ even when it pokes out of the region; infinite faces carry one period plus
 the period vector, which is likewise a complete description.  The region
 shapes only the patch's own elements: what ``build`` and ``export`` print
 and the per-patch face counts.
+
+A patch holds its sorted vertex list, its edges as sorted point pairs
+(``edge_points``), its faces in canonical-key order and its flag count,
+all from one walk over each face's edges.  The index tables (``vindex``,
+``edges`` as vertex index pairs, ``eindex`` and ``face_keys``) are built
+on first read and kept: only output, lattice scans and the ``has_*``
+tests read them.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -194,7 +201,7 @@ class FaceDescriptor:
         n = len(face.vertices)
         reduced = []
         for j, v in enumerate(face.vertices):
-            k = math.floor(Fraction(vdot(v, t), t2))
+            k = vdot(v, t) // t2
             reduced.append((vsub(v, vscale(k, t)), j, k))
         anchor_pt, j0, k0 = min(reduced)
         shift = vscale(-k0, t)
@@ -237,11 +244,9 @@ class FaceDescriptor:
                         feasible = False
                         break
                     continue
-                a = Fraction(lo - v[c], t[c])
-                b = Fraction(hi - v[c], t[c])
-                if a > b:
-                    a, b = b, a
-                a, b = math.ceil(a), math.floor(b)
+                # k from ceil(a / t) to floor(b / t), by exact floor division
+                a, b = (lo - v[c], hi - v[c]) if t[c] > 0 else (hi - v[c], lo - v[c])
+                a, b = -(-a // t[c]), b // t[c]
                 klo = a if klo is None else max(klo, a)
                 khi = b if khi is None else min(khi, b)
             if not feasible or (klo is not None and klo > khi):
@@ -305,7 +310,14 @@ class SkeletalComplex:
     classes modulo it; :meth:`from_classes` unrolls the classes over a
     region and keeps them.  A patch made from bare element lists (JSON
     input, hand-built complexes) finds its lattice and classes by scanning
-    itself, once, on first use.
+    itself, once, on first use.  Both ways meet in the constructor.
+
+    Held: ``vertices`` (sorted points), ``edge_points`` (sorted point
+    pairs, each pair sorted), ``faces`` (sorted by canonical key) and
+    ``flag_count`` (two flags per face slot over the window).  Built on
+    first read, then kept: ``vindex`` (point -> vertex index), ``edges``
+    (vertex index pairs), ``eindex`` (point pair -> edge index) and
+    ``face_keys`` (canonical key -> face index).
     """
 
     def __init__(self, vertices, edges, faces, region, window_margin=2, name=""):
@@ -314,44 +326,54 @@ class SkeletalComplex:
         self.window = region.expanded(window_margin)
         self._classes = None  # StructureClasses, scanned on first use
 
-        vset = {tuple(p) for p in vertices}
-        eset = {frozenset((tuple(p), tuple(q))) for p, q in edges}
         face_map = {}
         for f in faces:
             face_map.setdefault(f.canonical_key(), f)
-        faces = [face_map[k] for k in sorted(face_map)]
+        self.faces = [face_map[k] for k in sorted(face_map)]
 
-        for f in faces:
+        # one walk over each face's slots collects its edges as sorted point
+        # pairs and counts its flags, two per slot
+        eset = set()
+        for p, q in edges:
+            p, q = tuple(p), tuple(q)
+            eset.add((p, q) if p < q else (q, p))
+        slots = 0
+        for f in self.faces:
             for _, p, q in f.edge_slots(self.window):
-                eset.add(frozenset((p, q)))
+                eset.add((p, q) if p < q else (q, p))
+                slots += 1
+        vset = {tuple(p) for p in vertices}
         for e in eset:
             vset.update(e)
 
         self.vertices = sorted(vset)
-        self.vindex = {p: i for i, p in enumerate(self.vertices)}
-        epairs = sorted(tuple(sorted(e)) for e in eset)
-        self.edges = [(self.vindex[p], self.vindex[q]) for p, q in epairs]
-        self.edge_points = epairs
-        self.eindex = {e: i for i, e in enumerate(epairs)}
-        self.faces = faces
-        self.face_keys = {f.canonical_key(): i for i, f in enumerate(faces)}
+        self.edge_points = sorted(eset)
+        self.flag_count = 2 * slots
 
-        ne = len(self.edges)
-        self.edge_faces = [[] for _ in range(ne)]
-        self.vertex_edges = [[] for _ in range(len(self.vertices))]
-        for i, (a, b) in enumerate(self.edges):
-            self.vertex_edges[a].append(i)
-            self.vertex_edges[b].append(i)
-        for fi, f in enumerate(faces):
-            for slot, p, q in f.edge_slots(self.window):
-                self.edge_faces[self.eindex[tuple(sorted((p, q)))]].append((fi, slot))
+    # -- tables built on first read ------------------------------------------
 
-        self.in_region = [region.contains(p) for p in self.vertices]
+    @cached_property
+    def vindex(self):
+        return {p: i for i, p in enumerate(self.vertices)}
+
+    @cached_property
+    def edges(self):
+        vindex = self.vindex
+        return [(vindex[p], vindex[q]) for p, q in self.edge_points]
+
+    @cached_property
+    def eindex(self):
+        return {e: i for i, e in enumerate(self.edge_points)}
+
+    @cached_property
+    def face_keys(self):
+        return {f.canonical_key(): i for i, f in enumerate(self.faces)}
 
     # -- basic queries ------------------------------------------------------
 
     def interior_vertex_ids(self):
-        return [i for i, ok in enumerate(self.in_region) if ok]
+        contains = self.region.contains
+        return [i for i, p in enumerate(self.vertices) if contains(p)]
 
     def central_vertex(self):
         """The structure vertex nearest the region centre, the least on
@@ -361,7 +383,7 @@ class SkeletalComplex:
         return build_quotient(self).nearest_vertex(self.region.center)
 
     def counts(self):
-        return len(self.vertices), len(self.edges), len(self.faces)
+        return len(self.vertices), len(self.edge_points), len(self.faces)
 
     def region_counts(self):
         """Counts of elements whose vertex sets intersect the region proper.
@@ -369,12 +391,9 @@ class SkeletalComplex:
         The raw tables also hold support vertices that faces drag in from
         just outside; those are excluded here.
         """
-        nv = sum(self.in_region)
-        ne = sum(
-            1
-            for a, b in self.edges
-            if self.in_region[a] or self.in_region[b]
-        )
+        contains = self.region.contains
+        nv = sum(1 for p in self.vertices if contains(p))
+        ne = sum(1 for p, q in self.edge_points if contains(p) or contains(q))
         return nv, ne, len(self.faces)
 
     def has_vertex(self, p):

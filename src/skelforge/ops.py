@@ -452,8 +452,17 @@ def _flag_system_isomorphism(a, b):
     return None
 
 
+def _neighbours(patch):
+    """Each vertex of the patch's edge list with the set of its neighbours."""
+    adj = {}
+    for p, q in patch.edge_points:
+        adj.setdefault(p, set()).add(q)
+        adj.setdefault(q, set()).add(p)
+    return adj
+
+
 def _covering_by_point_map(patch, target, point_map):
-    tverts = set(target.vindex)
+    tverts = set(target.vertices)
     vmap = {}
     for v in patch.vertices:
         if not patch.region.contains(v):
@@ -462,12 +471,9 @@ def _covering_by_point_map(patch, target, point_map):
         if w not in tverts:
             raise ProjectionError(f"image of {v} is not a target vertex")
         vmap[v] = w
-    for vid in patch.interior_vertex_ids():
-        v = patch.vertices[vid]
-        nbrs = set()
-        for eid in patch.vertex_edges[vid]:
-            a, b = patch.edge_points[eid]
-            nbrs.add(b if a == v else a)
+    nbrs_at, tnbrs_at = _neighbours(patch), _neighbours(target)
+    for v in vmap:
+        nbrs = nbrs_at.get(v, ())
         images = set()
         for u in nbrs:
             w = tuple(point_map(u))
@@ -476,8 +482,7 @@ def _covering_by_point_map(patch, target, point_map):
             images.add(w)
         if len(images) != len(nbrs):
             return False, None
-        tdeg = len(target.vertex_edges[target.vindex[vmap[v]]])
-        if len(images) != tdeg:
+        if len(images) != len(tnbrs_at.get(vmap[v], ())):
             return False, None
     for f in patch.faces:
         if f.period_vector is None:

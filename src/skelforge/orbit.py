@@ -104,19 +104,22 @@ def build_base_face(gen):
 
 
 def _coset_representatives(isometries):
-    """One element of the group the isometries generate per linear part:
-    {matrix: isometry}.
+    """One element of the group the isometries generate per linear part,
+    {matrix: isometry}, and the products r*g of every representative r, in
+    search order, with every generator g, in the given order.
 
     A breadth-first search over the linear parts, which form the point
     group.  A finite group of rational orthogonal matrices has at most 48
     elements, so a larger point group means the generators are not discrete.
     """
     reps = {IDENTITY3: identity()}
+    products = []
     queue = deque(reps.values())
     while queue:
         r = queue.popleft()
         for g in isometries:
             h = r.then(g)
+            products.append(h)
             if h.m in reps:
                 continue
             if len(reps) == POINT_GROUP_BOUND:
@@ -126,27 +129,27 @@ def _coset_representatives(isometries):
                 )
             reps[h.m] = h
             queue.append(h)
-    return reps
+    return reps, products
 
 
-def _translation_lattice(isometries, reps):
+def _translation_lattice(reps, products):
     """The translation subgroup of the group the isometries generate, by
-    Schreier's lemma.
+    Schreier's lemma, from the representatives and products of
+    :func:`_coset_representatives`.
 
     It is generated by the translations r*g*rep(r*g)^-1 over coset
     representatives r and generators g.  With h = r*g and rep = rep(h),
     which share their linear part M, that translation is M^T (t_h - t_rep),
     the image of t_h under rep^-1: one inverse per representative, not
-    two isometries per pair.
+    two isometries per pair.  The products come in the search order, which
+    the echelon basis of the result depends on.
     """
     inverses = {m: r.inverse() for m, r in reps.items()}
     vectors = []
-    for r in reps.values():
-        for g in isometries:
-            h = r.then(g)
-            t = inverses[h.m](h.t)
-            if t != ZERO3:
-                vectors.append(t)
+    for h in products:
+        t = inverses[h.m](h.t)
+        if t != ZERO3:
+            vectors.append(t)
     basis = lattice_basis_from(vectors)
     if len(basis) == 1:
         raise NotPeriodicError(
@@ -164,8 +167,8 @@ def wythoff_patch(gen, region, name=None):
     Its window reaches the largest generator translation length plus 2 past
     the region.
     """
-    reps = _coset_representatives(gen.isometries())
-    lattice = _translation_lattice(gen.isometries(), reps)
+    reps, products = _coset_representatives(gen.isometries())
+    lattice = _translation_lattice(reps, products)
     base_face = build_base_face(gen)
     edges = [(r(gen.base_vertex), r(gen.base_edge_other)) for r in reps.values()]
     margin = max(

@@ -131,19 +131,32 @@ def face_translates(lattice, desc, region):
     or the face itself under the trivial lattice: a finite structure is kept
     whole.
 
-    An infinite face is its own translate by m periods, m the closure
+    An infinite face is its own translate by P = m periods, m the closure
     multiple, so every translate touching the region is also one that moves
-    a point of the face's first m periods into it.  A finite face's key is
-    computed once and moved with each translate (``FaceDescriptor.translate``).
+    a point of the face's first m periods into it, and a translate congruent
+    modulo P to one already seen is the same face: it is skipped before it
+    is built.  The canonical keys remain the final guard, for a face whose
+    listed period is a multiple of its least one.  A finite face's key is
+    computed once and moved with each translate
+    (``FaceDescriptor.translate``).
     """
-    points = desc.vertices
+    points, period, seen = desc.vertices, None, set()
     if desc.period_vector is None:
         desc.canonical_key()
     else:
         m = _closure_multiple(lattice, desc.period_vector)
         points = [desc.vertex(i) for i in range(m * len(desc.vertices))]
+        period = vscale(m, desc.period_vector)
+        c = next(i for i in range(3) if period[i] != 0)
     out = {}
     for t in lattice_translates(lattice, points, region):
+        if period is not None:
+            # t reduced modulo P along P's first nonzero coordinate
+            k = t[c] // period[c]
+            reduced = (t[0] - k * period[0], t[1] - k * period[1], t[2] - k * period[2])
+            if reduced in seen:
+                continue
+            seen.add(reduced)
         moved = desc.translate(t)
         if not lattice.rank or moved.window(region) is not None:
             out.setdefault(moved.canonical_key(), moved)

@@ -51,10 +51,10 @@ def complex_to_json(complex_):
         "faces": faces,
         "counts": {
             "vertices": len(complex_.vertices),
-            "edges": len(complex_.edges),
+            "edges": len(complex_.edge_points),
             "faces": len(complex_.faces),
             # incident (vertex, edge, face) triples materialized in the patch
-            "flags": 2 * sum(len(s) for s in complex_.edge_faces),
+            "flags": complex_.flag_count,
         },
     }
     return data

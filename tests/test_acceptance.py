@@ -19,6 +19,8 @@ from skelforge.orbit import build_base_face, build_quotient, wythoff_patch
 from skelforge.presets import finite_faced_chiral, helix_faced_chiral
 from skelforge.serialization import complex_to_json
 
+from patch_oracles import edge_faces_of
+
 
 def report(n, text):
     print(f"\n[criterion {n:2d}] PASS - {text}")
@@ -229,16 +231,16 @@ def test_criterion_08_blends(built):
         c = classify.classify_polygon(f)
         assert (c.kind, c.k) == ("helical", 4)
     # adjacent helices share every fourth edge
-    interior = [eid for eid, (a, b) in enumerate(helix.edges)
-                if helix.in_region[a] and helix.in_region[b]]
-    for eid in interior:
-        fids = sorted({f for f, _ in helix.edge_faces[eid]})
+    edge_faces = edge_faces_of(helix)
+    interior = [e for e in helix.edge_points
+                if helix.region.contains(e[0]) and helix.region.contains(e[1])]
+    for e in interior:
+        fids = sorted({f for f, _ in edge_faces.get(e, ())})
         assert len(fids) == 2
     f0 = helix.faces[0]
     partners = {}
     for slot, p, q in f0.edge_slots(helix.window):
-        eid = helix.eindex[tuple(sorted((p, q)))]
-        others = [f for f, _ in helix.edge_faces[eid] if f != 0]
+        others = [f for f, _ in edge_faces[tuple(sorted((p, q)))] if f != 0]
         if others:
             partners.setdefault(others[0], []).append(slot)
     multi = 0

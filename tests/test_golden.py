@@ -2,9 +2,11 @@
 ``cli.main``.
 
 The cases are ``classify`` and ``validate`` of the integer catalog members
-at the radii the benchmark's ``catalog`` workload builds them at, and
+at the radii the benchmark's ``catalog`` workload builds them at,
 ``classify --input`` of four generator sets moved by a rational
-translation, as the ``rational`` workload moves them.  A change that is
+translation, as the ``rational`` workload moves them, and what patch
+construction prints: ``build`` and ``petrie`` as JSON and ``export`` as
+OBJ of the presets the ``ops`` workload builds, at its radii.  A change that is
 meant to be fast but not to change any answer must leave every digest as
 it is.
 
@@ -31,6 +33,17 @@ CATALOG = [
 # (preset, radius) moved by SHIFT, as in the rational workload
 MOVED = [("tet", "4"), ("cube", "4"), ("hex63", "3"), ("P2:1,0", "3")]
 SHIFT = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+# (preset, radius) as in the ops workload
+OPS = [
+    ("tet", "4"), ("cube", "4"), ("oct", "4"), ("sq44", "4"), ("P:1,0", "3"),
+    ("P2:1,0", "4"), ("blend(sq44,apeiro:1)", "3"), ("P:1,1", "3"),
+    ("P:1,-1", "3"),
+]
+PATCH_COMMANDS = {
+    "build": ["build", "--format", "json"],
+    "petrie": ["petrie", "--format", "json"],
+    "export": ["export", "--format", "obj"],
+}
 
 GOLDEN = {
     'classify tet 4': '0 aa8855b8b65023c0c9951a7c705d3b0a97f800b93720ca4f33ab5d46f2f5f4a7',
@@ -53,6 +66,33 @@ GOLDEN = {
     'classify moved cube 4': '0 45300753f11fbf67edce1f1156fcdb6a0bfd29dbd07318ef44d65e6c5380fc06',
     'classify moved hex63 3': '0 a9e1fef1a393302b182cf3ece0df7330a960d62ffe9949663a284838478aef75',
     'classify moved P2:1,0 3': '0 4eb2c48436bb9eae47a324f58ae85415aff32b59cf53b4dbd9497b0a6e550864',
+    'build tet 4': '0 745773800185a4023d4035681dc590d4260d4c9227954260a137295164b4ddff',
+    'petrie tet 4': '0 632bcd3e9583517e2ecf0e9d66a2686016252afb7780b722098d5a3da71a85cb',
+    'export tet 4': '0 e378fc88da0839d0f5b6296039e34242f29f963ba488f80d2e59b8092138faf8',
+    'build cube 4': '0 8c9a47291fc797b276293ba07ed756b4e4f430b49ef488c2607088fe1a927acd',
+    'petrie cube 4': '0 cbd7b0f94e84dea2888698aeb347f454fddfa3c5e9662415b5dc3c7ca46a9be0',
+    'export cube 4': '0 56dfd1a1daeebcc1c2b2b40ab54c0c7c61e7dbd575438dbbe0946aa947a02096',
+    'build oct 4': '0 42c653bcb64877767230e22efdb311b818266b701f6103ef31e01657fd6a2636',
+    'petrie oct 4': '0 8b3543a0b0bad47b9481c72e827a43d5572efc19dc47a82770b36be4ad3f0ab0',
+    'export oct 4': '0 0176a9fab0eca14f218095fbd1b38a7ada91e685cb3b666ced2afcdaec018ea1',
+    'build sq44 4': '0 aa7936dc84f23ab18c942a1114d460e16944c61e521e37e158806e13d2259070',
+    'petrie sq44 4': '0 f0381b09c2479389a159c62cb6c504fd6dc508c61a7890ec57b030f95d830fa8',
+    'export sq44 4': '0 be3b7c7d4b14a25f83e6431d4f2015ad5b967dad8d44fae4226f0e96085f4a4b',
+    'build P:1,0 3': '0 dce53c4666c27d368c2d7185a3b57b6f46a7b56f7308549422a6a2c2849a5bfe',
+    'petrie P:1,0 3': '0 795b88c14e61560caaf724279a2bfa006e0e71dad49e7f50221eab09c317b2f0',
+    'export P:1,0 3': '0 e8a32fef650b261aab51fe63b084b34ef2b946a8253f333ef6aa5a9da5497ed2',
+    'build P2:1,0 4': '0 c2f210dbb5cdcef5f23368ef4dec5abd052d4a9f4693a0140ffeda27956a4e87',
+    'petrie P2:1,0 4': '0 1d0c126375578874d5145ef3625342d5ff9285b4dd0ddaebfdbfd20f7b1895bf',
+    'export P2:1,0 4': '0 e7fa858a37959754cd7f8b25e3fcd8531e6de14e2e44cc9b49b81def92efd668',
+    'build blend(sq44,apeiro:1) 3': '0 5d1eb95b1fa71c255dd19ef5e1ef3ebd83c0073171421e7d40f159ae61998af3',
+    'petrie blend(sq44,apeiro:1) 3': '0 ece862c46e29619c832ba27b2cc2cc42227b49dafcd4bdbbe605a0f10668ef37',
+    'export blend(sq44,apeiro:1) 3': '0 d404bac77abd3de05ca0304191c74b4eedaf120fc5b6713c27fcd8fc97202bd8',
+    'build P:1,1 3': '0 3c1526602c79c70421ab4a3416c35e23d8faaf83ac9bd9b131f397f2f58e78f8',
+    'petrie P:1,1 3': '0 29281cfd9acb9a002eebbce2ec36e5504d36e6e29add9543f0e4c40ccad285f2',
+    'export P:1,1 3': '0 8f2c566dbfe0c3b6043b34c6c79c93ccd35c1912fd21c7e4c6976d3345f94b7f',
+    'build P:1,-1 3': '0 f2630a936a1f7ed7875b3623e8b5b0dd5a6444cff9018d9c27a4ebb1658ea182',
+    'petrie P:1,-1 3': '0 e9c9f7b61048dd5cec49d2ded5f897b9f66e25a2ad01f145ddb8eeae8191f54b',
+    'export P:1,-1 3': '0 287bc48d9d98f8e1ae60d360c87f030e98b77a164cc14b8e7fb6f5b4a40830cd',
 }
 
 
@@ -65,6 +105,10 @@ def _cases():
         yield f"classify moved {name} {radius}", ["classify", "--input",
                                                   _input_name(name),
                                                   "--radius", radius]
+    for name, radius in OPS:
+        for label, command in PATCH_COMMANDS.items():
+            yield f"{label} {name} {radius}", command + ["--preset", name,
+                                                         "--radius", radius]
 
 
 def _input_name(name):

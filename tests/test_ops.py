@@ -20,6 +20,7 @@ from skelforge.ops import (
 )
 from skelforge.classify import classify_polygon
 
+from patch_oracles import edge_faces_of
 from test_presets import CATALOG_SWEEP
 
 POLYHEDRA = [name for name, _, mode in CATALOG_SWEEP if mode == "polyhedron"]
@@ -219,17 +220,17 @@ class TestBlends:
 
     def test_adjacent_helices_share_every_fourth_edge(self, built):
         ba = blend_with_apeirogon(built("sq44"), 1)
-        for eid, slots in enumerate(ba.edge_faces):
-            fids = sorted({f for f, _ in slots})
+        edge_faces = edge_faces_of(ba)
+        for edge in ba.edge_points:
+            fids = sorted({f for f, _ in edge_faces.get(edge, ())})
             if len(fids) != 2:
                 continue
             f = ba.faces[fids[0]]
             slots_here = sorted(
                 s for s, p, q in f.edge_slots(ba.window)
                 if tuple(sorted((p, q))) in {
-                    tuple(sorted(ba.edge_points[e]))
-                    for e in range(len(ba.edges))
-                    if sorted({g for g, _ in ba.edge_faces[e]}) == fids
+                    e for e in ba.edge_points
+                    if sorted({g for g, _ in edge_faces.get(e, ())}) == fids
                 }
             )
             gaps = {slots_here[i + 1] - slots_here[i] for i in range(len(slots_here) - 1)}
