@@ -4,8 +4,9 @@ Polygon taxonomy is decided by exact predicates only: coplanarity through
 determinants, convex versus star through an integer winding number, helical
 regularity through equality of consecutive dot/cross pairs after projecting
 along the period.  Symmetries are discovered by solving exact point
-correspondences between flag walks, and each candidate is decided exactly on
-the structure's face classes modulo its translation lattice.
+correspondences between flag walks, and a candidate is a symmetry exactly
+when it permutes the darts of the structure's quotient modulo a lattice it
+normalizes (:func:`is_symmetry`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     NotInvolutionError,
     NotPolyhedronError,
     PatchTooSmallError,
-    RegionMismatchError,
     UnderdeterminedError,
 )
 from .geometry import (
@@ -41,7 +41,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import _coset_representatives, _translation_lattice, build_quotient
-from .quotient import GeomFlag, _coset_vectors, _edge_key, _face_class
+from .quotient import GeomFlag, _coset_vectors, _edge_key
 
 
 # ---------------------------------------------------------------------------
@@ -258,43 +258,28 @@ def _walk_length(flag):
 def is_symmetry(patch, iso):
     """Is ``iso`` a symmetry of the whole structure the patch shows?
 
-    Decided exactly on the face classes modulo the patch's lattice Lambda.
-    The structure is the union of the Lambda-translates of its classes.
-    When the linear part L of ``iso`` normalizes Lambda, ``iso`` maps
-    translates to translates, so it is a symmetry exactly when it maps
-    every class representative into a class; it permutes 3-space modulo
-    Lambda, so a map of the finite class set into itself is onto.
-
-    A generator-built Lambda may be a proper sublattice of the translation
-    group that a true symmetry does not normalize.  Every face is then
-    r + m + n: r a representative, n in the sublattice S of Lambda that L
-    maps into Lambda, and m one of the finitely many coset vectors of
-    Lambda modulo S.  Its image is the image of r + m moved by L n, which
-    lies in Lambda, so the class test runs over the translates r + m.  Onto
-    follows as before, modulo the intersection of the L^i Lambda, which is
-    full rank when L has order 1, 2, 3, 4 or 6; any other L is no symmetry
-    of a discrete structure (the crystallographic restriction).
+    Decided on the quotient modulo a lattice S of translations that the
+    linear part L of ``iso`` maps onto itself: ``iso`` then acts on the
+    quotient exactly when it permutes its darts.  S is the structure's
+    lattice Lambda when L normalizes it.  A generator-built Lambda may be a
+    proper sublattice of the translation group that a true symmetry does
+    not normalize; S is then the intersection of the L^i Lambda over L's
+    order, full rank when that order is 1, 2, 3, 4 or 6.  Any other L is
+    no symmetry of a discrete structure (the crystallographic restriction).
     """
-    lattice, _, _, classes, _ = patch.classes
-    if not classes:
-        raise PatchTooSmallError("the patch holds no face to decide on")
-    shifts = [ZERO3]
+    lattice = sublattice = patch.classes.lattice
     if not all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
-        power = order_or_translation(Isometry(iso.m, check=False), 6)
+        lin = Isometry(iso.m, check=False)
+        power = order_or_translation(lin, 6)
         if power.kind != "order" or power.n == 5:
             return False
-        back = iso.inverse()
-        common = lattice_intersection(
-            [lattice, Lattice([back.apply_vec(b) for b in lattice.basis])]
-        )
-        if common is None:
+        images = [lattice]
+        for _ in range(power.n - 1):
+            images.append(Lattice([lin.apply_vec(b) for b in images[-1].basis]))
+        sublattice = lattice_intersection(images)
+        if sublattice is None:
             return False
-        shifts = _coset_vectors(lattice, common)
-    return all(
-        _face_class(lattice, rep.translate(t).transform(iso))[0] in classes
-        for t in shifts
-        for rep in classes.values()
-    )
+    return build_quotient(patch, sublattice=sublattice).dart_permutation(iso) is not None
 
 
 def flag_map_candidates(flag, target):
@@ -480,7 +465,7 @@ def schlafli(patch, mode="polyhedron", quotient_scale=None):
     closed = build_quotient(patch)
     if closed.r is None:
         raise NotEquivelarError("face count per edge is not constant")
-    classes = [classify_polygon(rep) for rep in patch.classes.faces.values()]
+    classes = [classify_polygon(f.face()) for f in patch.classes.faces.values()]
     kinds = {(c.kind, c.p, c.k) for c in classes}
     if len(kinds) != 1:
         raise NotEquivelarError(f"faces fall into {len(kinds)} classes")
@@ -549,30 +534,28 @@ def dual_congruence_check(a, b):
     classes of b.  Classes are taken modulo the translations common to b's
     lattice and the image of a's (whole sets when finite).  One anchor per
     vertex class of b suffices: a witness moved by a translation of b is
-    another.  The anchors are reduced class points, so the witness does not
-    depend on the radius.  Returns (ok, witness); raises PatchTooSmallError
-    when the classes of a or b hold no face.
+    another.  The anchors are reduced class points, so neither the answer
+    nor the witness depends on the radius of a or b.  Returns (ok,
+    witness); raises PatchTooSmallError when the classes of a or b hold no
+    face.
     """
-    if a.region.center != b.region.center or a.region.radius != b.region.radius:
-        raise RegionMismatchError("inputs must be built over the same region")
     if not (a.classes.faces and b.classes.faces):
         raise PatchTooSmallError("the patch holds no face to decide on")
-    if any(f.period_vector is not None
-           for x in (a, b) for f in x.classes.faces.values()):
+    if any(f.closure != ZERO3 for x in (a, b) for f in x.classes.faces.values()):
         return False, None
     if a.is_finite != b.is_finite:
         return False, None
 
     lat_a, lat_b = a.classes.lattice, b.classes.lattice
     centres = {}
-    for rep in a.classes.faces.values():
-        c = face_center(rep)
+    for f in a.classes.faces.values():
+        c = face_center(f.face())
         centres.setdefault(lat_a.reduce_key(c), c)
     centres = list(centres.values())
     adjacency = _centre_adjacency(a)
     b_verts, b_edges = {}, {}
-    for rep in b.classes.faces.values():
-        for _, p, q in rep.edge_slots():
+    for f in b.classes.faces.values():
+        for _, p, q in f.face().edge_slots():
             b_verts.setdefault(lat_b.reduce_key(p), p)
             b_edges.setdefault(_edge_key(lat_b, p, q), (p, q))
 

@@ -8,10 +8,13 @@ keeps the classes it was made from (:attr:`SkeletalComplex.classes`), and
 every structural answer reads them, not the patch: its lattice and whether
 it is finite, quotients, nets, symmetry tests, the face count per edge of
 Schläfli types and traces, the axiom checks, vertex figures and vertex
-sets.  Only a patch given as bare element lists scans itself, once, for its
-lattice and classes.  Finite faces always carry their complete vertex cycle
-even when it pokes out of the region; infinite faces carry one period plus
-the period vector, which is likewise a complete description.  The region
+sets.  Each face class is held once, as its canonical lift and closure
+modulo the lattice (``StructureClasses.faces``), whatever the region, so
+the quotient and the net read it as it is.  Only a patch given as bare
+element lists scans itself, once, for its lattice and classes.  Finite
+faces always carry their complete vertex cycle even when it pokes out of
+the region; infinite faces carry one period plus the period vector, which
+is likewise a complete description.  The region
 shapes only the patch's own elements: what ``build`` and ``export`` print
 and the per-patch face counts.
 
@@ -299,7 +302,7 @@ class StructureClasses(NamedTuple):
     lattice: object  # the translation lattice, or the trivial one when finite
     vertices: list  # one point per vertex class given besides the faces'
     edges: list  # one point pair per edge class given besides the faces'
-    faces: dict  # class key -> one face per class: the least patch face, if any
+    faces: dict  # class key -> its QuotientFace: the canonical lift and closure
     counts: dict  # class key -> patch faces in the class, if the patch has one
 
 
@@ -412,22 +415,28 @@ class SkeletalComplex:
         by ``lattice`` of ``faces``, ``vertices`` and ``edges``, one element
         per class (the trivial lattice for a finite structure).
 
-        Each class is unrolled once, by ``lattice_translates`` and
-        ``face_translates``, and the face classes are counted as they are
-        unrolled.  ``skeleton`` is a patch with the same vertices and edges
-        over the same region, whose vertex and edge lists are kept as they
-        are: a Petrie dual keeps its parent's.
+        Each face is keyed once, and each class kept as its canonical lift
+        and closure.  Each class is unrolled once, from its first given
+        face, by ``lattice_translates`` and ``face_translates``, and the
+        face classes are counted as they are unrolled.  ``skeleton`` is a
+        patch with the same vertices and edges over the same region, whose
+        vertex and edge lists are kept as they are: a Petrie dual keeps its
+        parent's.
         """
-        from .quotient import _edge_key, _face_class, face_translates, lattice_translates
+        from .quotient import (
+            QuotientFace, _edge_key, _face_class, face_translates, lattice_translates,
+        )
 
-        reps, vclasses, eclasses = {}, {}, {}
+        classes, first, vclasses, eclasses = {}, {}, {}, {}
         for f in faces:
-            reps.setdefault(_face_class(lattice, f)[0], f)
+            key, lift, closure = _face_class(lattice, f)
+            if key not in classes:
+                classes[key], first[key] = QuotientFace(lift, closure), f
         for p in vertices:
             vclasses.setdefault(lattice.reduce_key(p), p)
         for e in edges:
             eclasses.setdefault(_edge_key(lattice, *e), e)
-        unrolled = {key: face_translates(lattice, f, region) for key, f in reps.items()}
+        unrolled = {key: face_translates(lattice, f, region) for key, f in first.items()}
         if skeleton is None:
             vertices = [vadd(p, t) for p in vclasses.values()
                         for t in lattice_translates(lattice, [p], region)]
@@ -437,13 +446,9 @@ class SkeletalComplex:
             vertices, edges = skeleton.vertices, skeleton.edge_points
         patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
                     region, window_margin=window_margin, name=name)
-        counts = {}
-        for key, fs in unrolled.items():
-            if fs:
-                reps[key] = min(fs, key=FaceDescriptor.canonical_key)
-                counts[key] = len(fs)
+        counts = {key: len(fs) for key, fs in unrolled.items() if fs}
         patch._classes = StructureClasses(
-            lattice, list(vclasses.values()), list(eclasses.values()), reps, counts
+            lattice, list(vclasses.values()), list(eclasses.values()), classes, counts
         )
         return patch
 
@@ -485,7 +490,7 @@ class SkeletalComplex:
         when every face is a finite cycle inside the region; otherwise its
         lattice is the one its translation symmetries show."""
         from .orbit import detect_translation_lattice
-        from .quotient import _edge_key, _face_class
+        from .quotient import QuotientFace, _edge_key, _face_class
 
         if all(f.is_finite and all(self.region.contains(p) for p in f.vertices)
                for f in self.faces):
@@ -496,8 +501,9 @@ class SkeletalComplex:
                 raise NotPeriodicError("no translation lattice found for the patch")
         faces, counts, vclasses, eclasses = {}, Counter(), {}, {}
         for f in self.faces:
-            key = _face_class(lattice, f)[0]
-            faces.setdefault(key, f)
+            key, lift, closure = _face_class(lattice, f)
+            if key not in faces:
+                faces[key] = QuotientFace(lift, closure)
             counts[key] += 1
         for p in self.vertices:
             vclasses.setdefault(lattice.reduce_key(p), p)

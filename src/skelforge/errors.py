@@ -98,10 +98,6 @@ class NotUninodalError(SkelforgeError):
     code = "not-uninodal"
 
 
-class RegionMismatchError(SkelforgeError):
-    code = "region-mismatch"
-
-
 class InvalidParametersError(SkelforgeError):
     code = "invalid-parameters"
 

@@ -17,7 +17,6 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from .complexes import FaceDescriptor
 from .errors import InvalidParametersError, Not3PeriodicError, NotUninodalError, ParseError
 from .geometry import (
     LAMBDA_1,
@@ -32,7 +31,7 @@ from .geometry import (
     vadd,
     vsub,
 )
-from .quotient import _coset_vectors, _face_class
+from .quotient import _coset_vectors
 
 
 class PeriodicGraph:
@@ -204,20 +203,11 @@ def periodic_graph_from_edges(lattice, edge_points, name=""):
     return PeriodicGraph(lattice.basis, reps, edges, name=name)
 
 
-def _face_edges(lattice, faces):
-    """The edges of the given faces, one per class modulo the lattice."""
-    out = []
-    for f in faces:
-        _, lift, closure = _face_class(lattice, f)
-        ends = lift[1:] + (vadd(lift[0], closure),)
-        out.extend(zip(lift, ends))
-    return out
-
-
 def quotient_graph(classes, name=""):
     """The labelled quotient graph of a structure's edge classes: those of
-    its face classes and the others it was given."""
-    edges = classes.edges + _face_edges(classes.lattice, classes.faces.values())
+    its face classes' lifts and the others it was given."""
+    edges = classes.edges + [(f.point(j), f.point(j + 1))
+                             for f in classes.faces.values() for j in range(len(f))]
     return periodic_graph_from_edges(classes.lattice, edges, name=name)
 
 
@@ -297,8 +287,8 @@ def _reference_nbo():
     from .presets import CONSTRUCTIVE_PRESETS
 
     _, lattice, cycles = CONSTRUCTIVE_PRESETS["K5_12"]
-    faces = [FaceDescriptor(c) for c in cycles]
-    return periodic_graph_from_edges(lattice, _face_edges(lattice, faces), name="nbo")
+    edges = [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    return periodic_graph_from_edges(lattice, edges, name="nbo")
 
 
 _REFERENCES = None

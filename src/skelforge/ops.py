@@ -36,7 +36,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
-from .quotient import GeomFlag, _primitive_walk
+from .quotient import GeomFlag, QuotientFace, _primitive_walk
 
 WORDS = {
     "petrie": (0, 1, 2),
@@ -260,11 +260,8 @@ def blend_with_segment(patch, length):
         sign = 1 - 2 * color[closed.vertex_class_of(p)]
         return vadd(p, vscale(sign * length, n))
 
-    faces = []
-    for f in closed.faces:
-        pts = [lift(p) for p in f.lift]
-        faces.append(FaceDescriptor(pts, check=False) if f.closure == ZERO3
-                     else FaceDescriptor(*_primitive_walk(pts, f.closure), check=False))
+    faces = [QuotientFace([lift(p) for p in f.lift], f.closure).face()
+             for f in closed.faces]
     basis = patch.classes.lattice.basis
     v0 = closed.vreps[0]
     swaps = [color[closed.vertex_class_of(vadd(v0, b))] != color[0] for b in basis]
@@ -378,19 +375,15 @@ def blend_with_apeirogon(patch, step):
 # coverings
 
 
-def covering_check(patch, target, projection="compress"):
+def covering_check(patch, target):
     """Does the structure cover the target polyhedron?
 
-    ``projection`` is either "compress", meaning quotient the structure by
-    its full translation lattice and match flag systems (each helical face
-    winding onto a finite face of the target), or a callable point map
-    inducing the vertex map directly.  Returns (ok, witness).
+    The structure is compressed: quotiented by a sublattice of its
+    translations and matched flag system to flag system with the target,
+    each helical face winding onto a finite face of the target.  Returns
+    (ok, witness).
     """
     target_closed = build_quotient(target)
-    if callable(projection):
-        return _covering_by_point_map(patch, target, projection)
-    if projection != "compress":
-        raise InvalidParametersError("projection must be callable or 'compress'")
     if patch.is_finite:
         candidates = [build_quotient(patch)]
     else:
@@ -450,68 +443,3 @@ def _flag_system_isomorphism(a, b):
         if ok and len(mapping) == n and len(set(mapping.values())) == n:
             return [mapping[i] for i in range(n)]
     return None
-
-
-def _neighbours(patch):
-    """Each vertex of the patch's edge list with the set of its neighbours."""
-    adj = {}
-    for p, q in patch.edge_points:
-        adj.setdefault(p, set()).add(q)
-        adj.setdefault(q, set()).add(p)
-    return adj
-
-
-def _covering_by_point_map(patch, target, point_map):
-    tverts = set(target.vertices)
-    vmap = {}
-    for v in patch.vertices:
-        if not patch.region.contains(v):
-            continue
-        w = tuple(point_map(v))
-        if w not in tverts:
-            raise ProjectionError(f"image of {v} is not a target vertex")
-        vmap[v] = w
-    nbrs_at, tnbrs_at = _neighbours(patch), _neighbours(target)
-    for v in vmap:
-        nbrs = nbrs_at.get(v, ())
-        images = set()
-        for u in nbrs:
-            w = tuple(point_map(u))
-            if not target.has_edge(vmap[v], w):
-                return False, None
-            images.add(w)
-        if len(images) != len(nbrs):
-            return False, None
-        if len(images) != len(tnbrs_at.get(vmap[v], ())):
-            return False, None
-    for f in patch.faces:
-        if f.period_vector is None:
-            seq = [tuple(point_map(p)) for p in f.vertices]
-            cyclic = True
-        else:
-            win = f.window(patch.region)
-            if win is None:
-                continue
-            seq = [tuple(point_map(f.vertex(k))) for k in range(win[0], win[1] + 1)]
-            cyclic = False
-        if not _maps_onto_some_face(target, seq, cyclic):
-            return False, None
-    return True, {"kind": "point-map", "vertex_map": sorted(vmap.items())}
-
-
-def _maps_onto_some_face(target, seq, cyclic):
-    for tf in target.faces:
-        if tf.period_vector is not None:
-            continue
-        cyc = tf.vertices
-        m = len(cyc)
-        if seq[0] not in cyc:
-            continue
-        i0 = cyc.index(seq[0])
-        for direction in (1, -1):
-            if all(cyc[(i0 + direction * k) % m] == p for k, p in enumerate(seq)):
-                if cyclic and len(seq) % m != 0:
-                    continue
-                if set(seq) == set(cyc):
-                    return True
-    return False

@@ -12,7 +12,13 @@ a face may meet one vertex or edge class several times, at different
 lattice translates, and the quotient modulo the structure's own lattice is
 still exact.  A flag of the structure is a dart moved by a lattice
 vector (:class:`GeomFlag`), so flag walks and symmetry searches read the
-quotient alone.
+quotient alone: an isometry is a symmetry exactly when it permutes the
+darts (:meth:`ClosedComplex.dart_permutation`).
+
+A structure's class table holds each face class once, as its canonical
+lift and closure (:class:`QuotientFace`).  The quotient modulo the
+structure's own lattice takes that table as it is; only a proper
+sublattice keys the translates of each class.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ class QuotientFace:
         q, r = divmod(pos, m)
         p = self.lift[r]
         return p if q == 0 else vadd(p, vscale(q, self.closure))
+
+    def face(self):
+        """The face at the lift: its vertex cycle, or one primitive period
+        of an apeirogon with its period vector."""
+        if self.closure == ZERO3:
+            return FaceDescriptor(self.lift, check=False)
+        return FaceDescriptor(*_primitive_walk(self.lift, self.closure), check=False)
 
 
 def _primitive_walk(vertices, disp):
@@ -278,16 +291,22 @@ class ClosedComplex:
     @classmethod
     def from_patch(cls, patch, sublattice):
         """Quotient of a patch by a full-rank sublattice of its class
-        lattice: each face class moved by one vector per coset, so only the
-        classes are read, never the patch's elements.
+        lattice, read from the classes, never from the patch's elements.
+        Modulo the class lattice itself the face classes are taken as they
+        are; a proper sublattice keys each class moved by one vector per
+        coset.
         """
         lattice, vertices, edges, faces, _ = patch.classes
-        classes = {}
-        for t in _coset_vectors(lattice, sublattice):
-            for desc in faces.values():
-                key, lift, closure = _face_class(sublattice, desc.translate(t))
-                if key not in classes:
-                    classes[key] = QuotientFace(lift, closure)
+        classes = faces
+        if sublattice.basis != lattice.basis:
+            classes, cosets = {}, _coset_vectors(lattice, sublattice)
+            for f in faces.values():
+                period = None if f.closure == ZERO3 else f.closure
+                walk = FaceDescriptor._of(f.lift, period)
+                for t in cosets:
+                    key, lift, closure = _face_class(sublattice, walk.translate(t))
+                    if key not in classes:
+                        classes[key] = QuotientFace(lift, closure)
         closed = cls(sublattice, classes, name=patch.name)
         # every vertex and edge class must lie on a face class
         for p in vertices:
@@ -462,12 +481,8 @@ class GeomFlag:
     def face(self):
         """The flag's face: its vertex cycle, or one primitive period of an
         apeirogon with its period vector."""
-        f = self.closed.faces[self.closed.darts[self.dart][2]]
-        if f.closure == ZERO3:
-            desc = FaceDescriptor(f.lift, check=False)
-        else:
-            desc = FaceDescriptor(*_primitive_walk(f.lift, f.closure), check=False)
-        return desc.translate(self.shift)
+        fid = self.closed.darts[self.dart][2]
+        return self.closed.faces[fid].face().translate(self.shift)
 
     def step(self, i):
         """The i-adjacent flag (polyhedra only for i = 2)."""

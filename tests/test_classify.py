@@ -11,7 +11,6 @@ from skelforge.errors import (
     NotEquivelarError,
     NotInvolutionError,
     PatchTooSmallError,
-    RegionMismatchError,
 )
 from skelforge.classify import (
     _winding_number,
@@ -38,6 +37,8 @@ from skelforge.geometry import (
 )
 from skelforge.orbit import build_base_face
 from skelforge.presets import finite_faced_chiral, helix_faced_chiral, instantiate
+from symmetry_oracle import is_symmetry_by_class_keys
+from test_presets import CATALOG_SWEEP
 
 
 def is_patch_symmetry(patch, iso, min_evidence=4):
@@ -327,6 +328,57 @@ class TestIsSymmetry:
         assert is_symmetry(small, iso)
 
 
+def candidates_at_base_vertex(patch):
+    """Every isometry candidate from each flag at the base vertex to each
+    flag there and to its own 0-adjacent flag."""
+    flags = base_flag(patch).closed.flags_at(base_flag(patch).vertex_point())
+    return [c for src in flags for target in flags + [src.step(0)]
+            for c in flag_map_candidates(src, target)]
+
+
+def declared_thin_sq44(sq):
+    """sq44 declared with the index-2 lattice Z x 2Z, over sq's region."""
+    return SkeletalComplex.from_classes(
+        Lattice([(1, 0, 0), (0, 2, 0)]),
+        [FaceDescriptor(((0, y, 0), (1, y, 0), (1, y + 1, 0), (0, y + 1, 0)))
+         for y in (0, 1)],
+        sq.region,
+    )
+
+
+class TestIsSymmetryAgainstClassKeys:
+    """The dart-permutation test against the class-key test it replaced."""
+
+    def _agree(self, patch):
+        answers = [(is_symmetry(patch, c), is_symmetry_by_class_keys(patch, c))
+                   for c in candidates_at_base_vertex(patch)]
+        assert all(darts == keys for darts, keys in answers)
+        assert any(darts for darts, _ in answers)
+        return answers
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 2), 3])
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
+    def test_catalog(self, built, name, radius):
+        self._agree(built(name, radius))
+
+    def test_declared_thin_lattice(self, built):
+        # the quarter turns do not normalize Z x 2Z: they are decided on the
+        # quotient modulo 2Z x 2Z
+        patch = declared_thin_sq44(built("sq44"))
+        lattice = patch.classes.lattice
+        cands = candidates_at_base_vertex(patch)
+        outside = [c for c in cands
+                   if not all(lattice.member(c.apply_vec(b)) for b in lattice.basis)]
+        assert outside
+        assert any(is_symmetry(patch, c) for c in outside)
+        self._agree(patch)
+
+    def test_scanned_moved_structure(self):
+        from test_orbit import loaded_moved_patch
+
+        self._agree(loaded_moved_patch("P:2,1", 4))
+
+
 def _symmetry_answers(name, radius):
     """Generators and verdict of a polyhedron, or the edge stabilizer of a
     complex, read from a patch of the given radius."""
@@ -545,9 +597,13 @@ class TestDualCongruence:
         ok, _ = dual_congruence_check(built("P:1,0"), built("cube"))
         assert not ok
 
-    def test_region_mismatch(self, built):
-        with pytest.raises(RegionMismatchError):
-            dual_congruence_check(built("P:1,0"), built("P:0,1", 3))
+    def test_regions_may_differ(self, built):
+        # the answer reads only the classes, so the inputs need not share a
+        # region
+        mixed = dual_congruence_check(built("P:1,0", 4), built("P:0,1", 3))
+        same = dual_congruence_check(built("P:1,0", 4), built("P:0,1", 4))
+        assert mixed[0]
+        assert mixed == same
 
     @pytest.mark.parametrize(
         "pair,ok", [(("cube", "oct"), True), (("tet", "tet"), False),

@@ -137,8 +137,8 @@ def test_face_translates_carry_the_canonical_key(name):
 
     region = Region((0, 0, 0), 3)
     classes = build(name, region).classes
-    for rep in classes.faces.values():
-        for face in face_translates(classes.lattice, rep, region):
+    for f in classes.faces.values():
+        for face in face_translates(classes.lattice, f.face(), region):
             if face.period_vector is None:
                 assert face._key is not None, name
             assert face.canonical_key() == _fresh_key(face), name

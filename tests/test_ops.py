@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skelforge.complexes import Region, validate
+from skelforge.complexes import Region, SkeletalComplex, validate
 from skelforge.errors import (
     NotBipartiteError,
     NotPolyhedronError,
@@ -302,9 +302,9 @@ class TestCovering:
 
     def test_identity_covering(self, built):
         cube = built("P2:0,1")
-        ok, witness = covering_check(cube, cube, projection=lambda p: p)
+        ok, witness = covering_check(cube, cube)
         assert ok
-        assert witness["kind"] == "point-map"
+        assert witness["kind"] == "compress"
 
     @pytest.mark.parametrize("radius", [Fraction(1, 2), 1, 3, 6])
     def test_plane_tiling_does_not_compress_onto_a_solid(self, built, radius):
@@ -316,7 +316,12 @@ class TestCovering:
         ok, _ = covering_check(built("P:1,0"), built("P2:0,1"))
         assert not ok
 
-    def test_projection_missing_vertices(self, built):
-        cube = built("P2:0,1")
+    def test_patch_without_a_lattice_has_nothing_to_compress_by(self, built):
+        # without its centre face the 2-skeleton's scan shows no lattice
+        skel = built("skel2cubic", 3)
+        gap = next(f for f in skel.faces
+                   if (0, 0, 0) in f.vertices and (1, 1, 0) in f.vertices)
+        broken = SkeletalComplex(skel.vertices, skel.edge_points,
+                                 [f for f in skel.faces if f is not gap], skel.region)
         with pytest.raises(ProjectionError):
-            covering_check(cube, cube, projection=lambda p: (p[0] + 7, p[1], p[2]))
+            covering_check(broken, built("P2:0,1"))

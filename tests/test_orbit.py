@@ -405,6 +405,8 @@ class TestQuotient:
          ("skel2cubic", 3, 3), ("K1_12", 3, 6), ("K5_12", 3, 4)],
     )
     def test_face_classes_partition_the_patch(self, built, name, rank, count):
+        # every patch face keys to a class, whose held lift and closure are
+        # the ones the face keys to
         from skelforge.quotient import _face_class
 
         patch = built(name, 3)
@@ -413,8 +415,9 @@ class TestQuotient:
         assert len(classes.counts) == len(classes.faces) == count
         assert sum(classes.counts.values()) == len(patch.faces)
         for f in patch.faces:
-            rep = classes.faces[_face_class(classes.lattice, f)[0]]
-            assert patch.faces.index(rep) <= patch.faces.index(f)
+            key, lift, closure = _face_class(classes.lattice, f)
+            held = classes.faces[key]
+            assert (held.lift, held.closure) == (lift, closure)
 
     @pytest.mark.parametrize(
         "name", ["cube", "petrie(cube)", "hex63", "P:1,0", "P2:1,0", "P2:2,1", "K5_12"]
@@ -434,13 +437,39 @@ class TestQuotient:
                 assert _face_class(lat, f) == face_class_oracle(lat, f), (name, scale, f)
 
     def test_quotient_faces_come_from_the_class_map(self, built):
+        # modulo the class lattice the quotient holds the class table's
+        # faces themselves; modulo 2 Lambda each class is keyed again
         from skelforge.quotient import _face_class
 
         p10 = built("P:1,0", 3)
+        table = p10.classes.faces
+        assert build_quotient(p10).faces == [table[k] for k in sorted(table)]
         q = build_quotient(p10, scale=2)
-        reps = {_face_class(q.lattice, rep)[1] for rep in p10.classes.faces.values()}
+        reps = {_face_class(q.lattice, f.face())[1] for f in table.values()}
         assert {f.lift for f in q.faces} >= reps
+        assert len(q.faces) == 8 * len(table)
         assert p10.classes is p10.classes
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
+    def test_class_table_does_not_depend_on_radius(self, built, name):
+        # keys, lifts and closures: the table is the structure's, not the
+        # region's
+        tables = [{k: (f.lift, f.closure) for k, f in built(name, r).classes.faces.items()}
+                  for r in (Fraction(1, 2), 3, 6)]
+        assert tables[0] == tables[1] == tables[2]
+        assert list(tables[0]) == list(tables[2])
+
+    @pytest.mark.parametrize("name", ["P:1,0", "P2:1,0", "K4_12", "skel2cubic"])
+    def test_quotient_and_net_key_no_face(self, monkeypatch, name):
+        # the quotient modulo the class lattice and the net read the class
+        # table as it is
+        calls = count_face_class_calls(monkeypatch)
+        patch = build(name, Region((0, 0, 0), 3))
+        before = calls[0]
+        closed = build_quotient(patch)
+        net = extract_net(patch)
+        assert calls[0] == before
+        assert closed.dart_count() and net.edges
 
     @pytest.mark.parametrize("name", ["P:1,1", "K4_12"])
     def test_quotient_work_does_not_depend_on_radius(self, monkeypatch, name):
