@@ -7,6 +7,13 @@ along the period.  Symmetries are discovered by solving exact point
 correspondences between flag walks, and a candidate is a symmetry exactly
 when it permutes the darts of the structure's quotient modulo a lattice it
 normalizes (:func:`is_symmetry`).
+
+The quotient and the flags lie on the structure's integer grid
+x -> D x (``SkeletalComplex.scale``); an isometry crosses between input
+units and the grid as ``(M, t) <-> (M, D t)``, at :func:`is_symmetry`,
+:func:`flag_map_candidates`, :func:`find_flag_symmetries` and
+:func:`verdict`.  :func:`classify_polygon` moves a face to its first vertex
+and scales it to ints the same way, and maps its witness back.
 """
 
 from __future__ import annotations
@@ -24,19 +31,25 @@ from .errors import (
     PatchTooSmallError,
     UnderdeterminedError,
 )
+from .complexes import FaceDescriptor
 from .geometry import (
     ZERO3,
     Isometry,
     Lattice,
+    common_denominator,
+    dilate,
     fixed_space_dim,
     lattice_intersection,
     order_or_translation,
     scalar,
     solve_isometry,
     spanning_indices,
+    to_grid,
+    translation,
     vadd,
     vcross,
     vdot,
+    vneg,
     vscale,
     vsub,
 )
@@ -128,7 +141,28 @@ def classify_polygon(face):
     Finite faces come back convex, star, or skew; infinite ones linear,
     zigzag, or helical over a k-gon.  A face fitting no class exactly (or
     admitting no vertex-cycling isometry) raises NotAPolygonError.
+
+    The class is a similarity invariant, so a face off the integers is
+    moved to its first vertex and scaled to ints first, and its witness
+    mapped back.
     """
+    pts, t = face.vertices, face.period_vector
+    vectors = pts if t is None else pts + (t,)
+    if not pts or all(type(c) is int for v in vectors for c in v):
+        return _classify_polygon(face)
+    v0 = pts[0]
+    moved = [vsub(p, v0) for p in pts]
+    d = common_denominator(moved if t is None else moved + [t])
+    grid = FaceDescriptor._of(tuple(to_grid(p, d) for p in moved),
+                              None if t is None else to_grid(t, d))
+    found = _classify_polygon(grid)
+    if found.witness is not None:
+        found.witness = translation(vneg(v0)).then(
+            found.witness.dilated(Fraction(1, d))).then(translation(v0))
+    return found
+
+
+def _classify_polygon(face):
     pts = face.vertices
     n = len(pts)
     if face.period_vector is None:
@@ -165,8 +199,6 @@ def classify_polygon(face):
     walk = [face.vertex(k) for k in range(max(2 * n, 4) + 1)]
     d0 = vsub(walk[1], walk[0])
     if all(vcross(vsub(p, walk[0]), d0) == (0, 0, 0) for p in walk):
-        from .geometry import translation
-
         steps = {vsub(walk[k + 1], walk[k]) for k in range(len(walk) - 1)}
         if len(steps) != 1:
             raise NotAPolygonError("linear apeirogon with uneven steps")
@@ -245,8 +277,8 @@ def mirror_vector(r0, r1, r2):
 
 def base_flag(patch):
     """The flag at the structure vertex nearest the region centre, along
-    its least edge, in the face with the least key."""
-    return build_quotient(patch).flags_at(patch.central_vertex())[0]
+    its least edge, in the face with the least key, on the patch's grid."""
+    return build_quotient(patch).flags_at(patch._grid_central_vertex())[0]
 
 
 def _walk_length(flag):
@@ -258,6 +290,14 @@ def _walk_length(flag):
 def is_symmetry(patch, iso):
     """Is ``iso`` a symmetry of the whole structure the patch shows?
 
+    Decided on the patch's grid (:func:`_is_symmetry`).
+    """
+    return _is_symmetry(patch, iso.dilated(patch.scale))
+
+
+def _is_symmetry(patch, iso):
+    """Is ``iso``, on the patch's grid, a symmetry of the structure?
+
     Decided on the quotient modulo a lattice S of translations that the
     linear part L of ``iso`` maps onto itself: ``iso`` then acts on the
     quotient exactly when it permutes its darts.  S is the structure's
@@ -267,7 +307,7 @@ def is_symmetry(patch, iso):
     order, full rank when that order is 1, 2, 3, 4 or 6.  Any other L is
     no symmetry of a discrete structure (the crystallographic restriction).
     """
-    lattice = sublattice = patch.classes.lattice
+    lattice = sublattice = patch.grid.lattice
     if not all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
         lin = Isometry(iso.m, check=False)
         power = order_or_translation(lin, 6)
@@ -283,7 +323,13 @@ def is_symmetry(patch, iso):
 
 
 def flag_map_candidates(flag, target):
-    """Isometry candidates sending one flag's walk onto another's."""
+    """Isometry candidates sending one flag's walk onto another's, in input
+    units."""
+    k = Fraction(1, flag.closed.scale)
+    return [c.dilated(k) for c in _flag_map_candidates(flag, target)]
+
+
+def _flag_map_candidates(flag, target):
     count = max(_walk_length(flag), _walk_length(target))
     try:
         return _cycling_isometry(flag.walk(count), target.walk(count))
@@ -292,11 +338,11 @@ def flag_map_candidates(flag, target):
 
 
 def _symmetries(patch, flag, targets, keep=None):
-    """The symmetries of the structure sending the flag's walk onto a
-    target's walk that pass ``keep``, target by target."""
+    """The symmetries of the structure, on its grid, sending the flag's
+    walk onto a target's walk that pass ``keep``, target by target."""
     for target in targets:
-        for cand in flag_map_candidates(flag, target):
-            if (keep is None or keep(cand)) and is_symmetry(patch, cand):
+        for cand in _flag_map_candidates(flag, target):
+            if (keep is None or keep(cand)) and _is_symmetry(patch, cand):
                 yield cand
 
 
@@ -308,6 +354,15 @@ def find_flag_symmetries(patch):
     {"family": "S", "S1": ..., "S2": ...} when face and vertex rotations
     exist (the chiral case), otherwise None.
     """
+    found = _flag_symmetries(patch)
+    if found is not None:
+        k = Fraction(1, patch.scale)
+        found = {name: g if name == "family" else g.dilated(k)
+                 for name, g in found.items()}
+    return found
+
+
+def _flag_symmetries(patch):
     flag = base_flag(patch)
     rs = {"family": "R"}
     for i in range(3):
@@ -377,7 +432,7 @@ def _orbit_lattice(patch, generators):
     """The translations to count the generated group's flag orbits modulo:
     the structure's lattice when the group's translations (Schreier's
     lemma) contain it, else the lattice common to both."""
-    lattice = patch.classes.lattice
+    lattice = patch.grid.lattice
     if not lattice.rank:
         return lattice
     own = _translation_lattice(*_coset_representatives(generators))
@@ -403,13 +458,14 @@ def verdict(patch, generators, quotient_scale=None):
     fixed by the structure and the generators.
     """
     generators = list(generators)
-    closed = build_quotient(patch, sublattice=_orbit_lattice(patch, generators))
+    on_grid = [g.dilated(patch.scale) for g in generators]
+    closed = build_quotient(patch, sublattice=_orbit_lattice(patch, on_grid))
     if closed.r != 2:
         raise NotPolyhedronError("verdict requires a polyhedron (r = 2)")
     n = closed.dart_count()
     uf = _UnionFind(n)
-    for g in generators:
-        perm = closed.dart_permutation(g)
+    for g, h in zip(generators, on_grid):
+        perm = closed.dart_permutation(h)
         if perm is None:
             raise GeneratorsDoNotDescendError(
                 f"generator {g!r} is not a symmetry of the structure"
@@ -434,7 +490,8 @@ def verdict(patch, generators, quotient_scale=None):
         extra = next(_symmetries(patch, flag, adjacent), None)
         if extra is None:
             return SymmetryVerdict("chiral", 2, True)
-        return SymmetryVerdict("regular", 2, True, extra_symmetry=extra)
+        return SymmetryVerdict("regular", 2, True,
+                               extra_symmetry=extra.dilated(Fraction(1, patch.scale)))
     return SymmetryVerdict("neither", count, split)
 
 
@@ -512,8 +569,9 @@ def face_center(face):
 
 def _centre_adjacency(patch):
     """Centres of faces sharing an edge: one pair per class modulo the
-    patch's class lattice, read from the quotient's rho2."""
+    patch's class lattice, read from the quotient's rho2, in input units."""
     closed = build_quotient(patch)
+    k = Fraction(1, patch.scale)
     pairs = {}
     for d in range(closed.dart_count()):
         flag = GeomFlag(closed, d)
@@ -522,7 +580,7 @@ def _centre_adjacency(patch):
             if other.face().canonical_key() != face.canonical_key():
                 c, c2 = face_center(face), face_center(other.face())
                 pairs.setdefault(_edge_key(closed.lattice, c, c2), (c, c2))
-    return list(pairs.values())
+    return [(dilate(c, k), dilate(c2, k)) for c, c2 in pairs.values()]
 
 
 def dual_congruence_check(a, b):

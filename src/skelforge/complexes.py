@@ -18,6 +18,17 @@ is likewise a complete description.  The region
 shapes only the patch's own elements: what ``build`` and ``export`` print
 and the per-patch face counts.
 
+A structure is held on one integer grid: its scale D is the lcm of the
+denominators of the classes it is made from, and the classes are keyed,
+quotiented and unrolled as the structure dilated by x -> D x
+(``SkeletalComplex.grid``).  A positive dilation keeps every floor, least
+rotation and sort order the library decides by, so no answer changes.
+Points cross back to input units only at the public API: the element
+tables (each distinct point once), ``classes`` and ``lattice`` (on first
+read), ``central_vertex``, ``vertex_figure`` and ``faces_at_vertex``; with
+D = 1, as for every integer structure and every scanned patch, each
+crossing is the identity.
+
 A patch holds its sorted vertex list, its edges as sorted point pairs
 (``edge_points``), its faces in canonical-key order and its flag count,
 all from one walk over each face's edges.  The index tables (``vindex``,
@@ -42,7 +53,8 @@ from .errors import (
     PatchTooSmallError,
 )
 from .geometry import (
-    finite_lattice, scalar, scalar_str, vadd, vdot, vec_str, vneg, vscale, vsub,
+    ZERO3, Lattice, _ratio, common_denominator, dilate, finite_lattice, scalar,
+    scalar_str, to_grid, vadd, vdot, vec_str, vneg, vscale, vsub,
 )
 
 
@@ -187,6 +199,11 @@ class FaceDescriptor:
             key = ("fin",) + tuple(moved[p] for p in self._key[1:])
         return FaceDescriptor._of(vertices, self.period_vector, key)
 
+    def dilated(self, k):
+        """The face moved by the dilation x -> k x."""
+        pv = None if self.period_vector is None else dilate(self.period_vector, k)
+        return FaceDescriptor._of(tuple(dilate(p, k) for p in self.vertices), pv)
+
     def reversed(self):
         if self.period_vector is None:
             return FaceDescriptor(tuple(reversed(self.vertices)), None, check=False)
@@ -306,6 +323,37 @@ class StructureClasses(NamedTuple):
     counts: dict  # class key -> patch faces in the class, if the patch has one
 
 
+def _unscaled_classes(grid, d):
+    """A class table on the grid x -> d x, mapped back to input units: the
+    same classes, in the same order, keyed by their mapped lifts."""
+    k = Fraction(1, d)
+    from .quotient import QuotientFace
+
+    lattice = grid.lattice
+    if lattice.rank:
+        lattice = Lattice([dilate(b, k) for b in lattice.basis], name=lattice.name)
+    faces, keys = {}, {}
+    for key, f in grid.faces.items():
+        lift, closure = tuple(dilate(p, k) for p in f.lift), dilate(f.closure, k)
+        keys[key] = ("fin",) + lift if closure == ZERO3 else ("inf",) + lift + (closure,)
+        faces[keys[key]] = QuotientFace(lift, closure)
+    return StructureClasses(
+        lattice, [dilate(p, k) for p in grid.vertices],
+        [(dilate(p, k), dilate(q, k)) for p, q in grid.edges],
+        faces, {keys[key]: n for key, n in grid.counts.items()},
+    )
+
+
+def _vertex_figure(closed, p, slots):
+    """The vertex figure at p from the face slots through it, all on the
+    quotient's grid."""
+    edges = Counter()
+    for fid, j, t in slots:
+        f = closed.faces[fid]
+        edges[frozenset((vadd(f.point(j - 1), t), vadd(f.point(j + 1), t)))] += 1
+    return VertexFigureGraph(p, frozenset(x for e in edges for x in e), dict(edges))
+
+
 class SkeletalComplex:
     """An immutable patch of a (possibly infinite) polyhedral structure.
 
@@ -321,13 +369,22 @@ class SkeletalComplex:
     first read, then kept: ``vindex`` (point -> vertex index), ``edges``
     (vertex index pairs), ``eindex`` (point pair -> edge index) and
     ``face_keys`` (canonical key -> face index).
+
+    ``scale`` is the structure's common denominator D: the classes are
+    held, quotiented and unrolled on the grid x -> D x (``grid``), where a
+    rational structure has integer coordinates.  The element tables,
+    ``region``, ``window`` and ``classes`` are in input units, each grid
+    point mapped back once.  A scanned patch keeps D = 1, where the grid
+    is the input.
     """
 
     def __init__(self, vertices, edges, faces, region, window_margin=2, name=""):
         self.name = name
         self.region = region
         self.window = region.expanded(window_margin)
-        self._classes = None  # StructureClasses, scanned on first use
+        self.scale = 1
+        self._grid = None  # StructureClasses on the grid, scanned on first use
+        self._classes = None  # the same in input units, mapped on first read
 
         face_map = {}
         for f in faces:
@@ -378,12 +435,15 @@ class SkeletalComplex:
         contains = self.region.contains
         return [i for i, p in enumerate(self.vertices) if contains(p)]
 
+    def _grid_central_vertex(self):
+        from .orbit import build_quotient
+
+        return build_quotient(self).nearest_vertex(dilate(self.region.center, self.scale))
+
     def central_vertex(self):
         """The structure vertex nearest the region centre, the least on
         ties, found from the vertex classes: the region need hold none."""
-        from .orbit import build_quotient
-
-        return build_quotient(self).nearest_vertex(self.region.center)
+        return dilate(self._grid_central_vertex(), Fraction(1, self.scale))
 
     def counts(self):
         return len(self.vertices), len(self.edge_points), len(self.faces)
@@ -415,17 +475,54 @@ class SkeletalComplex:
         by ``lattice`` of ``faces``, ``vertices`` and ``edges``, one element
         per class (the trivial lattice for a finite structure).
 
+        The structure's scale D is the lcm of the denominators of what is
+        given; the classes are keyed, kept and unrolled on the grid
+        x -> D x (see :meth:`_unroll`).  ``skeleton`` is a patch with the
+        same vertices and edges over the same region, whose vertex and edge
+        lists are kept as they are: a Petrie dual keeps its parent's.
+        """
+        return cls._unroll(lattice, faces, region, vertices, edges, window_margin,
+                           name, skeleton)
+
+    @classmethod
+    def _unroll(cls, lattice, faces, region, vertices=(), edges=(), window_margin=2,
+                name="", skeleton=None, scale=1):
+        """:meth:`from_classes` of classes given on the grid x -> scale x:
+        ``lattice``, ``faces``, ``vertices``, ``edges`` and
+        ``window_margin`` are scale times their values in input units, and
+        ``region`` is in input units.  What is not integral there moves on
+        to the grid of its common denominator k first, so the patch's scale
+        is scale k.
+
         Each face is keyed once, and each class kept as its canonical lift
         and closure.  Each class is unrolled once, from its first given
         face, by ``lattice_translates`` and ``face_translates``, and the
-        face classes are counted as they are unrolled.  ``skeleton`` is a
-        patch with the same vertices and edges over the same region, whose
-        vertex and edge lists are kept as they are: a Petrie dual keeps its
-        parent's.
+        face classes are counted as they are unrolled.  The tables are
+        built on the grid, then each distinct point is mapped back once.
         """
         from .quotient import (
             QuotientFace, _edge_key, _face_class, face_translates, lattice_translates,
         )
+
+        faces, vertices, edges = list(faces), list(vertices), list(edges)
+        k = common_denominator(
+            [*lattice.basis, *vertices, *(p for e in edges for p in e),
+             *(p for f in faces for p in f.vertices),
+             *(f.period_vector for f in faces if f.period_vector is not None)]
+        )
+        if k > 1:
+            if lattice.rank:
+                lattice = Lattice([to_grid(b, k) for b in lattice.basis], name=lattice.name)
+            faces = [FaceDescriptor._of(
+                tuple(to_grid(p, k) for p in f.vertices),
+                None if f.period_vector is None else to_grid(f.period_vector, k),
+            ) for f in faces]
+            vertices = [to_grid(p, k) for p in vertices]
+            edges = [(to_grid(p, k), to_grid(q, k)) for p, q in edges]
+            window_margin = scalar(k * window_margin)
+        d = scale * k
+        grid_region = region if d == 1 else Region(dilate(region.center, d),
+                                                   scalar(d * region.radius))
 
         classes, first, vclasses, eclasses = {}, {}, {}, {}
         for f in faces:
@@ -436,40 +533,86 @@ class SkeletalComplex:
             vclasses.setdefault(lattice.reduce_key(p), p)
         for e in edges:
             eclasses.setdefault(_edge_key(lattice, *e), e)
-        unrolled = {key: face_translates(lattice, f, region) for key, f in first.items()}
+        unrolled = {key: face_translates(lattice, f, grid_region)
+                    for key, f in first.items()}
         if skeleton is None:
             vertices = [vadd(p, t) for p in vclasses.values()
-                        for t in lattice_translates(lattice, [p], region)]
+                        for t in lattice_translates(lattice, [p], grid_region)]
             edges = [(vadd(p, t), vadd(q, t)) for p, q in eclasses.values()
-                     for t in lattice_translates(lattice, (p, q), region)]
+                     for t in lattice_translates(lattice, (p, q), grid_region)]
         else:
+            # the skeleton's vertices are the structure's, so on its grid
             vertices, edges = skeleton.vertices, skeleton.edge_points
+            if d > 1:
+                vertices = [to_grid(p, d) for p in vertices]
+                edges = [(to_grid(p, d), to_grid(q, d)) for p, q in edges]
         patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
-                    region, window_margin=window_margin, name=name)
+                    grid_region, window_margin=window_margin, name=name)
         counts = {key: len(fs) for key, fs in unrolled.items() if fs}
-        patch._classes = StructureClasses(
+        patch._grid = StructureClasses(
             lattice, list(vclasses.values()), list(eclasses.values()), classes, counts
         )
+        if d > 1:
+            patch._to_input_units(d, region)
         return patch
+
+    def _grid_margin(self):
+        """The window margin on the grid."""
+        return scalar(self.scale * (self.window.radius - self.region.radius))
+
+    def _to_input_units(self, d, region):
+        """Map the tables, built on the grid x -> d x, back to input units,
+        each distinct point once.  A positive dilation keeps lexicographic
+        order, so the sorted tables stay sorted."""
+        back = {}
+
+        def point(p):
+            q = back.get(p)
+            if q is None:
+                q = back[p] = (_ratio(p[0], d), _ratio(p[1], d), _ratio(p[2], d))
+            return q
+
+        self.vertices = [point(p) for p in self.vertices]
+        self.edge_points = [(point(p), point(q)) for p, q in self.edge_points]
+        self.faces = [FaceDescriptor._of(
+            tuple(point(p) for p in f.vertices),
+            None if f.period_vector is None else point(f.period_vector),
+        ) for f in self.faces]
+        margin = Fraction(self.window.radius - self.region.radius) / d
+        self.region, self.window = region, region.expanded(scalar(margin))
+        self.scale = d
+
+    @property
+    def grid(self):
+        """The structure modulo its lattice on the grid x -> scale x, as
+        kept by :meth:`from_classes` or scanned from the patch once; a scan
+        that finds no lattice raises the same ``NotPeriodicError`` on every
+        read."""
+        if self._grid is None:
+            try:
+                self._grid = self._scan_classes()
+            except NotPeriodicError as exc:
+                self._grid = exc
+        if isinstance(self._grid, NotPeriodicError):
+            raise self._grid.with_traceback(None)
+        return self._grid
 
     @property
     def classes(self):
-        """The structure modulo its lattice, as kept by :meth:`from_classes`
-        or scanned from the patch once; a scan that finds no lattice raises
-        the same ``NotPeriodicError`` on every read."""
+        """The structure modulo its lattice in input units: ``grid`` itself
+        when the scale is 1, else ``grid`` mapped back on first read."""
+        grid = self.grid
+        if self.scale == 1:
+            return grid
         if self._classes is None:
-            try:
-                self._classes = self._scan_classes()
-            except NotPeriodicError as exc:
-                self._classes = exc
-        if isinstance(self._classes, NotPeriodicError):
-            raise self._classes.with_traceback(None)
+            self._classes = _unscaled_classes(grid, self.scale)
         return self._classes
 
     def _lattice_or_none(self):
-        """The class lattice, or None when a scanned patch shows none."""
+        """The class lattice on the grid, or None when a scanned patch shows
+        none."""
         try:
-            return self.classes.lattice
+            return self.grid.lattice
         except NotPeriodicError:
             return None
 
@@ -478,7 +621,7 @@ class SkeletalComplex:
         """The translation lattice: None when the structure is finite, or
         when a scanned patch shows none."""
         lattice = self._lattice_or_none()
-        return lattice if lattice is not None and lattice.rank else None
+        return self.classes.lattice if lattice is not None and lattice.rank else None
 
     @property
     def is_finite(self):
@@ -517,11 +660,12 @@ class SkeletalComplex:
 
     def _face_slots_at(self, p):
         """The quotient and the face slots through the vertex p of the
-        structure, anywhere in space; BoundaryError when p is no vertex."""
+        structure, anywhere in space, on the grid; BoundaryError when p is
+        no vertex."""
         from .orbit import build_quotient
 
         closed = build_quotient(self)
-        slots = closed.face_slots_at(p)
+        slots = closed.face_slots_at(dilate(p, self.scale))
         if not slots:
             raise BoundaryError(f"{vec_str(p)} is not a vertex of the structure")
         return closed, slots
@@ -531,11 +675,14 @@ class SkeletalComplex:
         read from p's vertex class."""
         p = tuple(p)
         closed, slots = self._face_slots_at(p)
-        edges = Counter()
-        for fid, j, t in slots:
-            f = closed.faces[fid]
-            edges[frozenset((vadd(f.point(j - 1), t), vadd(f.point(j + 1), t)))] += 1
-        return VertexFigureGraph(p, frozenset(x for e in edges for x in e), dict(edges))
+        figure = _vertex_figure(closed, p, slots)
+        if self.scale == 1:
+            return figure
+        k = Fraction(1, self.scale)
+        return VertexFigureGraph(
+            p, frozenset(dilate(x, k) for x in figure.nodes),
+            {frozenset(dilate(x, k) for x in e): m for e, m in figure.edges.items()},
+        )
 
     def faces_at_vertex(self, p):
         """The faces through the vertex p, in face-key order."""
@@ -543,6 +690,8 @@ class SkeletalComplex:
 
         closed, slots = self._face_slots_at(tuple(p))
         faces = [GeomFlag(closed, closed.dart(fid, j, 0), t).face() for fid, j, t in slots]
+        if self.scale != 1:
+            faces = [f.dilated(Fraction(1, self.scale)) for f in faces]
         return sorted(faces, key=FaceDescriptor.canonical_key)
 
     # -- serialization hook (full formats live in serialization.py) ---------
@@ -785,14 +934,15 @@ def validate(complex_, mode="polyhedron"):
                       "c:faces-per-edge"):
             report.add(axiom, False, exc.detail)
     else:
-        graph = quotient_graph(complex_.classes)
+        graph = quotient_graph(complex_.grid)
         nv = len(closed.vreps)
         report.add(
             "a:edge-graph-connected",
             graph.is_connected_cover(),
             f"{nv} vertex classes, {len(graph.edges)} edge classes",
         )
-        bad = sum(not complex_.vertex_figure(p).is_connected() for p in closed.vreps)
+        bad = sum(not _vertex_figure(closed, p, closed.face_slots_at(p)).is_connected()
+                  for p in closed.vreps)
         report.add("b:vertex-figures-connected", not bad,
                    f"{bad} disconnected of {nv} vertex classes")
         r = report.r = closed.r

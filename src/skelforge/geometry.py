@@ -14,6 +14,13 @@ multiplied by the integer matrix and divided back by ``divmod``, so no
 ``Fraction`` is built on the way and each result is an int when integral, a
 Fraction otherwise.  :func:`solve_isometry` solves through an integer
 adjugate the same way.
+
+A structure takes one common denominator too: its patch works on the
+integer grid ``x -> D x`` (:func:`common_denominator`, :func:`to_grid`),
+where an isometry ``(M, t)`` reads ``(M, D t)`` (:meth:`Isometry.dilated`).
+Structures are classified up to similarity, and the floors, least
+rotations and orders the library decides by all commute with a positive
+dilation, so no answer changes.
 """
 
 from __future__ import annotations
@@ -79,6 +86,28 @@ def _integers(v):
     q = math.lcm(x.denominator, y.denominator, z.denominator)
     return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator),
             z.numerator * (q // z.denominator)), q
+
+
+def common_denominator(vectors):
+    """The lcm of the denominators of the coordinates of ``vectors``: 1
+    when every coordinate is an int."""
+    return math.lcm(1, *(c.denominator for v in vectors for c in v))
+
+
+def to_grid(v, d):
+    """``d v`` as ints, for a d that is a multiple of every denominator of
+    v (see :func:`common_denominator`)."""
+    x, y, z = v
+    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator),
+            z.numerator * (d // z.denominator))
+
+
+def dilate(v, k):
+    """``k v``, normalized: the image of v under the dilation x -> k x."""
+    if k == 1:
+        return v
+    x, y, z = v
+    return (scalar(k * x), scalar(k * y), scalar(k * z))
 
 
 def _integer_rows(rows):
@@ -306,6 +335,11 @@ class Isometry:
         dd = d * d
         return Isometry._of(mat_transpose(self.m),
                             (_ratio(-n[0], dd), _ratio(-n[1], dd), _ratio(-n[2], dd)))
+
+    def dilated(self, k):
+        """This isometry conjugated by the dilation x -> k x: ``(M, k t)``,
+        which maps k p to k times the image of p."""
+        return self if k == 1 else Isometry._of(self.m, dilate(self.t, k))
 
     def det(self):
         return mat_det(self.m)

@@ -25,6 +25,7 @@ from .geometry import (
     SET_V,
     SET_W,
     Lattice,
+    dilate,
     lattice_basis_from,
     lattice_intersection,
     scalar,
@@ -346,12 +347,15 @@ def identify_vertex_set(complex_):
     comparing the finitely many cosets modulo it decides equality (the
     name) and containment (subset-of(name)).  A structure of lower rank can
     only be contained; its points are tested modulo N Lambda, for an N
-    that puts N Lambda inside M.  No containment reports other.
+    that puts N Lambda inside M.  No containment reports other.  The sets
+    are named in fixed coordinates, so the vertex classes are mapped back
+    from the grid to input units.
     """
     from .orbit import build_quotient
 
-    closed = build_quotient(complex_)
-    lattice = closed.lattice
+    k = Fraction(1, complex_.scale)
+    vreps = [dilate(p, k) for p in build_quotient(complex_).vreps]
+    lattice = complex_.classes.lattice
     contained = []
     for name, catalog_set, period in _VERTEX_SETS:
         if lattice.rank == 3:
@@ -360,7 +364,7 @@ def identify_vertex_set(complex_):
             n = math.lcm(1, *(Fraction(c).denominator
                               for b in lattice.basis for c in period.coords(b)))
             common = lattice.scaled(n)
-        points = [vadd(v, t) for v in closed.vreps for t in _coset_vectors(lattice, common)]
+        points = [vadd(v, t) for v in vreps for t in _coset_vectors(lattice, common)]
         if not all(catalog_set.member(p) for p in points):
             continue
         if lattice.rank == 3:

@@ -5,6 +5,11 @@ modulo the structure's lattice while tracking the actual translation picked
 up in 3-space, so a circuit that closes combinatorially but not
 geometrically is reported with its period vector instead of pretending to
 be finite.
+
+Every operation reads the structure's quotient on its integer grid
+x -> D x (``SkeletalComplex.scale``) and hands what it makes, with D, to
+``SkeletalComplex._unroll``; only the period vectors of traces and the
+covering witness are mapped back to input units.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .errors import (
 from .geometry import (
     ZERO3,
     Lattice,
+    dilate,
     lattice_basis_from,
     norm_inf,
     scalar,
@@ -120,6 +126,7 @@ def trace(patch, word_name, quotient_scale=None):
     """
     out = []
     sigs = set()
+    k = Fraction(1, patch.scale)
     for steps, disp, _, vertices, edge_ids in _circuits(patch, word_name):
         closed_up = disp == (0, 0, 0)
         if closed_up:
@@ -132,7 +139,8 @@ def trace(patch, word_name, quotient_scale=None):
                None if period is None else min(period, vscale(-1, period)))
         if sig not in sigs:
             sigs.add(sig)
-            out.append(WordTrace(word_name, length, closed_up, period, cycle))
+            out.append(WordTrace(word_name, length, closed_up,
+                                 None if period is None else dilate(period, k), cycle))
     out.sort(key=lambda t: (not t.closed_up, t.length))
     return out
 
@@ -157,14 +165,14 @@ def petrie_dual(patch, quotient_scale=None):
         else:
             circuit_faces.append(FaceDescriptor(*_primitive_walk(vertices, disp)))
 
-    margin = patch.window.radius - patch.region.radius
-    return SkeletalComplex.from_classes(
-        patch.classes.lattice,
+    return SkeletalComplex._unroll(
+        patch.grid.lattice,
         circuit_faces,
         patch.region,
-        window_margin=margin,
+        window_margin=patch._grid_margin(),
         name=f"petrie({patch.name})",
         skeleton=patch,
+        scale=patch.scale,
     )
 
 
@@ -246,6 +254,7 @@ def blend_with_segment(patch, length):
     length = scalar(length)
     if length == 0:
         raise ZeroParameterError("segment blend with zero length degenerates")
+    rise = scalar(patch.scale * length)
     closed = build_quotient(patch, scale=2)
     n = _plane_normal(closed)
     neighbors = [[] for _ in closed.vreps]
@@ -258,15 +267,15 @@ def blend_with_segment(patch, length):
 
     def lift(p):
         sign = 1 - 2 * color[closed.vertex_class_of(p)]
-        return vadd(p, vscale(sign * length, n))
+        return vadd(p, vscale(sign * rise, n))
 
     faces = [QuotientFace([lift(p) for p in f.lift], f.closure).face()
              for f in closed.faces]
-    basis = patch.classes.lattice.basis
+    basis = patch.grid.lattice.basis
     v0 = closed.vreps[0]
     swaps = [color[closed.vertex_class_of(vadd(v0, b))] != color[0] for b in basis]
-    margin = patch.window.radius - patch.region.radius + abs(length) * norm_inf(n)
-    return SkeletalComplex.from_classes(
+    margin = patch._grid_margin() + abs(rise) * norm_inf(n)
+    return SkeletalComplex._unroll(
         Lattice(lattice_basis_from(_even_part(basis, swaps))),
         faces,
         patch.region,
@@ -274,6 +283,7 @@ def blend_with_segment(patch, length):
         edges=[(lift(p), lift(q)) for p, q in closed.edge_reps],
         window_margin=margin,
         name=f"blend({patch.name},seg:{length})",
+        scale=patch.scale,
     )
 
 
@@ -347,27 +357,27 @@ def blend_with_apeirogon(patch, step):
                     elif (height[key] - hu - dh) % p:
                         raise NotBipartiteError("height labeling inconsistent")
 
-    lift_step = vscale(step, n)
+    lift_step = vscale(scalar(patch.scale * step), n)
     faces = []
     for f, d in zip(closed.faces, ascent):
         h0 = height[fine.reduce_key(f.lift[0])]
         pts = [vadd(f.point(d * i), vscale(h0 + i, lift_step)) for i in range(p)]
         faces.append(FaceDescriptor(pts, vscale(p, lift_step), check=False))
 
-    basis = patch.classes.lattice.basis
+    basis = patch.grid.lattice.basis
     f0, v0 = closed.faces[0], closed.faces[0].lift[0]
     swaps = [color[closed._face_image(translation(b), f0)[0]] != color[0] for b in basis]
     gens = [vscale(p, lift_step)]
     for b in _even_part(basis, swaps):
         rise = height[fine.reduce_key(vadd(v0, b))] - height[fine.reduce_key(v0)]
         gens.append(vadd(b, vscale(rise % p, lift_step)))
-    margin = patch.window.radius - patch.region.radius
-    return SkeletalComplex.from_classes(
+    return SkeletalComplex._unroll(
         Lattice(lattice_basis_from(gens)),
         faces,
         patch.region,
-        window_margin=margin,
+        window_margin=patch._grid_margin(),
         name=f"blend({patch.name},apeiro:{step})",
+        scale=patch.scale,
     )
 
 
@@ -387,7 +397,7 @@ def covering_check(patch, target):
     if patch.is_finite:
         candidates = [build_quotient(patch)]
     else:
-        lat = patch.lattice
+        lat = patch._lattice_or_none()
         if lat is None:
             raise ProjectionError("no translation lattice to compress by")
         # the full translation lattice can over-fold (extra symmetries of a
@@ -405,12 +415,13 @@ def covering_check(patch, target):
         if iso is None:
             continue
         vmap = {}
+        ks, kt = Fraction(1, patch.scale), Fraction(1, target.scale)
         for did, (v, e, f, j, side) in enumerate(source_closed.darts):
             tv = target_closed.darts[iso[did]][0]
-            vmap[source_closed.vreps[v]] = target_closed.vreps[tv]
+            vmap[dilate(source_closed.vreps[v], ks)] = dilate(target_closed.vreps[tv], kt)
         witness = {
             "kind": "compress",
-            "lattice": list(source_closed.lattice.basis),
+            "lattice": [dilate(b, ks) for b in source_closed.lattice.basis],
             "class_map": sorted(vmap.items()),
         }
         return True, witness

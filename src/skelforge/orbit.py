@@ -281,9 +281,11 @@ def build_quotient(patch, sublattice=None, scale=1):
     sublattice, as coverings and Euler characteristics need.  Finite
     patches quotient by the trivial lattice, so the result is just the
     closed form of the patch.  Classes that hold no face have nothing to
-    decide on.
+    decide on.  The quotient, and a given sublattice, lie on the patch's
+    grid x -> D x (``patch.scale``, ``patch.grid``), which is the input
+    itself when D is 1.
     """
-    lat, _, _, faces, _ = patch.classes
+    lat, _, _, faces, _ = patch.grid
     if not faces:
         raise PatchTooSmallError("the patch holds no face to decide on")
     if not lat.rank:

@@ -18,7 +18,11 @@ darts (:meth:`ClosedComplex.dart_permutation`).
 A structure's class table holds each face class once, as its canonical
 lift and closure (:class:`QuotientFace`).  The quotient modulo the
 structure's own lattice takes that table as it is; only a proper
-sublattice keys the translates of each class.
+sublattice keys the translates of each class.  Quotients are built from
+the table on the structure's integer grid x -> D x (``patch.grid``), so
+their points, lattices and flag walks are in grid units, and
+``ClosedComplex.scale`` records D.  Callers map what they print back to
+input units; with D = 1 the grid is the input.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     NotPolyhedronError,
 )
 from .geometry import (
-    ZERO3, is_integer, lattice_basis_from, norm_inf, vadd, vscale, vsub,
+    ZERO3, is_integer, lattice_basis_from, norm_inf, scalar, vadd, vscale, vsub,
 )
 
 
@@ -214,6 +218,11 @@ def _face_class(lattice, desc):
         for shift in [vsub(least, points[a])]
         for d in (1, -1)
     )
+    # sums of Fractions are not normalized: keep integral coordinates ints
+    if not all(type(c) is int for p in lift for c in p):
+        lift = tuple(tuple(scalar(c) for c in p) for p in lift)
+    if not all(type(c) is int for c in closure):
+        closure = tuple(scalar(c) for c in closure)
     key = ("fin",) + lift if t is None else ("inf",) + lift + (closure,)
     return key, lift, closure
 
@@ -228,9 +237,10 @@ class ClosedComplex:
     numbering holds even where a face meets a vertex or edge class twice.
     """
 
-    def __init__(self, lattice, classes, name=""):
+    def __init__(self, lattice, classes, name="", scale=1):
         self.lattice = lattice
         self.name = name
+        self.scale = scale  # the grid x -> scale x its points lie on
         # classes maps each face class key to its QuotientFace
         self.faces = faces = [classes[k] for k in sorted(classes)]
 
@@ -291,12 +301,13 @@ class ClosedComplex:
     @classmethod
     def from_patch(cls, patch, sublattice):
         """Quotient of a patch by a full-rank sublattice of its class
-        lattice, read from the classes, never from the patch's elements.
+        lattice, read from the classes on the patch's grid, never from the
+        patch's elements.
         Modulo the class lattice itself the face classes are taken as they
         are; a proper sublattice keys each class moved by one vector per
         coset.
         """
-        lattice, vertices, edges, faces, _ = patch.classes
+        lattice, vertices, edges, faces, _ = patch.grid
         classes = faces
         if sublattice.basis != lattice.basis:
             classes, cosets = {}, _coset_vectors(lattice, sublattice)
@@ -307,7 +318,7 @@ class ClosedComplex:
                     key, lift, closure = _face_class(sublattice, walk.translate(t))
                     if key not in classes:
                         classes[key] = QuotientFace(lift, closure)
-        closed = cls(sublattice, classes, name=patch.name)
+        closed = cls(sublattice, classes, name=patch.name, scale=patch.scale)
         # every vertex and edge class must lie on a face class
         for p in vertices:
             if sublattice.reduce_key(p) not in closed.vkeys:

@@ -6,7 +6,11 @@ at the radii the benchmark's ``catalog`` workload builds them at,
 ``classify --input`` of four generator sets moved by a rational
 translation, as the ``rational`` workload moves them, and what patch
 construction prints: ``build`` and ``petrie`` as JSON and ``export`` as
-OBJ of the presets the ``ops`` workload builds, at its radii.  A change that is
+OBJ of the presets the ``ops`` workload builds, at its radii.  The moved
+sets, and ``P2:1/3,2/5``, which is rational without a shift, also pin
+what every layer prints of a structure with rational coordinates:
+``build`` as JSON and as pgr, ``petrie``, ``export``, ``validate`` and
+``net``.  A change that is
 meant to be fast but not to change any answer must leave every digest as
 it is.
 
@@ -44,6 +48,11 @@ PATCH_COMMANDS = {
     "petrie": ["petrie", "--format", "json"],
     "export": ["export", "--format", "obj"],
 }
+# what is run of each MOVED set besides classify
+MOVED_COMMANDS = dict(PATCH_COMMANDS, pgr=["build", "--format", "pgr"],
+                      validate=["validate"], net=["net"])
+# (preset, radius) with rational coordinates and no shift
+RATIONAL = [("P2:1/3,2/5", "3")]
 
 GOLDEN = {
     'classify tet 4': '0 aa8855b8b65023c0c9951a7c705d3b0a97f800b93720ca4f33ab5d46f2f5f4a7',
@@ -93,6 +102,32 @@ GOLDEN = {
     'build P:1,-1 3': '0 f2630a936a1f7ed7875b3623e8b5b0dd5a6444cff9018d9c27a4ebb1658ea182',
     'petrie P:1,-1 3': '0 e9c9f7b61048dd5cec49d2ded5f897b9f66e25a2ad01f145ddb8eeae8191f54b',
     'export P:1,-1 3': '0 287bc48d9d98f8e1ae60d360c87f030e98b77a164cc14b8e7fb6f5b4a40830cd',
+    'build moved tet 4': '0 8321302679f7e618b56d05f46be754f3503e38906865e98729ce2523fec1f2e2',
+    'petrie moved tet 4': '0 bc5d941a52876aa40e8a2860b6adb408d8f9a5d18d2c88e05ba396646a39dd79',
+    'export moved tet 4': '0 45a60536c95956b6fd33d5641f7658d60a2819118f38431be468a8f5a9694300',
+    'pgr moved tet 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
+    'validate moved tet 4': '0 509f152e9c32d0b6b5d4b83ebaf03b8bf1f69a42cee12718f81f92a91b54eaa7',
+    'net moved tet 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
+    'build moved cube 4': '0 4886a1733ec0dd6ad3de7f23bbaa9a241a09ce461b4759260fca450caeff8778',
+    'petrie moved cube 4': '0 2b52b29b77b1f065437cc5d085b89974628adeed14c30ba658994e9b781c1f18',
+    'export moved cube 4': '0 27de59dcb3818ba9435593d09efb868be63738ec5fb6f7ed8a423071392f9a2c',
+    'pgr moved cube 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
+    'validate moved cube 4': '0 30e8dcb8a06fb41c7ba387c20109153018ca630a29a842aca20e48fd836c97d8',
+    'net moved cube 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
+    'build moved hex63 3': '0 6b280893728c33d47385154873c29ecc022eadeeefb7c24878bb62eb1ca3d353',
+    'petrie moved hex63 3': '0 4c28d9353eaa6c2e3901e7fc463206a5457692d986084e1826178ec53813a169',
+    'export moved hex63 3': '0 d102664b301edf928fcf31a05d7989ece4be9ad94d00307fc329aad40ec28a0f',
+    'pgr moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
+    'validate moved hex63 3': '0 19ec8cf8b825581f727afb9298733c4a2544989168066b805213843d61270f47',
+    'net moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
+    'build moved P2:1,0 3': '0 0c4a7397bef063e3da89d379a83041472b50ad560afd58dbb2df46529fc4a170',
+    'petrie moved P2:1,0 3': '0 feec8ccb8e28ecf34cb76e97777b4aa8585ef3e435a416e252b9a082c5a59882',
+    'export moved P2:1,0 3': '0 421a607ddab88eb44ef7ebbf681beec45f73b1a4af1c9ac2932c861d36c9b875',
+    'pgr moved P2:1,0 3': '0 db4e6fad7350406629b096a748469c1a7eb0d07a9ff86acc3165481056bfa797',
+    'validate moved P2:1,0 3': '0 0f7ff28ee2a2dce881e039dfbacb34eacbd7598c74780572348be6a45704f40f',
+    'net moved P2:1,0 3': '0 429ebcb75d230d019c5bb1973dbf6cfd243f09fe956a5fe02cad0e5f1527095f',
+    'classify P2:1/3,2/5 3': '0 91bf5dc37b1697dc3eb3d9116bb0661e947514f25137fc8251a1f29787bc0580',
+    'build P2:1/3,2/5 3': '0 dd9930b808c50940978adfbcff7b6721d30ddfd6d34a2fe6693f956e03efe0e6',
 }
 
 
@@ -109,6 +144,14 @@ def _cases():
         for label, command in PATCH_COMMANDS.items():
             yield f"{label} {name} {radius}", command + ["--preset", name,
                                                          "--radius", radius]
+    for name, radius in MOVED:
+        for label, command in MOVED_COMMANDS.items():
+            yield f"{label} moved {name} {radius}", command + [
+                "--input", _input_name(name), "--radius", radius]
+    for name, radius in RATIONAL:
+        for command in ("classify", "build"):
+            yield f"{command} {name} {radius}", [command, "--preset", name,
+                                                 "--radius", radius]
 
 
 def _input_name(name):

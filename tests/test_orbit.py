@@ -564,3 +564,255 @@ class TestFlagInvolutions:
             assert len(others) == 3
             for e in others:
                 assert d in closed.adjacent(e, 2)
+
+
+# ---------------------------------------------------------------------------
+# one integer grid per structure
+
+SHIFT = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+GRID_RADIUS = 2
+
+
+def moved_preset(name, radius=GRID_RADIUS, shift=SHIFT):
+    """The catalog preset ``name`` moved by ``shift``, over the region moved
+    with it: generator sets conjugated, constructive classes translated and
+    derived names built on their moved input."""
+    import re
+
+    from skelforge import ops
+
+    region = Region(shift, radius)
+    m = re.fullmatch(r"petrie\((.+)\)", name)
+    if m:
+        return ops.petrie_dual(moved_preset(m.group(1), radius, shift))
+    m = re.fullmatch(r"blend\((.+),(seg|apeiro):(-?\d+)\)", name)
+    if m:
+        blend = ops.blend_with_segment if m.group(2) == "seg" else ops.blend_with_apeirogon
+        return blend(moved_preset(m.group(1), radius, shift), int(m.group(3)))
+    if name in CONSTRUCTIVE_PRESETS:
+        from skelforge.complexes import FaceDescriptor
+
+        label, lattice, cycles = CONSTRUCTIVE_PRESETS[name]
+        faces = [FaceDescriptor(c).translate(shift) for c in cycles]
+        return SkeletalComplex.from_classes(lattice, faces, region, name=label)
+    return wythoff_patch(moved(instantiate(name), shift), region, name=name)
+
+
+def class_table_text(classes):
+    """A class table as text, every scalar as ``p/q``: the lattice basis,
+    the vertex and edge classes, then each face class's key, lift, closure
+    and patch count, in table order."""
+    from skelforge.geometry import vec_str
+
+    def points(ps):
+        return " ".join(vec_str(p) for p in ps)
+
+    lines = ["lattice " + points(classes.lattice.basis),
+             "vertices " + points(classes.vertices),
+             "edges " + " ".join(points(e) for e in classes.edges)]
+    for key, f in classes.faces.items():
+        lines.append(f"{key[0]} {points(key[1:])} | {points(f.lift)} | "
+                     f"{vec_str(f.closure)} | {classes.counts.get(key)}")
+    return "\n".join(lines) + "\n"
+
+
+def class_table_digest(classes):
+    import hashlib
+
+    return hashlib.sha256(class_table_text(classes).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of ``class_table_text`` of each preset and of its moved
+# copy, at GRID_RADIUS, as the library printed them before it worked on
+# the grid
+CLASS_TABLES = {
+    'tet': ('44f9227ccd734bbb',
+     '7352cabcf216f086'),
+    'cube': ('2c00213922fe00a6',
+     'a2b9bec8c8da0296'),
+    'oct': ('a3e618d2c585837a',
+     '1a171f04608ce190'),
+    'sq44': ('12ad64b9e4dc8549',
+     'b2ae4f64df2bb270'),
+    'tri36': ('07c67b5ebf10bcb8',
+     'a7d93683ba37222c'),
+    'hex63': ('91e0538a35f4dca0',
+     '365051edc5c4f91a'),
+    'P:1,0': ('b5b9c1a428d8d10a',
+     'e2a480f98bffe440'),
+    'P:1,1': ('7afe09a2bdb87a46',
+     '591f8210dc852293'),
+    'P:1,-1': ('c239c18eab739711',
+     'df159b3831dea339'),
+    'P:2,1': ('cbd013f1588cfa23',
+     'b3f6c552d04d66c9'),
+    'P2:0,1': ('3800b8e1d3633ec5',
+     'bb7f95a970636532'),
+    'P2:1,0': ('1ab766bc97936c24',
+     '1d70764fb4276852'),
+    'P2:1,1': ('a883a1bcc3950d14',
+     '4d42ee11b5c66669'),
+    'skel2cubic': ('b98d9ee6d10fd8bc',
+     '4bd8b2d0b91f7038'),
+    'K1_12': ('7ad1e474fd822f37',
+     '708195bafdaa4691'),
+    'K4_12': ('b53784a7eac90652',
+     'e38e7a1d2760f23f'),
+    'K5_12': ('eff061b1515f20cd',
+     'a2aedb74316475ff'),
+    'petrie(cube)': ('d1648be68bb8fd6d',
+     'fdb7c940d603ca0f'),
+    'petrie(sq44)': ('2c848ebc1a790b75',
+     '6b9d97e95de86a79'),
+    'blend(sq44,seg:1)': ('17d74f0dfe5b36d3',
+     'c4d80249a78ce54b'),
+    'blend(sq44,apeiro:1)': ('22150e02d2704ef0',
+     '526ca5dce5880337'),
+}
+
+
+def conjugated(g, shift):
+    """x -> g(x - shift) + shift: the isometry moved with the structure."""
+    return Isometry(g.m, vsub(vadd(g.t, shift), mat_vec(g.m, shift)))
+
+
+def _grid_coordinates(grid):
+    yield from grid.lattice.basis
+    yield from grid.vertices
+    for e in grid.edges:
+        yield from e
+    for f in grid.faces.values():
+        yield from f.lift
+        yield f.closure
+
+
+def _integral_coordinates_are_ints(classes):
+    # an integral Fraction compares equal to the int, so check the type
+    return all(type(c) is int or c.denominator != 1
+               for p in _grid_coordinates(classes) for c in p)
+
+
+PRESET_NAMES = [name for name, _, _ in CATALOG_SWEEP]
+# the blends are left out: see test_moved_preset_is_integral_on_its_grid
+POLYHEDRA = [name for name, _, mode in CATALOG_SWEEP
+             if mode == "polyhedron" and "blend(" not in name]
+
+
+class TestGrid:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_integer_presets_are_their_own_grid(self, built, name):
+        # D is the lcm of the denominators given to from_classes: 1 for
+        # every integer preset, whose grid table is its class table; the
+        # hexagon tiling's vertices are thirds
+        patch = built(name, GRID_RADIUS)
+        if name == "hex63":
+            assert patch.scale == 3
+            assert patch.grid is not patch.classes
+        else:
+            assert patch.scale == 1
+            assert patch.grid is patch.classes
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_moved_preset_is_integral_on_its_grid(self, built, name):
+        patch = moved_preset(name)
+        assert patch.scale % 105 == 0
+        assert all(type(c) is int for p in _grid_coordinates(patch.grid) for c in p)
+        if "blend(" in name:
+            # a blend colours from its least vertex class, which the shift
+            # may change: it is then the integer blend mirrored, and moved
+            return
+        # the tables are the integer preset's, moved
+        base = built(name, GRID_RADIUS)
+        assert patch.vertices == [vadd(p, SHIFT) for p in base.vertices]
+        assert patch.edge_points == [(vadd(p, SHIFT), vadd(q, SHIFT))
+                                     for p, q in base.edge_points]
+        assert len(patch.faces) == len(base.faces)
+        assert patch.flag_count == base.flag_count
+        # and so are the vertex figure and the faces at the central vertex
+        centre = base.central_vertex()
+        assert patch.central_vertex() == vadd(centre, SHIFT)
+        figure, moved_figure = base.vertex_figure(centre), patch.vertex_figure(vadd(centre, SHIFT))
+        assert moved_figure.nodes == {vadd(p, SHIFT) for p in figure.nodes}
+        assert moved_figure.edges == {frozenset(vadd(p, SHIFT) for p in e): m
+                                      for e, m in figure.edges.items()}
+        assert [f.canonical_key() for f in patch.faces_at_vertex(vadd(centre, SHIFT))] == \
+            sorted(f.translate(SHIFT).canonical_key() for f in base.faces_at_vertex(centre))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_class_tables_are_unchanged(self, built, name):
+        # keys, lifts, closures and counts, in table order, in input units
+        got = (class_table_digest(built(name, GRID_RADIUS).classes),
+               class_table_digest(moved_preset(name).classes))
+        assert got == CLASS_TABLES[name]
+
+    @pytest.mark.parametrize("name,radius", [(n, r) for n, r, _ in CATALOG_SWEEP])
+    def test_class_table_coordinates_are_ints_when_integral(self, built, name, radius):
+        # the lifts of a class table are sums of Fractions, which Python
+        # leaves as Fraction(n, 1) when integral; a scanned copy has D = 1,
+        # and its scan needs the larger radius
+        patch = moved_preset(name)
+        scanned = complex_from_json(complex_to_json(moved_preset(name, radius)))
+        assert scanned.scale == 1
+        for table in (built(name, GRID_RADIUS).classes, patch.classes, scanned.classes):
+            assert _integral_coordinates_are_ints(table)
+
+    def test_rational_helix_classes_are_ints_when_integral(self):
+        # 5 of the 72 lift coordinates of this one were Fraction(n, 1)
+        shift = (Fraction(1, 3), Fraction(-1, 7), Fraction(1, 2))
+        patch = moved_preset("P2:1/3,2/5", 3, shift)
+        assert _integral_coordinates_are_ints(patch.classes)
+        scanned = complex_from_json(complex_to_json(patch))
+        assert _integral_coordinates_are_ints(scanned.classes)
+
+    @pytest.mark.parametrize("name", POLYHEDRA)
+    def test_symmetries_move_with_the_structure(self, built, name):
+        # verdict, the flag-symmetry family and is_symmetry of the moved
+        # structure are those of the integer preset conjugated by the shift
+        from skelforge.classify import find_flag_symmetries, is_symmetry, verdict
+
+        from test_classify import candidates_at_base_vertex
+
+        base, patch = built(name, GRID_RADIUS), moved_preset(name)
+        back = tuple(-c for c in SHIFT)
+        fam, moved_fam = find_flag_symmetries(base), find_flag_symmetries(patch)
+        assert (fam is None) == (moved_fam is None)
+        if fam is None:
+            return
+        assert moved_fam["family"] == fam["family"]
+        gens = [g for k, g in fam.items() if k != "family"]
+        moved_gens = [g for k, g in moved_fam.items() if k != "family"]
+        assert all(is_symmetry(patch, conjugated(g, SHIFT)) for g in gens)
+        assert all(is_symmetry(base, conjugated(g, back)) for g in moved_gens)
+        if "(" not in name and name not in CONSTRUCTIVE_PRESETS:
+            gens = instantiate(name).isometries()
+        v = verdict(base, gens)
+        w = verdict(patch, [conjugated(g, SHIFT) for g in gens])
+        assert (w.kind, w.orbit_count, w.adjacent_always_split) == \
+            (v.kind, v.orbit_count, v.adjacent_always_split)
+        assert (w.extra_symmetry is None) == (v.extra_symmetry is None)
+        if v.extra_symmetry is not None:
+            assert w.extra_symmetry == conjugated(v.extra_symmetry, SHIFT)
+        cands = candidates_at_base_vertex(base)
+        assert [is_symmetry(patch, conjugated(c, SHIFT)) for c in cands] == \
+            [is_symmetry(base, c) for c in cands]
+
+    @pytest.mark.parametrize("name", POLYHEDRA)
+    def test_traces_move_with_the_structure(self, built, name):
+        # a period vector is a translation, which the shift leaves alone;
+        # its sign follows the walk, which may start elsewhere
+        from skelforge.ops import trace
+
+        def lengths(patch):
+            return sorted((t.length, t.closed_up, t.period_vector and
+                           max(t.period_vector, tuple(-c for c in t.period_vector)))
+                          for t in trace(patch, "petrie"))
+
+        assert lengths(moved_preset(name)) == lengths(built(name, GRID_RADIUS))
+
+    def test_moved_cube_and_octahedron_are_dual(self):
+        from skelforge.classify import dual_congruence_check, face_center
+
+        cube, oct_ = moved_preset("cube"), moved_preset("oct")
+        ok, g = dual_congruence_check(cube, oct_)
+        assert ok
+        assert {g(face_center(f)) for f in cube.faces} == set(oct_.vertices)
