@@ -147,8 +147,7 @@ def classify_polygon(face):
     mapped back.
     """
     pts, t = face.vertices, face.period_vector
-    vectors = pts if t is None else pts + (t,)
-    if not pts or all(type(c) is int for v in vectors for c in v):
+    if {type(c) for v in (pts if t is None else pts + (t,)) for c in v} <= {int}:
         return _classify_polygon(face)
     v0 = pts[0]
     moved = [vsub(p, v0) for p in pts]

@@ -84,14 +84,13 @@ def _integers(v):
     denominators of v."""
     x, y, z = v
     q = math.lcm(x.denominator, y.denominator, z.denominator)
-    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator),
-            z.numerator * (q // z.denominator)), q
+    return to_grid(v, q), q
 
 
 def common_denominator(vectors):
     """The lcm of the denominators of the coordinates of ``vectors``: 1
     when every coordinate is an int."""
-    return math.lcm(1, *(c.denominator for v in vectors for c in v))
+    return math.lcm(1, *{c.denominator for v in vectors for c in v})
 
 
 def to_grid(v, d):
@@ -113,9 +112,8 @@ def dilate(v, k):
 def _integer_rows(rows):
     """Integer rows and q > 0 with ``rows = integer rows / q``, q the lcm of
     every denominator."""
-    q = math.lcm(*(c.denominator for row in rows for c in row))
-    return tuple(tuple(c.numerator * (q // c.denominator) for c in row)
-                 for row in rows), q
+    q = common_denominator(rows)
+    return tuple(to_grid(row, q) for row in rows), q
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +620,8 @@ def lattice_basis_from(vectors):
     """A basis of the lattice generated by rational ``vectors`` (rank <= 3)."""
     if not vectors:
         return []
-    denoms = [
-        c.denominator if isinstance(c, Fraction) else 1 for v in vectors for c in v
-    ]
-    d = math.lcm(*denoms)
-    int_rows = [[int(c * d) for c in v] for v in vectors]
-    basis = _hnf(int_rows)
+    d = common_denominator(vectors)
+    basis = _hnf([to_grid(v, d) for v in vectors])
     return [tuple(scalar(Fraction(c, d)) for c in row) for row in basis]
 
 
@@ -663,8 +657,8 @@ class Lattice:
         adj = den = None
         if ext:
             inv = mat_inverse(mat_transpose(tuple(ext)))
-            den = math.lcm(*(Fraction(e).denominator for row in inv for e in row))
-            adj = tuple(tuple(int(e * den) for e in row) for row in inv)
+            den = common_denominator(inv)
+            adj = tuple(to_grid(row, den) for row in inv)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_den", den)
 

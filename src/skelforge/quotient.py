@@ -219,9 +219,8 @@ def _face_class(lattice, desc):
         for d in (1, -1)
     )
     # sums of Fractions are not normalized: keep integral coordinates ints
-    if not all(type(c) is int for p in lift for c in p):
+    if {type(c) for p in lift + (closure,) for c in p} != {int}:
         lift = tuple(tuple(scalar(c) for c in p) for p in lift)
-    if not all(type(c) is int for c in closure):
         closure = tuple(scalar(c) for c in closure)
     key = ("fin",) + lift if t is None else ("inf",) + lift + (closure,)
     return key, lift, closure
