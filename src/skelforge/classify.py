@@ -4,9 +4,9 @@ Polygon taxonomy is decided by exact predicates only: coplanarity through
 determinants, convex versus star through an integer winding number, helical
 regularity through equality of consecutive dot/cross pairs after projecting
 along the period.  Symmetries are discovered by solving exact point
-correspondences between flag walks, and a candidate is a symmetry exactly
-when it permutes the darts of the structure's quotient modulo a lattice it
-normalizes (:func:`is_symmetry`).
+correspondences between flag walks, and a candidate is decided on the
+structure's quotient modulo its own lattice by where it sends each face
+class (:func:`is_symmetry`); no cover is built for it.
 
 The quotient and the flags lie on the structure's integer grid
 x -> D x (``SkeletalComplex.scale``); an isometry crosses between input
@@ -297,28 +297,24 @@ def is_symmetry(patch, iso):
 def _is_symmetry(patch, iso):
     """Is ``iso``, on the patch's grid, a symmetry of the structure?
 
-    Decided on the quotient modulo a lattice S of translations that the
-    linear part L of ``iso`` maps onto itself: ``iso`` then acts on the
-    quotient exactly when it permutes its darts.  S is the structure's
-    lattice Lambda when L normalizes it.  A generator-built Lambda may be a
-    proper sublattice of the translation group that a true symmetry does
-    not normalize; S is then the intersection of the L^i Lambda over L's
-    order, full rank when that order is 1, 2, 3, 4 or 6.  Any other L is
-    no symmetry of a discrete structure (the crystallographic restriction).
+    Decided on the quotient modulo the structure's lattice Lambda: if the
+    linear part L of ``iso`` maps Lambda into itself, by whether ``iso``
+    permutes the darts.  Else (a symmetry need not normalize a proper
+    sublattice), by whether it maps each face class, moved by one t per coset
+    of S = Lambda & L^-1 Lambda, onto a face: moving by s in S more moves the
+    image by L s in Lambda.  S of lower rank than Lambda rules ``iso`` out.
     """
-    lattice = sublattice = patch.grid.lattice
-    if not all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
-        lin = Isometry(iso.m, check=False)
-        power = order_or_translation(lin, 6)
-        if power.kind != "order" or power.n == 5:
-            return False
-        images = [lattice]
-        for _ in range(power.n - 1):
-            images.append(Lattice([lin.apply_vec(b) for b in images[-1].basis]))
-        sublattice = lattice_intersection(images)
-        if sublattice is None:
-            return False
-    return build_quotient(patch, sublattice=sublattice).dart_permutation(iso) is not None
+    closed = build_quotient(patch)
+    lattice = closed.lattice
+    if all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
+        return closed.dart_permutation(iso) is not None
+    back = iso.inverse()
+    pulled = Lattice([back.apply_vec(b) for b in lattice.basis])
+    common = lattice_intersection([lattice, pulled])
+    return common is not None and all(
+        closed._face_image(iso, f, t) is not None
+        for t in _coset_vectors(lattice, common) for f in closed.faces
+    )
 
 
 def flag_map_candidates(flag, target):

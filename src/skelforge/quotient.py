@@ -12,8 +12,9 @@ a face may meet one vertex or edge class several times, at different
 lattice translates, and the quotient modulo the structure's own lattice is
 still exact.  A flag of the structure is a dart moved by a lattice
 vector (:class:`GeomFlag`), so flag walks and symmetry searches read the
-quotient alone: an isometry is a symmetry exactly when it permutes the
-darts (:meth:`ClosedComplex.dart_permutation`).
+quotient alone: an isometry is a symmetry exactly when it sends each face
+class, moved by one lattice vector per coset of those it keeps in the
+lattice, onto a face (:meth:`ClosedComplex._face_image`).
 
 A structure's class table holds each face class once, as its canonical
 lift and closure (:class:`QuotientFace`).  The quotient modulo the
@@ -409,18 +410,21 @@ class ClosedComplex:
 
     # -- symmetry action ----------------------------------------------------
 
-    def _face_image(self, iso, f):
-        """(g, a, d): ``iso`` maps lift point i of f onto point a + d i of
-        face class g, moved by one lattice vector; None when no class fits."""
-        pts = [iso(f.point(i)) for i in range(len(f) + 1)]
-        v = self.vertex_class_of(pts[0])
+    def _face_image(self, iso, f, shift=ZERO3):
+        """(g, a, d): ``iso`` maps walk point i of f moved by ``shift`` onto
+        point a + d i of face class g, moved by one lattice vector; None when
+        no class fits.  Walks whose steps repeat every m and every n steps
+        agree once m + n - gcd(m, n) + 1 points do (Fine and Wilf), so the
+        lifts may differ in length, as where ``iso`` moves the lattice."""
+        image = QuotientFace([iso(vadd(p, shift)) for p in f.lift], iso.apply_vec(f.closure))
+        v = self.vertex_class_of(image.lift[0])
         for g, a in self.slots_at[v] if v is not None else ():
             face = self.faces[g]
-            if len(face) != len(f):
-                continue
-            t = vsub(face.point(a), pts[0])
+            m, n = len(f), len(face)
+            t = vsub(face.point(a), image.lift[0])
             for d in (1, -1):
-                if all(vadd(p, t) == face.point(a + d * i) for i, p in enumerate(pts)):
+                if all(vadd(image.point(i), t) == face.point(a + d * i)
+                       for i in range(1, m + n - math.gcd(m, n) + 1)):
                     return g, a, d
         return None
 

@@ -3,11 +3,13 @@
 ``is_symmetry_by_class_keys`` maps every face class, moved by each coset
 vector of Lambda modulo the part S of Lambda that the linear part L maps
 into Lambda, and asks whether the image's canonical class key is a class
-of the structure.  The library decides the same question as a dart
-permutation of the quotient modulo the intersection of the L^i Lambda.
+of the structure.  Each class is represented by its primitive face, so the
+image is keyed with its own closure multiple modulo Lambda, which L can
+change.  The library decides the same question on the quotient modulo
+Lambda: as a dart permutation when L normalizes Lambda, else by matching
+each moved class's image against the quotient's face classes.
 """
 
-from skelforge.complexes import FaceDescriptor
 from skelforge.errors import PatchTooSmallError
 from skelforge.geometry import (
     ZERO3, Isometry, Lattice, lattice_intersection, order_or_translation,
@@ -31,9 +33,9 @@ def is_symmetry_by_class_keys(patch, iso):
         if common is None:
             return False
         shifts = _coset_vectors(lattice, common)
-    # each class as the walk of its lift, whose key is the class key
-    reps = [FaceDescriptor(f.lift, None if f.closure == ZERO3 else f.closure, check=False)
-            for f in classes.values()]
+    # each class as its primitive face: a lift's closure can be a multiple
+    # of the image's closure modulo Lambda
+    reps = [f.face() for f in classes.values()]
     return all(
         _face_class(lattice, rep.translate(t).transform(iso))[0] in classes
         for t in shifts

@@ -34,9 +34,10 @@ from skelforge.geometry import (
     point_reflection,
     reflection_in_plane,
     translation,
+    vscale,
 )
 from skelforge.orbit import build_base_face
-from skelforge.presets import finite_faced_chiral, helix_faced_chiral, instantiate
+from skelforge.presets import build, finite_faced_chiral, helix_faced_chiral, instantiate
 from symmetry_oracle import is_symmetry_by_class_keys
 from test_presets import CATALOG_SWEEP
 
@@ -346,6 +347,17 @@ def declared_thin_sq44(sq):
     )
 
 
+def declared_doubled_p2(p2, i):
+    """P2:1,0's class table declared over its lattice with basis vector i
+    doubled (each class face and its translate by that vector), over the
+    region of the P2:1,0 patch ``p2``."""
+    lattice, _, _, classes, _ = p2.classes
+    b = lattice.basis[i]
+    basis = [vscale(2, v) if k == i else v for k, v in enumerate(lattice.basis)]
+    faces = [g for f in classes.values() for g in (f.face(), f.face().translate(b))]
+    return SkeletalComplex.from_classes(Lattice(basis), faces, p2.region)
+
+
 class TestIsSymmetryAgainstClassKeys:
     """The dart-permutation test against the class-key test it replaced."""
 
@@ -362,8 +374,8 @@ class TestIsSymmetryAgainstClassKeys:
         self._agree(built(name, radius))
 
     def test_declared_thin_lattice(self, built):
-        # the quarter turns do not normalize Z x 2Z: they are decided on the
-        # quotient modulo 2Z x 2Z
+        # the quarter turns do not normalize Z x 2Z: they are decided by
+        # moving each class by (1, 0, 0) too
         patch = declared_thin_sq44(built("sq44"))
         lattice = patch.classes.lattice
         cands = candidates_at_base_vertex(patch)
@@ -373,17 +385,46 @@ class TestIsSymmetryAgainstClassKeys:
         assert any(is_symmetry(patch, c) for c in outside)
         self._agree(patch)
 
+    @pytest.mark.parametrize("i", range(3))
+    def test_declared_doubled_vector(self, built, i):
+        # a quarter turn swapping the doubled axis with another maps a helix
+        # whose lift closes after two periods onto one that closes after one
+        p2 = built("P2:1,0")
+        patch = declared_doubled_p2(p2, i)
+        answers = self._agree(patch)
+        assert all(darts for darts, _ in answers)
+        assert len(answers) == sum(is_symmetry(p2, c) for c in candidates_at_base_vertex(p2))
+        found = find_flag_symmetries(p2)
+        gens = list(instantiate("P2:1,0").isometries())
+        gens += [g for name, g in found.items() if name != "family"]
+        assert all(is_symmetry(patch, g) for g in gens)
+
+    def test_rational_member(self, built):
+        self._agree(built("P2:1/3,2/5", 3))
+
     def test_scanned_moved_structure(self):
         from test_orbit import loaded_moved_patch
 
         self._agree(loaded_moved_patch("P:2,1", 4))
 
 
+@pytest.mark.parametrize("name", ["P:1,1", "P:2,1", "P:1,-2", "P2:2,1", "P2:1/3,2/5"])
+def test_symmetries_key_no_face(monkeypatch, name):
+    # candidates that do not normalize the structure's lattice are decided
+    # on the quotient modulo it: the search and the verdict build no cover
+    from test_orbit import count_face_class_calls
+
+    patch = build(name, Region((0, 0, 0), 3))
+    calls = count_face_class_calls(monkeypatch)
+    assert find_flag_symmetries(patch) is not None
+    verdict(patch, instantiate(name).isometries())
+    assert calls[0] == 0
+    assert len(patch._quotient_cache) == 1
+
+
 def _symmetry_answers(name, radius):
     """Generators and verdict of a polyhedron, or the edge stabilizer of a
     complex, read from a patch of the given radius."""
-    from skelforge.presets import build
-
     patch = build(name, Region((0, 0, 0), radius))
     if name in ("skel2cubic", "K4_12"):
         g2 = edge_stabilizer(patch)

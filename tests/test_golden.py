@@ -10,9 +10,10 @@ OBJ of the presets the ``ops`` workload builds, at its radii.  The moved
 sets, and ``P2:1/3,2/5``, which is rational without a shift, also pin
 what every layer prints of a structure with rational coordinates:
 ``build`` as JSON and as pgr, ``petrie``, ``export``, ``validate`` and
-``net``.  A change that is
-meant to be fast but not to change any answer must leave every digest as
-it is.
+``net``.  ``classify`` of P:1,1, P:2,1, P:1,-2 and P2:2,1 at radius 4 pins
+symmetry answers that are tested with isometries whose linear part does not
+map the structure's lattice into itself.  A change that is meant to be fast
+but not to change any answer must leave every digest as it is.
 
 After a change that is meant to change output, check the new output by
 hand, then re-record with
@@ -53,6 +54,9 @@ MOVED_COMMANDS = dict(PATCH_COMMANDS, pgr=["build", "--format", "pgr"],
                       validate=["validate"], net=["net"])
 # (preset, radius) with rational coordinates and no shift
 RATIONAL = [("P2:1/3,2/5", "3")]
+# (preset, radius) whose symmetry candidates include isometries that do not
+# map the structure's lattice into itself
+OFF_LATTICE = [("P:1,1", "4"), ("P:2,1", "4"), ("P:1,-2", "4"), ("P2:2,1", "4")]
 
 GOLDEN = {
     'classify tet 4': '0 aa8855b8b65023c0c9951a7c705d3b0a97f800b93720ca4f33ab5d46f2f5f4a7',
@@ -128,6 +132,10 @@ GOLDEN = {
     'net moved P2:1,0 3': '0 429ebcb75d230d019c5bb1973dbf6cfd243f09fe956a5fe02cad0e5f1527095f',
     'classify P2:1/3,2/5 3': '0 91bf5dc37b1697dc3eb3d9116bb0661e947514f25137fc8251a1f29787bc0580',
     'build P2:1/3,2/5 3': '0 dd9930b808c50940978adfbcff7b6721d30ddfd6d34a2fe6693f956e03efe0e6',
+    'classify P:1,1 4': '0 3251c0713a24074908c781f01ff45bffda0e406db3918b29ba47e33b242c92cf',
+    'classify P:2,1 4': '0 9e119c0647f01135eca9e2ff512c5f4e2ff70929c0dd206d7fcfa31afdee89e1',
+    'classify P:1,-2 4': '0 91fa6c116e8ae3fb5050fe2eb37dccc15484d9a49437c535c5e667d97a1e3ebb',
+    'classify P2:2,1 4': '0 c21d0eaabee3d2ccc8799e97d870c3387187dbe387503c7eab40218a8a020c01',
 }
 
 
@@ -152,6 +160,9 @@ def _cases():
         for command in ("classify", "build"):
             yield f"{command} {name} {radius}", [command, "--preset", name,
                                                  "--radius", radius]
+    for name, radius in OFF_LATTICE:
+        yield f"classify {name} {radius}", ["classify", "--preset", name,
+                                            "--radius", radius]
 
 
 def _input_name(name):
