@@ -297,20 +297,18 @@ def is_symmetry(patch, iso):
 def _is_symmetry(patch, iso):
     """Is ``iso``, on the patch's grid, a symmetry of the structure?
 
-    Decided on the quotient modulo the structure's lattice Lambda: if the
-    linear part L of ``iso`` maps Lambda into itself, by whether ``iso``
-    permutes the darts.  Else (a symmetry need not normalize a proper
-    sublattice), by whether it maps each face class, moved by one t per coset
-    of S = Lambda & L^-1 Lambda, onto a face: moving by s in S more moves the
-    image by L s in Lambda.  S of lower rank than Lambda rules ``iso`` out.
+    Decided on the quotient modulo the structure's lattice Lambda, which a
+    symmetry need not normalize: ``iso`` must map each face class, moved by
+    one t per coset of S = Lambda & L^-1 Lambda (L its linear part), onto a
+    face; moving by s in S more moves the image by L s in Lambda.  S = Lambda
+    when L normalizes Lambda; S of lower rank rules ``iso`` out.  The cosets
+    come lazily from t = 0, where a non-symmetry normally fails already.
     """
     closed = build_quotient(patch)
-    lattice = closed.lattice
-    if all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
-        return closed.dart_permutation(iso) is not None
-    back = iso.inverse()
-    pulled = Lattice([back.apply_vec(b) for b in lattice.basis])
-    common = lattice_intersection([lattice, pulled])
+    lattice = common = closed.lattice
+    if not all(lattice.member(iso.apply_vec(b)) for b in lattice.basis):
+        pulled = Lattice([iso.inverse().apply_vec(b) for b in lattice.basis])
+        common = lattice_intersection([lattice, pulled])
     return common is not None and all(
         closed._face_image(iso, f, t) is not None
         for t in _coset_vectors(lattice, common) for f in closed.faces
@@ -623,8 +621,8 @@ def dual_congruence_check(a, b):
         if common is None:
             continue
         pulled = Lattice([lin.inverse().apply_vec(v) for v in common.basis])
-        shifts_a = _coset_vectors(lat_a, pulled)
-        shifts_b = _coset_vectors(lat_b, common)
+        shifts_a = list(_coset_vectors(lat_a, pulled))
+        shifts_b = list(_coset_vectors(lat_b, common))
         want_v = {common.reduce_key(vadd(p, s))
                   for p in b_verts.values() for s in shifts_b}
         want_e = {_edge_key(common, vadd(p, s), vadd(q, s))

@@ -182,18 +182,18 @@ def face_translates(lattice, desc, region):
 
 
 def _coset_vectors(lattice, sublattice):
-    """One lattice vector per coset of the sublattice, by a BFS over +-basis."""
-    found = {sublattice.reduce_key(ZERO3): ZERO3}
-    queue = deque(found.values())
+    """One lattice vector per coset of the sublattice, zero first, by a lazy BFS over +-basis."""
+    found = {sublattice.reduce_key(ZERO3)}
+    queue = deque([ZERO3])
     while queue:
         v = queue.popleft()
+        yield v
         for b in lattice.basis:
             for w in (vadd(v, b), vsub(v, b)):
                 key = sublattice.reduce_key(w)
                 if key not in found:
-                    found[key] = w
+                    found.add(key)
                     queue.append(w)
-    return list(found.values())
 
 
 def _face_class(lattice, desc):
@@ -310,7 +310,7 @@ class ClosedComplex:
         lattice, vertices, edges, faces, _ = patch.grid
         classes = faces
         if sublattice.basis != lattice.basis:
-            classes, cosets = {}, _coset_vectors(lattice, sublattice)
+            classes, cosets = {}, list(_coset_vectors(lattice, sublattice))
             for f in faces.values():
                 period = None if f.closure == ZERO3 else f.closure
                 walk = FaceDescriptor._of(f.lift, period)
@@ -413,9 +413,8 @@ class ClosedComplex:
     def _face_image(self, iso, f, shift=ZERO3):
         """(g, a, d): ``iso`` maps walk point i of f moved by ``shift`` onto
         point a + d i of face class g, moved by one lattice vector; None when
-        no class fits.  Walks whose steps repeat every m and every n steps
-        agree once m + n - gcd(m, n) + 1 points do (Fine and Wilf), so the
-        lifts may differ in length, as where ``iso`` moves the lattice."""
+        no class fits.  Lifts of m and n points agree once m + n - gcd(m, n)
+        + 1 walk points do (Fine and Wilf), so ``iso`` may change a length."""
         image = QuotientFace([iso(vadd(p, shift)) for p in f.lift], iso.apply_vec(f.closure))
         v = self.vertex_class_of(image.lift[0])
         for g, a in self.slots_at[v] if v is not None else ():

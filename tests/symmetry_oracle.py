@@ -6,8 +6,8 @@ into Lambda, and asks whether the image's canonical class key is a class
 of the structure.  Each class is represented by its primitive face, so the
 image is keyed with its own closure multiple modulo Lambda, which L can
 change.  The library decides the same question on the quotient modulo
-Lambda: as a dart permutation when L normalizes Lambda, else by matching
-each moved class's image against the quotient's face classes.
+Lambda, by matching each moved class's image against the quotient's face
+classes.
 """
 
 from skelforge.errors import PatchTooSmallError

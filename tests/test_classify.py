@@ -270,6 +270,25 @@ class TestIsSymmetry:
         turn = Isometry(((F(3, 5), F(-4, 5), 0), (F(4, 5), F(3, 5), 0), (0, 0, 1)))
         assert not is_symmetry(built("P:1,0"), turn)
 
+    def test_large_denominator_rotation_fails_at_zero_shift(self, built, monkeypatch):
+        # the shifts t are drawn lazily from t = 0, where this turn fails: no
+        # BFS over the cosets of Lambda & L^-1 Lambda, whose index (about two
+        # million here) grows with the denominators, reduces a point
+        patch = built("P:1,0")
+        c = 1000 ** 2 + 999 ** 2
+        x, y = Fraction(1000 ** 2 - 999 ** 2, c), Fraction(2 * 1000 * 999, c)
+        turn = Isometry(((x, -y, 0), (y, x, 0), (0, 0, 1)))
+        calls = []
+        real = Lattice.reduce_key
+
+        def counted(self, p):
+            calls.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(Lattice, "reduce_key", counted)
+        assert not is_symmetry(patch, turn)
+        assert len(calls) < 100
+
     def test_translation_of_finite_structure_rejected(self, built):
         assert not is_symmetry(built("cube"), translation((1, 0, 0)))
 
