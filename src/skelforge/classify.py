@@ -1,12 +1,12 @@
 """Geometric and symmetry classification.
 
-Polygon taxonomy is decided by exact predicates only: coplanarity through
-determinants, convex versus star through an integer winding number, helical
-regularity through equality of consecutive dot/cross pairs after projecting
-along the period.  Symmetries are discovered by solving exact point
-correspondences between flag walks, and a candidate is decided on the
-structure's quotient modulo its own lattice by where it sends each face
-class (:func:`is_symmetry`); no cover is built for it.
+Polygon taxonomy follows one rule: a face is regular exactly when an
+isometry moves each vertex of its walk to the next, and its kind is then
+read from the span of its vertices (and, for a helix, the number of their
+projections along the period).  Symmetries are discovered by solving
+exact point correspondences between flag walks, and a candidate is decided
+on the structure's quotient modulo its own lattice by where it sends each
+face class (:func:`is_symmetry`); no cover is built for it.
 
 The quotient and the flags lie on the structure's integer grid
 x -> D x (``SkeletalComplex.scale``); an isometry crosses between input
@@ -63,17 +63,15 @@ from .quotient import GeomFlag, _coset_vectors, _edge_key
 
 @dataclass
 class PolygonClass:
-    kind: str  # convex | star | skew | linear | zigzag | helical
+    kind: str  # convex | skew | linear | zigzag | helical
     p: int | None = None       # vertices per cycle (finite kinds)
-    k: int | None = None       # winding (star) or base k-gon (helical)
+    k: int | None = None       # base k-gon (zigzag and helical)
     witness: Isometry | None = None
 
     @property
     def symbol(self):
         if self.kind == "convex":
             return f"{self.p}_c"
-        if self.kind == "star":
-            return f"{self.p}/{self.k}_star"
         if self.kind == "skew":
             return f"{self.p}_s"
         if self.kind == "linear":
@@ -84,27 +82,7 @@ class PolygonClass:
 
     @property
     def is_finite(self):
-        return self.kind in ("convex", "star", "skew")
-
-
-def _winding_number(points2, center):
-    w = 0
-    n = len(points2)
-    for i in range(n):
-        px, py = points2[i][0] - center[0], points2[i][1] - center[1]
-        qx, qy = points2[(i + 1) % n][0] - center[0], points2[(i + 1) % n][1] - center[1]
-        cross = px * qy - py * qx
-        if py <= 0 < qy and cross > 0:
-            w += 1
-        elif qy <= 0 < py and cross < 0:
-            w -= 1
-    return w
-
-
-def _project_out(points, normal):
-    drop = max(range(3), key=lambda i: abs(normal[i]))
-    keep = [i for i in range(3) if i != drop]
-    return [(p[keep[0]], p[keep[1]]) for p in points]
+        return self.kind in ("convex", "skew")
 
 
 def _cycling_isometry(src, dst, first=False):
@@ -138,9 +116,14 @@ def _cycling_isometry(src, dst, first=False):
 def classify_polygon(face):
     """Exact classification of a (regular) polygon face.
 
-    Finite faces come back convex, star, or skew; infinite ones linear,
-    zigzag, or helical over a k-gon.  A face fitting no class exactly (or
-    admitting no vertex-cycling isometry) raises NotAPolygonError.
+    A face is regular exactly when an isometry (its witness) moves each
+    vertex of its walk to the next; a face admitting none, or with fewer
+    than 3 vertices or collinear ones, raises NotAPolygonError.  The kind
+    then follows from the vertices: a finite face is skew when it spans
+    3-space, else convex (a rational rotation has order 1, 2, 3, 4 or 6,
+    so no regular star polygon has rational vertices); an infinite one is
+    linear, zigzag (on two lines along its period), or helical over the
+    k-gon its vertices project to along the period.
 
     The class is a similarity invariant, so a face off the integers is
     moved to its first vertex and scaled to ints first, and its witness
@@ -167,31 +150,15 @@ def _classify_polygon(face):
     if face.period_vector is None:
         if n < 3:
             raise NotAPolygonError("fewer than 3 vertices")
-        shifted = [pts[(i + 1) % n] for i in range(n)]
-        witnesses = _cycling_isometry(pts, shifted, first=True)
-        witness = witnesses[0] if witnesses else None
-        diffs = [vsub(p, pts[0]) for p in pts[1:]]
-        kept = spanning_indices(diffs)
-        if len(kept) == 3:
-            if witness is None:
-                raise NotAPolygonError("skew cycle admits no cycling isometry")
-            return PolygonClass("skew", p=n, witness=witness)
+        kept = spanning_indices([vsub(p, pts[0]) for p in pts[1:]])
         if len(kept) < 2:
             raise NotAPolygonError("vertices are collinear")
-        normal = vcross(diffs[kept[0]], diffs[kept[1]])
-        centroid = tuple(
-            scalar(Fraction(sum(Fraction(p[i]) for p in pts), n)) for i in range(3)
-        )
-        pts2 = _project_out(pts, normal)
-        c2 = _project_out([centroid], normal)[0]
-        w = abs(_winding_number(pts2, c2))
-        if witness is None:
-            raise NotAPolygonError("planar cycle admits no cycling isometry")
-        if w == 1:
-            return PolygonClass("convex", p=n, witness=witness)
-        if w >= 2:
-            return PolygonClass("star", p=n, k=w, witness=witness)
-        raise NotAPolygonError("degenerate winding")
+        kind = "skew" if len(kept) == 3 else "convex"
+        witnesses = _cycling_isometry(pts, pts[1:] + pts[:1], first=True)
+        if not witnesses:
+            shape = "skew" if kind == "skew" else "planar"
+            raise NotAPolygonError(f"{shape} cycle admits no cycling isometry")
+        return PolygonClass(kind, p=n, witness=witnesses[0])
 
     # infinite face
     t = face.period_vector
@@ -204,54 +171,24 @@ def _classify_polygon(face):
         return PolygonClass("linear", witness=translation(d0))
     shifted = walk[1:] + [face.vertex(len(walk))]
     witnesses = _cycling_isometry(walk, shifted, first=True)
-    witness = witnesses[0] if witnesses else None
     even_anchor, odd_anchor = walk[0], walk[1]
     on_two_lines = all(
         vcross(vsub(walk[k], even_anchor if k % 2 == 0 else odd_anchor), t)
         == (0, 0, 0)
         for k in range(len(walk))
     )
+    shape = "zigzag" if on_two_lines else "helix"
+    if not witnesses:
+        raise NotAPolygonError(f"{shape} admits no cycling isometry")
     if on_two_lines:
-        if witness is None:
-            raise NotAPolygonError("zigzag admits no cycling isometry")
-        return PolygonClass("zigzag", k=2, witness=witness)
+        return PolygonClass("zigzag", k=2, witness=witnesses[0])
+    # a planar walk with a witness lies on one line or two, so this one
+    # spans 3-space: the witness commutes with the translation by t, fixes
+    # t and turns the plane across it, and the period projects along t
+    # onto a k-gon, k in {3, 4, 6} dividing n
     t2 = vdot(t, t)
-
-    def proj(x):
-        lam = Fraction(vdot(x, t), t2)
-        return vsub(x, vscale(lam, t))
-
-    images = [proj(p) for p in pts]
-    distinct = []
-    for im in images:
-        if im not in distinct:
-            distinct.append(im)
-    k = len(distinct)
-    if k < 3 or n % k != 0:
-        raise NotAPolygonError("projection along the period is irregular")
-    seq = [proj(face.vertex(i)) for i in range(k + 2)]
-    if seq[k] != seq[0] or seq[k + 1] != seq[1]:
-        raise NotAPolygonError("projected walk does not cycle")
-    center = tuple(
-        scalar(Fraction(sum(Fraction(q[i]) for q in distinct), k)) for i in range(3)
-    )
-    radii = {vdot(vsub(q, center), vsub(q, center)) for q in distinct}
-    chords = [vsub(seq[i + 1], seq[i]) for i in range(k)]
-    chord_lens = {vdot(c, c) for c in chords}
-    dots = {vdot(chords[i], chords[(i + 1) % k]) for i in range(k)}
-    crosses = {vcross(chords[i], chords[(i + 1) % k]) for i in range(k)}
-    rises = {vdot(vsub(face.vertex(i + 1), face.vertex(i)), t) for i in range(n)}
-    if (
-        len(radii) == 1
-        and len(chord_lens) == 1
-        and len(dots) == 1
-        and len(crosses) == 1
-        and len(rises) == 1
-    ):
-        if witness is None:
-            raise NotAPolygonError("helix admits no cycling isometry")
-        return PolygonClass("helical", k=k, witness=witness)
-    raise NotAPolygonError("no regular polygon class fits exactly")
+    k = len({vsub(vscale(t2, p), vscale(vdot(p, t), t)) for p in pts})
+    return PolygonClass("helical", k=k, witness=witnesses[0])
 
 
 # ---------------------------------------------------------------------------

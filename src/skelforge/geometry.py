@@ -426,68 +426,24 @@ def point_reflection(center):
 # linear solving
 
 
-def _gauss(rows):
-    """Row-reduce a list of row tuples (any width); returns (rref, pivots)."""
-    rows = [[scalar(e) for e in r] for r in rows]
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = Fraction(rows[r][c])
-        rows[r] = [scalar(Fraction(e) / pv) for e in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [scalar(a - f * b) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
-
-
 def matrix_rank(rows):
-    _, pivots = _gauss(rows)
-    return len(pivots)
-
-
-def solve_linear(a_rows, b):
-    """Solve A x = b exactly.  Returns one solution or None if inconsistent.
-
-    A is given as a list of rows (len-3 each), b as a same-length vector.
-    When the system is underdetermined an arbitrary consistent solution is
-    returned (free variables set to 0).
-    """
-    aug = [tuple(row) + (bi,) for row, bi in zip(a_rows, b)]
-    rref, pivots = _gauss(aug)
-    ncols = 3
-    for row in rref:
-        if all(e == 0 for e in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [0, 0, 0]
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = rref[r][ncols]
-    # pivot in the b column means inconsistency, caught above
-    return tuple(x)
+    """The rank of a list of 3-vectors."""
+    return len(spanning_indices(rows))
 
 
 def fixed_space_dim(g):
     """Dimension of the fixed-point set of ``g``, or None when it is empty.
 
+    The fixed points solve (M - I) x = -t: there are none when t leaves
+    the span of the columns of M - I, else a (3 - rank)-dimensional set.
     Screw motions and glide reflections fix nothing; the distinct None
     return keeps them apart from point reflections (dimension 0).
     """
-    a_rows = [tuple(g.m[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)]
-    b = vneg(g.t)
-    if solve_linear(a_rows, b) is None:
+    cols = [tuple(g.m[i][j] - (1 if i == j else 0) for i in range(3)) for j in range(3)]
+    kept = spanning_indices(cols + [g.t])
+    if 3 in kept:
         return None
-    return 3 - matrix_rank(a_rows)
+    return 3 - len(kept)
 
 
 @dataclass(frozen=True)

@@ -347,15 +347,18 @@ def identify_vertex_set(complex_):
     comparing the finitely many cosets modulo it decides equality (the
     name) and containment (subset-of(name)).  A structure of lower rank can
     only be contained; its points are tested modulo N Lambda, for an N
-    that puts N Lambda inside M.  No containment reports other.  The sets
-    are named in fixed coordinates, so the vertex classes are mapped back
-    from the grid to input units.
+    that puts N Lambda inside M.  No containment reports other, as does
+    at once a vertex class or lattice vector off Z^3, where every catalog
+    set lies.  The sets are named in fixed coordinates, so the vertex
+    classes are mapped back from the grid to input units.
     """
     from .orbit import build_quotient
 
     k = Fraction(1, complex_.scale)
     vreps = [dilate(p, k) for p in build_quotient(complex_).vreps]
     lattice = complex_.classes.lattice
+    if any(Fraction(c).denominator != 1 for p in (*vreps, *lattice.basis) for c in p):
+        return "other"
     contained = []
     for name, catalog_set, period in _VERTEX_SETS:
         if lattice.rank == 3:

@@ -137,8 +137,9 @@ def lattice_translates(lattice, points, region):
         c = next(i for i in range(3) if b[i] != 0)
         grown = []
         for v in found:
-            ends = sorted((Fraction(lo[c] - v[c]) / b[c], Fraction(hi[c] - v[c]) / b[c]))
-            for n in range(math.ceil(ends[0]), math.floor(ends[1]) + 1):
+            # n from ceil(a / b) to floor(e / b), by exact floor division
+            a, e = (lo[c] - v[c], hi[c] - v[c]) if b[c] > 0 else (hi[c] - v[c], lo[c] - v[c])
+            for n in range(-(-a // b[c]), e // b[c] + 1):
                 grown.append(vadd(v, vscale(n, b)))
         found = grown
     return [v for v in found if all(lo[i] <= v[i] <= hi[i] for i in range(3))]

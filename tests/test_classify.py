@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skelforge.complexes import FaceDescriptor, Region
 from skelforge.errors import (
@@ -11,9 +12,10 @@ from skelforge.errors import (
     NotEquivelarError,
     NotInvolutionError,
     PatchTooSmallError,
+    SkelforgeError,
+    UnderdeterminedError,
 )
 from skelforge.classify import (
-    _winding_number,
     base_flag,
     classify_polygon,
     dual_congruence_check,
@@ -33,12 +35,18 @@ from skelforge.geometry import (
     half_turn,
     point_reflection,
     reflection_in_plane,
+    spanning_indices,
     translation,
     vscale,
+    vsub,
 )
+from skelforge.ops import petrie_dual
 from skelforge.orbit import build_base_face
 from skelforge.presets import build, finite_faced_chiral, helix_faced_chiral, instantiate
+from polygon_oracle import classify_polygon_by_winding
 from symmetry_oracle import is_symmetry_by_class_keys
+from test_geometry import cayley_isometries
+from test_orbit import moved_preset
 from test_presets import CATALOG_SWEEP
 
 
@@ -114,19 +122,28 @@ class TestClassifyPolygon:
         f = FaceDescriptor([(0, 0, 0)], period_vector=(1, 0, 0))
         assert classify_polygon(f).kind == "linear"
 
-    def test_winding_number_counts_turns(self):
-        # a rational self-intersecting pentagon winding twice around center
-        pts = [(4, 0), (-3, -3), (1, 4), (1, -4), (-3, 3)]
-        assert abs(_winding_number(pts, (0, 0))) == 2
-
     def test_star_detection_on_winding_cycle(self):
-        # same star-like cycle is not a *regular* polygon, so the taxonomy
-        # rejects it, with the winding machinery having seen 2 loops
+        # a rational pentagon winding twice around its centre is no regular
+        # polygon: no isometry cycles its vertices
         f = FaceDescriptor(
             [(4, 0, 0), (-3, -3, 0), (1, 4, 0), (1, -4, 0), (-3, 3, 0)]
         )
         with pytest.raises(NotAPolygonError):
             classify_polygon(f)
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+        [(0, 0, 0), (1, 1, 0), (3, 3, 0), (2, 2, 0)],
+    ])
+    def test_collinear_cycle_is_not_a_polygon(self, points):
+        # the cycling isometry is underdetermined on a line, so collinear
+        # vertices are rejected before it is sought
+        face = FaceDescriptor(points)
+        with pytest.raises(NotAPolygonError, match="collinear") as err:
+            classify_polygon(face)
+        assert err.value.code == "not-a-regular-polygon"
+        with pytest.raises(UnderdeterminedError):
+            classify_polygon_by_winding(face)
 
     def test_irregular_quadrilateral_rejected(self):
         f = FaceDescriptor([(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)])
@@ -144,6 +161,92 @@ class TestClassifyPolygon:
             a = classify_polygon(face)
             b = classify_polygon(face.transform(g))
             assert (a.kind, a.p, a.k) == (b.kind, b.p, b.k)
+
+
+def polygon_answer(classify, face):
+    """(kind, p, k, witness) of a face, or the class of the error raised."""
+    try:
+        c = classify(face)
+    except SkelforgeError as e:
+        return type(e)
+    return c if isinstance(c, tuple) else (c.kind, c.p, c.k, c.witness)
+
+
+REGULAR_FACES = [
+    FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]),
+    FaceDescriptor([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    build_base_face(finite_faced_chiral(1, 0)),
+    build_base_face(helix_faced_chiral(1, 0)),
+    build_base_face(helix_faced_chiral(Fraction(1, 2), 3)),
+    FaceDescriptor([(0, 0, 0), (1, 0, 0)], period_vector=(1, 1, 0)),
+    FaceDescriptor([(0, 0, 0)], period_vector=(1, 2, 0)),
+]
+IRREGULAR_APEIROGONS = [
+    FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 1, 0)], (0, 0, 1)),
+    FaceDescriptor([(0, 0, 0), (2, 0, 1), (2, 1, 2), (0, 1, 3)], (0, 0, 4)),
+    FaceDescriptor([(0, 0, 0), (1, 0, 1), (1, 1, 2), (0, 1, 4)], (0, 0, 4)),
+    FaceDescriptor([(0, 0, 0), (1, 0, 1), (1, 1, 2), (0, 1, 3)], (0, 0, 8)),
+    FaceDescriptor([(0, 0, 0), (1, 0, 0), (3, 0, 0)], (4, 0, 0)),
+    FaceDescriptor([(0, 0, 0), (1, 1, 0), (2, 0, 0)], (3, 0, 0)),
+]
+small_point = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+class TestClassifyPolygonAgainstWinding:
+    """The taxonomy by the cycling isometry alone against the one that
+    also counted windings and compared projections along the period."""
+
+    def _agree(self, faces):
+        assert faces
+        for face in faces:
+            got = polygon_answer(classify_polygon, face)
+            assert got == polygon_answer(classify_polygon_by_winding, face), face
+
+    def _patch_faces(self, patches):
+        # the class faces and the first 20 patch faces of each
+        return [f for p in patches
+                for f in [g.face() for g in p.classes.faces.values()] + p.faces[:20]]
+
+    @pytest.mark.parametrize("name,mode", [(name, mode) for name, _, mode in CATALOG_SWEEP])
+    def test_catalog(self, built, name, mode):
+        patches = [built(name, Fraction(1, 2)), built(name, 3), moved_preset(name)]
+        if mode == "polyhedron":
+            patches += [petrie_dual(p) for p in patches]
+        self._agree(self._patch_faces(patches))
+
+    @pytest.mark.parametrize("name", ["P2:1/3,2/5", "P:3,2", "P:5,3", "P2:2,1"])
+    def test_more_members(self, built, name):
+        patch = built(name, 3)
+        self._agree(self._patch_faces([patch, petrie_dual(patch)]))
+
+    def test_irregular_apeirogons(self):
+        assert all(polygon_answer(classify_polygon, f) is NotAPolygonError
+                   for f in IRREGULAR_APEIROGONS)
+        self._agree(IRREGULAR_APEIROGONS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(REGULAR_FACES), cayley_isometries())
+    def test_moved_regular_faces(self, face, g):
+        moved = face.transform(g)
+        self._agree([moved])
+        assert classify_polygon(moved).kind == classify_polygon(face).kind
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_point, min_size=3, max_size=6, unique=True))
+    def test_small_cycles(self, points):
+        face = FaceDescriptor(points)
+        diffs = [vsub(p, points[0]) for p in points[1:]]
+        assume(len(spanning_indices(diffs)) >= 2)
+        self._agree([face])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_point, min_size=1, max_size=5), small_point)
+    def test_small_apeirogons(self, points, t):
+        try:
+            face = FaceDescriptor(points, t)
+        except SkelforgeError:
+            assume(False)
+        self._agree([face])
 
 
 class TestMirrorVector:

@@ -36,9 +36,11 @@ from skelforge.geometry import (
     translation,
     vadd,
     vcross,
+    vscale,
     vsub,
     word,
 )
+import linear_oracle
 
 # the S1, S2, T maps of the {6,6}-family polyhedra, used widely as fixtures
 def s1_66(a, b):
@@ -382,6 +384,16 @@ def test_rank_helpers():
     assert matrix_rank([]) == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(vec3, max_size=3), st.lists(st.tuples(small_rat, small_rat), max_size=3))
+def test_matrix_rank_matches_gauss_oracle(drawn, mixes):
+    # the drawn vectors, then combinations of the first two of them
+    rows = list(drawn)
+    if len(drawn) >= 2:
+        rows += [vadd(vscale(a, drawn[0]), vscale(b, drawn[1])) for a, b in mixes]
+    assert matrix_rank(rows) == linear_oracle.matrix_rank(rows)
+
+
 # -- the integer lattice kernel against the exact rational formula ----------
 
 
@@ -565,6 +577,18 @@ def test_isometry_kernel_matches_fraction_oracle(g, h, p):
     inv = g.inverse()
     assert inv.then(g).is_identity and g.then(inv).is_identity
     assert all(_int_when_integral(row) for row in inv.m + (inv.t,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cayley_isometries(), iso_strategy), st.booleans(), vec3)
+def test_fixed_space_dim_matches_gauss_oracle(g, fixing, c):
+    # a drawn translation seldom leaves a fixed point: give g the fixed
+    # point c instead, which keeps its linear part
+    if fixing:
+        g = Isometry(g.m, vsub(c, mat_vec(g.m, c)), check=False)
+    assert fixed_space_dim(g) == linear_oracle.fixed_space_dim(g)
+    if fixing:
+        assert fixed_space_dim(g) is not None
 
 
 @settings(max_examples=200, deadline=None)

@@ -186,6 +186,22 @@ class TestVertexSets:
     def test_other(self, built):
         assert identify_vertex_set(built("hex63", 3)) == "other"
 
+    @pytest.mark.parametrize("name", ["P2:1/3,2/5", "tet", "cube", "hex63", "P2:1,0"])
+    def test_off_the_integers_lists_no_coset(self, monkeypatch, built, name):
+        # every catalog set lies in Z^3, so a vertex class or a lattice
+        # vector off it answers other before any coset is listed; the
+        # integer presets are moved off it by a rational vector
+        from skelforge import nets
+        from test_orbit import moved_preset
+
+        patch = built(name, 3) if "/" in name else moved_preset(name)
+        calls = []
+        real = nets._coset_vectors
+        monkeypatch.setattr(nets, "_coset_vectors",
+                            lambda *args: calls.append(args) or real(*args))
+        assert identify_vertex_set(patch) == "other"
+        assert not calls
+
     @pytest.mark.parametrize(
         "preset,expected",
         [("K5_12", "V"), ("P:1,-1", "Lambda2"), ("K1_12", "Lambda2"),
