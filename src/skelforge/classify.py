@@ -33,7 +33,6 @@ from .errors import (
 )
 from .complexes import FaceDescriptor
 from .geometry import (
-    ZERO3,
     Isometry,
     Lattice,
     common_denominator,
@@ -452,7 +451,7 @@ def schlafli(patch, mode="polyhedron", quotient_scale=None):
     closed = build_quotient(patch)
     if closed.r is None:
         raise NotEquivelarError("face count per edge is not constant")
-    classes = [classify_polygon(f.face()) for f in patch.classes.faces.values()]
+    classes = [classify_polygon(f.primitive()) for f in patch.classes.faces.values()]
     kinds = {(c.kind, c.p, c.k) for c in classes}
     if len(kinds) != 1:
         raise NotEquivelarError(f"faces fall into {len(kinds)} classes")
@@ -529,7 +528,7 @@ def dual_congruence_check(a, b):
     """
     if not (a.classes.faces and b.classes.faces):
         raise PatchTooSmallError("the patch holds no face to decide on")
-    if any(f.closure != ZERO3 for x in (a, b) for f in x.classes.faces.values()):
+    if any(f.period_vector is not None for x in (a, b) for f in x.classes.faces.values()):
         return False, None
     if a.is_finite != b.is_finite:
         return False, None
@@ -537,13 +536,13 @@ def dual_congruence_check(a, b):
     lat_a, lat_b = a.classes.lattice, b.classes.lattice
     centres = {}
     for f in a.classes.faces.values():
-        c = face_center(f.face())
+        c = face_center(f)
         centres.setdefault(lat_a.reduce_key(c), c)
     centres = list(centres.values())
     adjacency = _centre_adjacency(a)
     b_verts, b_edges = {}, {}
     for f in b.classes.faces.values():
-        for _, p, q in f.face().edge_slots():
+        for _, p, q in f.edge_slots():
             b_verts.setdefault(lat_b.reduce_key(p), p)
             b_edges.setdefault(_edge_key(lat_b, p, q), (p, q))
 

@@ -111,7 +111,7 @@ def _cmd_classify(args):
     counts = {}
     classes = patch.classes
     for key, members in classes.counts.items():
-        sym = cls.classify_polygon(classes.faces[key].face()).symbol
+        sym = cls.classify_polygon(classes.faces[key].primitive()).symbol
         counts[sym] = counts.get(sym, 0) + members
     out["face_classes"] = counts
 

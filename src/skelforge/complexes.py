@@ -8,9 +8,10 @@ keeps the classes it was made from (:attr:`SkeletalComplex.classes`), and
 every structural answer reads them, not the patch: its lattice and whether
 it is finite, quotients, nets, symmetry tests, the face count per edge of
 Schläfli types and traces, the axiom checks, vertex figures and vertex
-sets.  Each face class is held once, as its canonical lift and closure
-modulo the lattice (``StructureClasses.faces``), whatever the region, so
-the quotient and the net read it as it is.  Only a patch given as bare
+sets.  Each face class is held once, as a face whose vertices are the
+class's canonical walk of one closure period modulo the lattice and whose
+period vector is the closure (``StructureClasses.faces``), whatever the
+region, so the quotient and the net read it as it is.  Only a patch given as bare
 element lists scans itself, once, for its lattice and classes.  Finite
 faces always carry their complete vertex cycle even when it pokes out of
 the region; infinite faces carry one period plus the period vector, which
@@ -53,7 +54,7 @@ from .errors import (
     PatchTooSmallError,
 )
 from .geometry import (
-    ZERO3, Lattice, _ratio, common_denominator, dilate, finite_lattice, scalar,
+    Lattice, _ratio, common_denominator, dilate, finite_lattice, scalar,
     scalar_str, to_grid, vadd, vdot, vec_str, vneg, vscale, vsub,
 )
 
@@ -204,6 +205,12 @@ class FaceDescriptor:
         pv = None if self.period_vector is None else dilate(self.period_vector, k)
         return FaceDescriptor._of(tuple(dilate(p, k) for p in self.vertices), pv)
 
+    def primitive(self):
+        """The same face with one least period listed: itself when finite."""
+        if self.period_vector is None:
+            return self
+        return FaceDescriptor(*_primitive_walk(self.vertices, self.period_vector), check=False)
+
     def reversed(self):
         if self.period_vector is None:
             return FaceDescriptor(tuple(reversed(self.vertices)), None, check=False)
@@ -309,6 +316,39 @@ class FaceDescriptor:
         return f"Face[{kind}; {pts}]"
 
 
+def _primitive_walk(vertices, disp):
+    """Reduce a closed circuit of a walk to its primitive geometric period.
+
+    ``vertices`` is one circuit of the walk and ``disp`` the translation
+    after the full circuit; the walk extends by v[i+L] = v[i] + disp.
+    Returns (period_vertices, period_vector), possibly the whole circuit
+    when it is already primitive.
+    """
+    length = len(vertices)
+    for k in range(1, length + 1):
+        if length % k:
+            continue
+        tau = vsub(vertices[k], vertices[0]) if k < length else disp
+        ok = True
+        for i in range(length):
+            j = i + k
+            w = vertices[j] if j < length else vadd(vertices[j - length], disp)
+            if w != vadd(vertices[i], tau):
+                ok = False
+                break
+        if ok:
+            return vertices[:k], tau
+    return vertices, disp
+
+
+def class_key(face):
+    """The key of a face class held as ``face``: its walk, and its closure
+    when it is infinite."""
+    if face.period_vector is None:
+        return ("fin",) + face.vertices
+    return ("inf",) + face.vertices + (face.period_vector,)
+
+
 # ---------------------------------------------------------------------------
 # the complex
 
@@ -319,24 +359,22 @@ class StructureClasses(NamedTuple):
     lattice: object  # the translation lattice, or the trivial one when finite
     vertices: list  # one point per vertex class given besides the faces'
     edges: list  # one point pair per edge class given besides the faces'
-    faces: dict  # class key -> its QuotientFace: the canonical lift and closure
+    faces: dict  # class key -> its face: the canonical walk of one closure period
     counts: dict  # class key -> patch faces in the class, if the patch has one
 
 
 def _unscaled_classes(grid, d):
     """A class table on the grid x -> d x, mapped back to input units: the
-    same classes, in the same order, keyed by their mapped lifts."""
+    same classes, in the same order, keyed by their mapped walks."""
     k = Fraction(1, d)
-    from .quotient import QuotientFace
-
     lattice = grid.lattice
     if lattice.rank:
         lattice = Lattice([dilate(b, k) for b in lattice.basis], name=lattice.name)
     faces, keys = {}, {}
     for key, f in grid.faces.items():
-        lift, closure = tuple(dilate(p, k) for p in f.lift), dilate(f.closure, k)
-        keys[key] = ("fin",) + lift if closure == ZERO3 else ("inf",) + lift + (closure,)
-        faces[keys[key]] = QuotientFace(lift, closure)
+        f = f.dilated(k)
+        keys[key] = class_key(f)
+        faces[keys[key]] = f
     return StructureClasses(
         lattice, [dilate(p, k) for p in grid.vertices],
         [(dilate(p, k), dilate(q, k)) for p, q in grid.edges],
@@ -350,7 +388,7 @@ def _vertex_figure(closed, p, slots):
     edges = Counter()
     for fid, j, t in slots:
         f = closed.faces[fid]
-        edges[frozenset((vadd(f.point(j - 1), t), vadd(f.point(j + 1), t)))] += 1
+        edges[frozenset((vadd(f.vertex(j - 1), t), vadd(f.vertex(j + 1), t)))] += 1
     return VertexFigureGraph(p, frozenset(x for e in edges for x in e), dict(edges))
 
 
@@ -470,19 +508,16 @@ class SkeletalComplex:
 
     @classmethod
     def from_classes(cls, lattice, faces, region, vertices=(), edges=(),
-                     window_margin=2, name="", skeleton=None):
+                     window_margin=2, name=""):
         """The patch over ``region`` of the structure made of the translates
         by ``lattice`` of ``faces``, ``vertices`` and ``edges``, one element
         per class (the trivial lattice for a finite structure).
 
         The structure's scale D is the lcm of the denominators of what is
         given; the classes are keyed, kept and unrolled on the grid
-        x -> D x (see :meth:`_unroll`).  ``skeleton`` is a patch with the
-        same vertices and edges over the same region, whose vertex and edge
-        lists are kept as they are: a Petrie dual keeps its parent's.
+        x -> D x (see :meth:`_unroll`).
         """
-        return cls._unroll(lattice, faces, region, vertices, edges, window_margin,
-                           name, skeleton)
+        return cls._unroll(lattice, faces, region, vertices, edges, window_margin, name)
 
     @classmethod
     def _unroll(cls, lattice, faces, region, vertices=(), edges=(), window_margin=2,
@@ -492,17 +527,17 @@ class SkeletalComplex:
         ``window_margin`` are scale times their values in input units, and
         ``region`` is in input units.  What is not integral there moves on
         to the grid of its common denominator k first, so the patch's scale
-        is scale k.
+        is scale k.  ``skeleton`` is a patch with the same vertices and
+        edges over the same region, whose vertex and edge lists are kept as
+        they are: a Petrie dual keeps its parent's.
 
-        Each face is keyed once, and each class kept as its canonical lift
-        and closure.  Each class is unrolled once, from its first given
-        face, by ``lattice_translates`` and ``face_translates``, and the
-        face classes are counted as they are unrolled.  The tables are
+        Each face is keyed once, and each class kept as its canonical walk
+        of one closure period.  Each class is unrolled once, from its first
+        given face, by ``lattice_translates`` and ``face_translates``, and
+        the face classes are counted as they are unrolled.  The tables are
         built on the grid, then each distinct point is mapped back once.
         """
-        from .quotient import (
-            QuotientFace, _edge_key, _face_class, face_translates, lattice_translates,
-        )
+        from .quotient import _edge_key, _face_class, face_translates, lattice_translates
 
         faces, vertices, edges = list(faces), list(vertices), list(edges)
         k = common_denominator(
@@ -526,9 +561,9 @@ class SkeletalComplex:
 
         classes, first, vclasses, eclasses = {}, {}, {}, {}
         for f in faces:
-            key, lift, closure = _face_class(lattice, f)
+            key, face = _face_class(lattice, f)
             if key not in classes:
-                classes[key], first[key] = QuotientFace(lift, closure), f
+                classes[key], first[key] = face, f
         for p in vertices:
             vclasses.setdefault(lattice.reduce_key(p), p)
         for e in edges:
@@ -633,7 +668,7 @@ class SkeletalComplex:
         when every face is a finite cycle inside the region; otherwise its
         lattice is the one its translation symmetries show."""
         from .orbit import detect_translation_lattice
-        from .quotient import QuotientFace, _edge_key, _face_class
+        from .quotient import _edge_key, _face_class
 
         if all(f.is_finite and all(self.region.contains(p) for p in f.vertices)
                for f in self.faces):
@@ -644,9 +679,8 @@ class SkeletalComplex:
                 raise NotPeriodicError("no translation lattice found for the patch")
         faces, counts, vclasses, eclasses = {}, Counter(), {}, {}
         for f in self.faces:
-            key, lift, closure = _face_class(lattice, f)
-            if key not in faces:
-                faces[key] = QuotientFace(lift, closure)
+            key, face = _face_class(lattice, f)
+            faces.setdefault(key, face)
             counts[key] += 1
         for p in self.vertices:
             vclasses.setdefault(lattice.reduce_key(p), p)

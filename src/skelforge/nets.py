@@ -5,10 +5,10 @@ graph with integer translation labels on the edges (one node per vertex
 class modulo the translation lattice, numbered in the order of the classes'
 reduced representatives).  It is read from the structure's edge classes,
 never from a patch, so it does not depend on the region.  The five
-reference nets the catalog produces are built here from their lattices and
-nearest-neighbor rules, except nbo, which is taken as the edge graph of the
-K5_12 face classes and pinned by the coordination-sequence oracle in the
-tests.
+reference nets the catalog produces are built here the same way, from a
+lattice and its edge classes: the bonds from the origin for pcu, fcu, bcu
+and dia, and the edges of the K5_12 face classes for nbo.  The tests pin
+each against a box of points joined by its nearest-neighbor rule.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from .errors import InvalidParametersError, Not3PeriodicError, NotUninodalError,
 from .geometry import (
     LAMBDA_1,
     LAMBDA_2,
+    LAMBDA_2_DOUBLED,
     LAMBDA_3,
     SET_V,
     SET_W,
+    ZERO3,
     Lattice,
     dilate,
     lattice_basis_from,
@@ -163,11 +165,15 @@ class PeriodicGraph:
                     raise ParseError(f"bad basis line: {line!r}")
                 basis.append(tuple(scalar(p) for p in parts[1:]))
             elif parts[0] == "e":
-                if len(parts) != 6:
+                # two node indices and three integer voltages
+                try:
+                    i, j, *t = map(int, parts[1:])
+                    ok = len(t) == 3 and i >= 0 and j >= 0
+                except ValueError:
+                    ok = False
+                if not ok:
                     raise ParseError(f"bad edge line: {line!r}")
-                i, j = int(parts[1]), int(parts[2])
-                t = tuple(int(p) for p in parts[3:])
-                edges.append((i, j, t))
+                edges.append((i, j, tuple(t)))
                 max_node = max(max_node, i, j)
             else:
                 raise ParseError(f"unknown record {parts[0]!r}")
@@ -206,8 +212,8 @@ def periodic_graph_from_edges(lattice, edge_points, name=""):
 
 def quotient_graph(classes, name=""):
     """The labelled quotient graph of a structure's edge classes: those of
-    its face classes' lifts and the others it was given."""
-    edges = classes.edges + [(f.point(j), f.point(j + 1))
+    its face classes' walks and the others it was given."""
+    edges = classes.edges + [(f.vertex(j), f.vertex(j + 1))
                              for f in classes.faces.values() for j in range(len(f))]
     return periodic_graph_from_edges(classes.lattice, edges, name=name)
 
@@ -231,57 +237,14 @@ def extract_net(complex_):
 # reference nets
 
 
-def _points_in_box(radius):
-    rng = range(-radius, radius + 1)
-    return [(x, y, z) for x in rng for y in rng for z in rng]
-
-
-def _edges_by_offsets(points, offsets):
-    pts = set(points)
-    out = []
-    for p in points:
-        for d in offsets:
-            q = vadd(p, d)
-            if q in pts:
-                out.append((p, q))
-    return out
-
-
-def _reference_pcu():
-    pts = _points_in_box(2)
-    edges = _edges_by_offsets(pts, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    return periodic_graph_from_edges(LAMBDA_1, edges, name="pcu")
-
-
-def _reference_fcu():
-    pts = [p for p in _points_in_box(3) if LAMBDA_2.member(p)]
-    offs = [
-        d
-        for d in _points_in_box(1)
-        if sum(abs(c) for c in d) == 2 and sum(c * c for c in d) == 2
-    ]
-    offs = [d for d in offs if d > tuple(-c for c in d)]
-    edges = _edges_by_offsets(pts, offs)
-    return periodic_graph_from_edges(LAMBDA_2, edges, name="fcu")
-
-
-def _reference_bcu():
-    pts = [p for p in _points_in_box(3) if LAMBDA_3.member(p)]
-    offs = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
-    edges = _edges_by_offsets(pts, offs)
-    return periodic_graph_from_edges(LAMBDA_3, edges, name="bcu")
-
-
-def _reference_dia():
-    pts = [p for p in _points_in_box(4) if SET_W.member(p)]
-    offs = [
-        d for d in _points_in_box(1) if sum(c * c for c in d) == 3
-    ]
-    offs = [d for d in offs if d > tuple(-c for c in d)]
-    edges = [e for e in _edges_by_offsets(pts, offs)]
-    from .geometry import LAMBDA_2_DOUBLED
-
-    return periodic_graph_from_edges(LAMBDA_2_DOUBLED, edges, name="dia")
+# the lattice and the bonds from the origin of four reference nets
+_BONDS = {
+    "pcu": (LAMBDA_1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "fcu": (LAMBDA_2, [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]),
+    "bcu": (LAMBDA_3, [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]),
+    # those of the other W point, (1, -1, 1), are their negatives
+    "dia": (LAMBDA_2_DOUBLED, [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]),
+}
 
 
 def _reference_nbo():
@@ -300,12 +263,10 @@ def reference_nets():
     global _REFERENCES
     if _REFERENCES is None:
         _REFERENCES = {
-            "pcu": _reference_pcu(),
-            "fcu": _reference_fcu(),
-            "bcu": _reference_bcu(),
-            "dia": _reference_dia(),
-            "nbo": _reference_nbo(),
+            name: periodic_graph_from_edges(lattice, [(ZERO3, d) for d in bonds], name=name)
+            for name, (lattice, bonds) in _BONDS.items()
         }
+        _REFERENCES["nbo"] = _reference_nbo()
     return _REFERENCES
 
 

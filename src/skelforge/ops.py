@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FaceDescriptor, SkeletalComplex, least_rotation
+from .complexes import FaceDescriptor, SkeletalComplex, _primitive_walk, least_rotation
 from .errors import (
     InvalidParametersError,
     NotBipartiteError,
@@ -42,7 +42,7 @@ from .geometry import (
     vsub,
 )
 from .orbit import build_quotient
-from .quotient import GeomFlag, QuotientFace, _primitive_walk
+from .quotient import GeomFlag
 
 WORDS = {
     "petrie": (0, 1, 2),
@@ -197,7 +197,7 @@ def _primitive_int_vector(v):
 def _plane_normal(closed):
     """Primitive integer normal of the one plane holding every face class of
     the quotient and its lattice."""
-    points = [p for f in closed.faces for p in f.lift]
+    points = [p for f in closed.faces for p in f.vertices]
     vectors = list(closed.lattice.basis) + [vsub(p, points[0]) for p in points]
     n = next((c for u in vectors for w in vectors
               for c in [vcross(u, w)] if c != ZERO3), None)
@@ -269,7 +269,8 @@ def blend_with_segment(patch, length):
         sign = 1 - 2 * color[closed.vertex_class_of(p)]
         return vadd(p, vscale(sign * rise, n))
 
-    faces = [QuotientFace([lift(p) for p in f.lift], f.closure).face()
+    faces = [FaceDescriptor([lift(p) for p in f.vertices], f.period_vector,
+                            check=False).primitive()
              for f in closed.faces]
     basis = patch.grid.lattice.basis
     v0 = closed.vreps[0]
@@ -316,7 +317,7 @@ def blend_with_apeirogon(patch, step):
         raise ZeroParameterError("apeirogon blend with zero step degenerates")
     closed = build_quotient(patch, scale=2)
     n = _plane_normal(closed)
-    if any(f.closure != ZERO3 for f in closed.faces):
+    if any(f.period_vector is not None for f in closed.faces):
         raise InvalidParametersError("apeirogon blend needs finite faces")
     sizes = {len(f) for f in closed.faces}
     if len(sizes) != 1:
@@ -331,14 +332,14 @@ def blend_with_apeirogon(patch, step):
                 yield closed.darts[e][2]
 
     color = _two_coloring(range(len(closed.faces)), neighbors, "faces")
-    # each face ascends along its lift (+1) or against it (-1): color-0
+    # each face ascends along its walk (+1) or against it (-1): color-0
     # faces counterclockwise about n, color-1 faces clockwise
-    ascent = [(1 if _ccw(f.lift, n) else -1) * (1 - 2 * color[fid])
+    ascent = [(1 if _ccw(f.vertices, n) else -1) * (1 - 2 * color[fid])
               for fid, f in enumerate(closed.faces)]
 
     fine = closed.lattice.scaled(p)
     height = {}
-    for start in sorted(f.lift[0] for f in closed.faces):
+    for start in sorted(f.vertices[0] for f in closed.faces):
         if fine.reduce_key(start) in height:
             continue
         height[fine.reduce_key(start)] = 0
@@ -349,7 +350,7 @@ def blend_with_apeirogon(patch, step):
             for fid, j, t in closed.face_slots_at(u):
                 f = closed.faces[fid]
                 for dh in (1, -1):
-                    w = vadd(f.point(j + dh * ascent[fid]), t)
+                    w = vadd(f.vertex(j + dh * ascent[fid]), t)
                     key = fine.reduce_key(w)
                     if key not in height:
                         height[key] = (hu + dh) % p
@@ -360,12 +361,12 @@ def blend_with_apeirogon(patch, step):
     lift_step = vscale(scalar(patch.scale * step), n)
     faces = []
     for f, d in zip(closed.faces, ascent):
-        h0 = height[fine.reduce_key(f.lift[0])]
-        pts = [vadd(f.point(d * i), vscale(h0 + i, lift_step)) for i in range(p)]
+        h0 = height[fine.reduce_key(f.vertices[0])]
+        pts = [vadd(f.vertex(d * i), vscale(h0 + i, lift_step)) for i in range(p)]
         faces.append(FaceDescriptor(pts, vscale(p, lift_step), check=False))
 
     basis = patch.grid.lattice.basis
-    f0, v0 = closed.faces[0], closed.faces[0].lift[0]
+    f0, v0 = closed.faces[0], closed.faces[0].vertices[0]
     swaps = [color[closed._face_image(translation(b), f0)[0]] != color[0] for b in basis]
     gens = [vscale(p, lift_step)]
     for b in _even_part(basis, swaps):

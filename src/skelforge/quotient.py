@@ -4,10 +4,10 @@ Reducing a periodic structure modulo its translation lattice, or a
 sublattice of it, yields a finite complex of translation classes on which
 every flag operation is total: the labelled quotient graph of Chung, Hahn
 and Klee taken up to flags.  Finite complexes use the same machinery with
-the trivial lattice.  Infinite faces wind up into closed cycles: the face's
-lift is a concrete point path in 3-space whose last step returns to the
-start shifted by a lattice vector (the closure), so all incidence stays
-exact and geometric.  A dart is a face slot and side, not a class triple:
+the trivial lattice.  Infinite faces wind up into closed cycles: a face
+class is a concrete walk in 3-space whose last step returns to the start
+shifted by a lattice vector (the closure), so all incidence stays exact
+and geometric.  A dart is a face slot and side, not a class triple:
 a face may meet one vertex or edge class several times, at different
 lattice translates, and the quotient modulo the structure's own lattice is
 still exact.  A flag of the structure is a dart moved by a lattice
@@ -16,8 +16,10 @@ quotient alone: an isometry is a symmetry exactly when it sends each face
 class, moved by one lattice vector per coset of those it keeps in the
 lattice, onto a face (:meth:`ClosedComplex._face_image`).
 
-A structure's class table holds each face class once, as its canonical
-lift and closure (:class:`QuotientFace`).  The quotient modulo the
+A structure's class table holds each face class once, as a
+:class:`FaceDescriptor` whose vertices are the class's canonical walk of one
+closure period and whose period vector is the closure, None for a finite
+face (:func:`_face_class`).  The quotient modulo the
 structure's own lattice takes that table as it is; only a proper
 sublattice keys the translates of each class.  Quotients are built from
 the table on the structure's integer grid x -> D x (``patch.grid``), so
@@ -32,7 +34,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from .complexes import FaceDescriptor, Region
+from .complexes import FaceDescriptor, Region, class_key
 from .errors import (
     GeneratorsDoNotDescendError,
     NotPeriodicError,
@@ -41,58 +43,6 @@ from .errors import (
 from .geometry import (
     ZERO3, is_integer, lattice_basis_from, norm_inf, scalar, vadd, vscale, vsub,
 )
-
-
-class QuotientFace:
-    """One face class: a lift path of M points closing up to a lattice shift."""
-
-    __slots__ = ("lift", "closure")
-
-    def __init__(self, lift, closure):
-        self.lift = tuple(lift)
-        self.closure = tuple(closure)
-
-    def __len__(self):
-        return len(self.lift)
-
-    def point(self, pos):
-        """Walk point at integer position (wraps by the closure vector)."""
-        m = len(self.lift)
-        q, r = divmod(pos, m)
-        p = self.lift[r]
-        return p if q == 0 else vadd(p, vscale(q, self.closure))
-
-    def face(self):
-        """The face at the lift: its vertex cycle, or one primitive period
-        of an apeirogon with its period vector."""
-        if self.closure == ZERO3:
-            return FaceDescriptor(self.lift, check=False)
-        return FaceDescriptor(*_primitive_walk(self.lift, self.closure), check=False)
-
-
-def _primitive_walk(vertices, disp):
-    """Reduce a quotient circuit to its primitive geometric period.
-
-    ``vertices`` is one quotient circuit of the walk and ``disp`` the
-    translation after the full circuit; the walk extends by v[i+L] = v[i] +
-    disp.  Returns (period_vertices, period_vector), possibly the whole
-    circuit when it is already primitive.
-    """
-    length = len(vertices)
-    for k in range(1, length + 1):
-        if length % k:
-            continue
-        tau = vsub(vertices[k], vertices[0]) if k < length else disp
-        ok = True
-        for i in range(length):
-            j = i + k
-            w = vertices[j] if j < length else vadd(vertices[j - length], disp)
-            if w != vadd(vertices[i], tau):
-                ok = False
-                break
-        if ok:
-            return vertices[:k], tau
-    return vertices, disp
 
 
 def _edge_key(lattice, p, q):
@@ -198,12 +148,12 @@ def _coset_vectors(lattice, sublattice):
 
 
 def _face_class(lattice, desc):
-    """Canonical (key, lift, closure) of a face modulo the lattice.
+    """Canonical (key, face) of a face modulo the lattice.
 
-    The lift is the least walk of one closure period over every start and
-    both directions, moved so that it starts at a reduced point; only a
-    start whose reduced point is least can give it.  A finite face closes
-    after one cycle, with closure zero.
+    The class face is the least walk of one closure period over every start
+    and both directions, moved so that it starts at a reduced point; only a
+    start whose reduced point is least can give it.  Its period vector is
+    the closure, or None for a finite face, which closes after one cycle.
     """
     t = desc.period_vector
     if t is None:
@@ -214,25 +164,25 @@ def _face_class(lattice, desc):
     points = [desc.vertex(i) for i in range(m)]
     reduced = [lattice.reduce_point(p) for p in points]
     least = min(reduced)
-    lift, closure = min(
+    walk, closure = min(
         (tuple(vadd(desc.vertex(a + d * i), shift) for i in range(m)), vscale(d, closure))
         for a in range(m) if reduced[a] == least
         for shift in [vsub(least, points[a])]
         for d in (1, -1)
     )
     # sums of Fractions are not normalized: keep integral coordinates ints
-    if {type(c) for p in lift + (closure,) for c in p} != {int}:
-        lift = tuple(tuple(scalar(c) for c in p) for p in lift)
+    if {type(c) for p in walk + (closure,) for c in p} != {int}:
+        walk = tuple(tuple(scalar(c) for c in p) for p in walk)
         closure = tuple(scalar(c) for c in closure)
-    key = ("fin",) + lift if t is None else ("inf",) + lift + (closure,)
-    return key, lift, closure
+    face = FaceDescriptor._of(walk, None if t is None else closure)
+    return class_key(face), face
 
 
 class ClosedComplex:
     """Finite incidence model; all flag operations are total.
 
-    Darts are numbered face by face: face class f at lift slot j (the edge
-    from lift point j to j + 1) gives dart ``first[f] + 2 j + side``, whose
+    Darts are numbered face by face: face class f at slot j (the edge from
+    its walk point j to j + 1) gives dart ``first[f] + 2 j + side``, whose
     vertex is the slot's start (side 0) or end (side 1).  A dart is a flag
     of the structure modulo the lattice, which acts freely on flags, so the
     numbering holds even where a face meets a vertex or edge class twice.
@@ -242,7 +192,7 @@ class ClosedComplex:
         self.lattice = lattice
         self.name = name
         self.scale = scale  # the grid x -> scale x its points lie on
-        # classes maps each face class key to its QuotientFace
+        # classes maps each face class key to its face
         self.faces = faces = [classes[k] for k in sorted(classes)]
 
         self.vkeys, self.vreps, self.ekeys, self.edge_reps = {}, [], {}, []
@@ -252,7 +202,7 @@ class ClosedComplex:
         for fid, f in enumerate(faces):
             self.first.append(len(self.darts))
             for j in range(len(f)):
-                p, q = f.point(j), f.point(j + 1)
+                p, q = f.vertex(j), f.vertex(j + 1)
                 v = self._vertex_class(p)
                 key = _edge_key(lattice, p, q)
                 e = self.ekeys.setdefault(key, len(self.edge_reps))
@@ -313,12 +263,9 @@ class ClosedComplex:
         if sublattice.basis != lattice.basis:
             classes, cosets = {}, list(_coset_vectors(lattice, sublattice))
             for f in faces.values():
-                period = None if f.closure == ZERO3 else f.closure
-                walk = FaceDescriptor._of(f.lift, period)
                 for t in cosets:
-                    key, lift, closure = _face_class(sublattice, walk.translate(t))
-                    if key not in classes:
-                        classes[key] = QuotientFace(lift, closure)
+                    key, face = _face_class(sublattice, f.translate(t))
+                    classes.setdefault(key, face)
         closed = cls(sublattice, classes, name=patch.name, scale=patch.scale)
         # every vertex and edge class must lie on a face class
         for p in vertices:
@@ -355,10 +302,10 @@ class ClosedComplex:
 
     def face_slots_at(self, p):
         """(fid, j, t) for each face through the point p: face class fid
-        moved by the lattice vector t has p at lift point j.  Empty when p
+        moved by the lattice vector t has p at walk point j.  Empty when p
         is no vertex of the structure."""
         v = self.vertex_class_of(p)
-        return [(fid, j, vsub(p, self.faces[fid].point(j)))
+        return [(fid, j, vsub(p, self.faces[fid].vertex(j)))
                 for fid, j in (self.slots_at[v] if v is not None else ())]
 
     def flags_at(self, p):
@@ -414,16 +361,17 @@ class ClosedComplex:
     def _face_image(self, iso, f, shift=ZERO3):
         """(g, a, d): ``iso`` maps walk point i of f moved by ``shift`` onto
         point a + d i of face class g, moved by one lattice vector; None when
-        no class fits.  Lifts of m and n points agree once m + n - gcd(m, n)
+        no class fits.  Walks of m and n points agree once m + n - gcd(m, n)
         + 1 walk points do (Fine and Wilf), so ``iso`` may change a length."""
-        image = QuotientFace([iso(vadd(p, shift)) for p in f.lift], iso.apply_vec(f.closure))
-        v = self.vertex_class_of(image.lift[0])
+        image = f.translate(shift).transform(iso)
+        start = image.vertices[0]
+        v = self.vertex_class_of(start)
         for g, a in self.slots_at[v] if v is not None else ():
             face = self.faces[g]
             m, n = len(f), len(face)
-            t = vsub(face.point(a), image.lift[0])
+            t = vsub(face.vertex(a), start)
             for d in (1, -1):
-                if all(vadd(image.point(i), t) == face.point(a + d * i)
+                if all(vadd(image.vertex(i), t) == face.vertex(a + d * i)
                        for i in range(1, m + n - math.gcd(m, n) + 1)):
                     return g, a, d
         return None
@@ -480,10 +428,10 @@ class GeomFlag:
         the other end of its edge; a finite face gives at most its length."""
         _, _, fid, j, side = self.closed.darts[self.dart]
         f = self.closed.faces[fid]
-        if f.closure == ZERO3:
+        if f.period_vector is None:
             count = min(count, len(f))
         d = 1 - 2 * side
-        return [vadd(f.point(j + side + d * i), self.shift) for i in range(count)]
+        return [vadd(f.vertex(j + side + d * i), self.shift) for i in range(count)]
 
     def vertex_point(self):
         return self.walk(1)[0]
@@ -496,7 +444,7 @@ class GeomFlag:
         """The flag's face: its vertex cycle, or one primitive period of an
         apeirogon with its period vector."""
         fid = self.closed.darts[self.dart][2]
-        return self.closed.faces[fid].face().translate(self.shift)
+        return self.closed.faces[fid].primitive().translate(self.shift)
 
     def step(self, i):
         """The i-adjacent flag (polyhedra only for i = 2)."""

@@ -25,6 +25,16 @@ def _vec_in(v):
     return tuple(scalar(c) for c in v)
 
 
+def _edge_in(e, vertices):
+    """An edge given as a pair of indices into ``vertices``."""
+    if not (isinstance(e, (list, tuple)) and len(e) == 2
+            and all(type(i) is int and 0 <= i < len(vertices) for i in e)):
+        raise ParseError(
+            f"expected an edge as two vertex indices in [0, {len(vertices)}), got {e!r}"
+        )
+    return vertices[e[0]], vertices[e[1]]
+
+
 # ---------------------------------------------------------------------------
 # complexes
 
@@ -71,9 +81,7 @@ def complex_from_json(data):
         )
         margin = scalar(data.get("window_margin", 2))
         vertices = [_vec_in(v) for v in data["vertices"]]
-        edges = [
-            (vertices[i], vertices[j]) for i, j in data["edges"]
-        ]
+        edges = [_edge_in(e, vertices) for e in data["edges"]]
         faces = []
         for entry in data["faces"]:
             pts = [_vec_in(p) for p in entry["vertices"]]

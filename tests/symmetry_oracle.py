@@ -33,9 +33,9 @@ def is_symmetry_by_class_keys(patch, iso):
         if common is None:
             return False
         shifts = _coset_vectors(lattice, common)
-    # each class as its primitive face: a lift's closure can be a multiple
-    # of the image's closure modulo Lambda
-    reps = [f.face() for f in classes.values()]
+    # each class as its primitive face: a class walk's closure can be a
+    # multiple of the image's closure modulo Lambda
+    reps = [f.primitive() for f in classes.values()]
     return all(
         _face_class(lattice, rep.translate(t).transform(iso))[0] in classes
         for t in shifts

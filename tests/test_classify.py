@@ -205,7 +205,7 @@ class TestClassifyPolygonAgainstWinding:
     def _patch_faces(self, patches):
         # the class faces and the first 20 patch faces of each
         return [f for p in patches
-                for f in [g.face() for g in p.classes.faces.values()] + p.faces[:20]]
+                for f in [g.primitive() for g in p.classes.faces.values()] + p.faces[:20]]
 
     @pytest.mark.parametrize("name,mode", [(name, mode) for name, _, mode in CATALOG_SWEEP])
     def test_catalog(self, built, name, mode):
@@ -476,7 +476,7 @@ def declared_doubled_p2(p2, i):
     lattice, _, _, classes, _ = p2.classes
     b = lattice.basis[i]
     basis = [vscale(2, v) if k == i else v for k, v in enumerate(lattice.basis)]
-    faces = [g for f in classes.values() for g in (f.face(), f.face().translate(b))]
+    faces = [g for f in classes.values() for g in (f.primitive(), f.primitive().translate(b))]
     return SkeletalComplex.from_classes(Lattice(basis), faces, p2.region)
 
 

@@ -42,6 +42,17 @@ class TestFaceDescriptor:
         assert ZIGZAG.vertex(-1) == (0, -1, 0)
         assert SQUARE.vertex(5) == (1, 0, 0)
 
+    def test_primitive_lists_one_least_period(self):
+        # the zigzag walked over three periods, as a class of a coarser
+        # lattice holds it, and over a half-integral period
+        tripled = FaceDescriptor([ZIGZAG.vertex(i) for i in range(6)], (3, 3, 0))
+        assert tripled.primitive().vertices == ZIGZAG.vertices
+        assert tripled.primitive().period_vector == ZIGZAG.period_vector
+        half = FaceDescriptor([(0, 0, 0), (Fraction(1, 2), 0, 0)], (1, 0, 0))
+        assert half.primitive().vertices == ((0, 0, 0),)
+        assert half.primitive().period_vector == (Fraction(1, 2), 0, 0)
+        assert SQUARE.primitive() is SQUARE and ZIGZAG.primitive().vertices == ZIGZAG.vertices
+
     def test_canonical_key_rotation_reflection_invariant(self):
         rotations = [
             FaceDescriptor(SQUARE.vertices[i:] + SQUARE.vertices[:i])
@@ -138,7 +149,7 @@ def test_face_translates_carry_the_canonical_key(name):
     region = Region((0, 0, 0), 3)
     classes = build(name, region).classes
     for f in classes.faces.values():
-        for face in face_translates(classes.lattice, f.face(), region):
+        for face in face_translates(classes.lattice, f.primitive(), region):
             if face.period_vector is None:
                 assert face._key is not None, name
             assert face.canonical_key() == _fresh_key(face), name

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from skelforge.complexes import Region
-from skelforge.errors import Not3PeriodicError, NotUninodalError
-from skelforge.geometry import LAMBDA_2, LAMBDA_3, SET_W, vadd
+from skelforge.errors import Not3PeriodicError, NotUninodalError, ParseError
+from skelforge.geometry import LAMBDA_1, LAMBDA_2, LAMBDA_2_DOUBLED, LAMBDA_3, SET_W, vadd
 from skelforge.nets import (
     PeriodicGraph,
     extract_net,
@@ -107,6 +107,19 @@ class TestReferenceNets:
         oracle = bfs_shells(pts, edges, src, 6)
         quotient = reference_nets()[name].coordination_sequence(6)
         assert oracle == quotient
+
+    @pytest.mark.parametrize(
+        "name,lattice",
+        [("pcu", LAMBDA_1), ("fcu", LAMBDA_2), ("bcu", LAMBDA_3), ("dia", LAMBDA_2_DOUBLED)],
+    )
+    def test_labelled_edges_equal_the_box_oracle(self, name, lattice):
+        # the reference built from its edge classes is the labelled quotient
+        # graph of the box oracle's edges: same nodes, labels and pgr text
+        _, edges, _ = oracle_patch(name, radius=2)
+        oracle = periodic_graph_from_edges(lattice, edges)
+        ref = reference_nets()[name]
+        assert (ref.basis, ref.nodes, ref.edges) == (oracle.basis, oracle.nodes, oracle.edges)
+        assert ref.to_text() == oracle.to_text()
 
     def test_vertex_transitive_shells(self):
         # coordination_sequence raises unless every node sees the same shells
@@ -227,6 +240,22 @@ class TestPgrFormat:
         back = PeriodicGraph.from_text(text)
         assert back.edges == net.edges
         assert back.to_text() == text
+
+    @pytest.mark.parametrize("line", [
+        "e 0 x 0 0 0", "e 0 0 0 0 1/2", "e -1 0 0 0 1", "e 0 -2 1 0 0",
+        "e 0 0 1 0", "e 0 0 1 0 0 0", "e 0",
+    ])
+    def test_bad_edge_line_rejected(self, line):
+        # a non-integer, a negative node or a wrong count fails as a parse
+        # error naming the line, never as a ValueError or a later KeyError
+        text = "b 1 0 0\nb 0 1 0\nb 0 0 1\ne 0 0 1 0 0\n" + line + "\n"
+        with pytest.raises(ParseError, match=repr(line)):
+            PeriodicGraph.from_text(text)
+
+    def test_good_edge_lines_parse(self):
+        text = "b 1 0 0\nb 0 1 0\nb 0 0 1\ne 0 0 1 0 0\ne 0 1 0 -1 0\ne 1 1 0 0 1\n"
+        assert PeriodicGraph.from_text(text).edges == [
+            (0, 0, (-1, 0, 0)), (0, 1, (0, -1, 0)), (1, 1, (0, 0, -1))]
 
     def test_uninodal_error_path(self):
         # two nodes with different degrees cannot share shell sequences

@@ -254,6 +254,11 @@ def count_face_class_calls(monkeypatch):
     return calls
 
 
+def walk_and_closure(face):
+    """A class face as its walk and closure, the closure zero when finite."""
+    return face.vertices, face.period_vector or (0, 0, 0)
+
+
 def moved(gen, shift):
     """The generator set conjugated by the translation by ``shift``."""
     gens = {
@@ -386,8 +391,8 @@ class TestQuotient:
         small, large = (
             build_quotient(built("P:1,1", r), scale=4) for r in (3, 5)
         )
-        assert [(f.lift, f.closure) for f in small.faces] == \
-            [(f.lift, f.closure) for f in large.faces]
+        assert [walk_and_closure(f) for f in small.faces] == \
+            [walk_and_closure(f) for f in large.faces]
         assert small.vreps == large.vreps
         assert small.darts == large.darts
         q2 = build_quotient(built("P:1,1", 3), scale=2)
@@ -405,7 +410,7 @@ class TestQuotient:
          ("skel2cubic", 3, 3), ("K1_12", 3, 6), ("K5_12", 3, 4)],
     )
     def test_face_classes_partition_the_patch(self, built, name, rank, count):
-        # every patch face keys to a class, whose held lift and closure are
+        # every patch face keys to a class, whose held walk and closure are
         # the ones the face keys to
         from skelforge.quotient import _face_class
 
@@ -415,9 +420,9 @@ class TestQuotient:
         assert len(classes.counts) == len(classes.faces) == count
         assert sum(classes.counts.values()) == len(patch.faces)
         for f in patch.faces:
-            key, lift, closure = _face_class(classes.lattice, f)
+            key, face = _face_class(classes.lattice, f)
             held = classes.faces[key]
-            assert (held.lift, held.closure) == (lift, closure)
+            assert walk_and_closure(held) == walk_and_closure(face)
 
     @pytest.mark.parametrize(
         "name", ["cube", "petrie(cube)", "hex63", "P:1,0", "P2:1,0", "P2:2,1", "K5_12"]
@@ -434,7 +439,9 @@ class TestQuotient:
         for scale in (1, 2, 3):
             lat = Lattice([tuple(scale * c for c in b) for b in lattice.basis])
             for f in faces:
-                assert _face_class(lat, f) == face_class_oracle(lat, f), (name, scale, f)
+                key, face = _face_class(lat, f)
+                assert (key, *walk_and_closure(face)) == face_class_oracle(lat, f), \
+                    (name, scale, f)
 
     def test_quotient_faces_come_from_the_class_map(self, built):
         # modulo the class lattice the quotient holds the class table's
@@ -445,16 +452,16 @@ class TestQuotient:
         table = p10.classes.faces
         assert build_quotient(p10).faces == [table[k] for k in sorted(table)]
         q = build_quotient(p10, scale=2)
-        reps = {_face_class(q.lattice, f.face())[1] for f in table.values()}
-        assert {f.lift for f in q.faces} >= reps
+        reps = {_face_class(q.lattice, f.primitive())[1].vertices for f in table.values()}
+        assert {f.vertices for f in q.faces} >= reps
         assert len(q.faces) == 8 * len(table)
         assert p10.classes is p10.classes
 
     @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG_SWEEP])
     def test_class_table_does_not_depend_on_radius(self, built, name):
-        # keys, lifts and closures: the table is the structure's, not the
+        # keys, walks and closures: the table is the structure's, not the
         # region's
-        tables = [{k: (f.lift, f.closure) for k, f in built(name, r).classes.faces.items()}
+        tables = [{k: walk_and_closure(f) for k, f in built(name, r).classes.faces.items()}
                   for r in (Fraction(1, 2), 3, 6)]
         assert tables[0] == tables[1] == tables[2]
         assert list(tables[0]) == list(tables[2])
@@ -600,7 +607,7 @@ def moved_preset(name, radius=GRID_RADIUS, shift=SHIFT):
 
 def class_table_text(classes):
     """A class table as text, every scalar as ``p/q``: the lattice basis,
-    the vertex and edge classes, then each face class's key, lift, closure
+    the vertex and edge classes, then each face class's key, walk, closure
     and patch count, in table order."""
     from skelforge.geometry import vec_str
 
@@ -611,8 +618,9 @@ def class_table_text(classes):
              "vertices " + points(classes.vertices),
              "edges " + " ".join(points(e) for e in classes.edges)]
     for key, f in classes.faces.items():
-        lines.append(f"{key[0]} {points(key[1:])} | {points(f.lift)} | "
-                     f"{vec_str(f.closure)} | {classes.counts.get(key)}")
+        walk, closure = walk_and_closure(f)
+        lines.append(f"{key[0]} {points(key[1:])} | {points(walk)} | "
+                     f"{vec_str(closure)} | {classes.counts.get(key)}")
     return "\n".join(lines) + "\n"
 
 
@@ -682,8 +690,9 @@ def _grid_coordinates(grid):
     for e in grid.edges:
         yield from e
     for f in grid.faces.values():
-        yield from f.lift
-        yield f.closure
+        walk, closure = walk_and_closure(f)
+        yield from walk
+        yield closure
 
 
 def _integral_coordinates_are_ints(classes):

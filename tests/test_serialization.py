@@ -41,6 +41,19 @@ class TestComplexJson:
         with pytest.raises(ParseError):
             complex_from_json({"vertices": []})
 
+    @pytest.mark.parametrize("edge", [[0, -1], [True, 2], [0], [0, 1, 2], [0, 3], [0, 1.0]])
+    def test_bad_edge_entry_rejected(self, edge):
+        # an edge is two ints indexing the vertex list: a negative index
+        # must not wrap to the last vertex, nor a bool count as an index
+        data = {
+            "region": {"center": ["0", "0", "0"], "radius": "2"},
+            "vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]],
+            "edges": [[0, 1], [1, 2], edge],
+            "faces": [],
+        }
+        with pytest.raises(ParseError, match="vertex indices"):
+            complex_from_json(data)
+
 
 class TestGeneratorJson:
     def test_round_trip_equals_preset(self):
