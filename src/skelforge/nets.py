@@ -9,6 +9,8 @@ reference nets the catalog produces are built here the same way, from a
 lattice and its edge classes: the bonds from the origin for pcu, fcu, bcu
 and dia, and the edges of the K5_12 face classes for nbo.  The tests pin
 each against a box of points joined by its nearest-neighbor rule.
+Coordination sequences come from a breadth-first search in the cover with
+one int per cover node, and each graph keeps the sequences it computed.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class PeriodicGraph:
             flipped = (j, i, tuple(-c for c in t))
             canon.add(min((i, j, t), flipped))
         self.edges = sorted(canon)
+        self._sequences = {}  # depth -> the common shell sequence, or None
 
     def node_count(self):
         return len(self.nodes)
@@ -104,36 +107,51 @@ class PeriodicGraph:
         return all(lat.member(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))[:rank])
 
     def shells(self, source, depth):
-        """BFS shell sizes 1..depth around (source, origin) in the cover."""
-        start = (source, (0, 0, 0))
-        seen = {start}
-        frontier = [start]
-        adj = self.neighbors()
+        """BFS shell sizes 1..depth around (source, origin) in the cover.
+
+        A cover node (v, x) is the int v + n*code(x), where code(x) =
+        (x1+R) + B(x2+R) + B^2(x3+R), R = depth*max(1, max |voltage|) bounds
+        every offset within depth steps and B = 2R+1, so a step along an
+        edge adds a fixed int and the node is the key modulo n.  Every
+        neighbour of shell k lies in shell k-1, k or k+1.
+        """
+        n = len(self.nodes)
+        r = depth * max(1, max((abs(c) for _, _, t in self.edges for c in t), default=0))
+        b = 2 * r + 1
+        steps = [[] for _ in range(n)]
+        for i, j, t in self.edges:
+            d = n * (t[0] + b * t[1] + b * b * t[2])
+            steps[i].append(j - i + d)
+            steps[j].append(i - j - d)
+        prev, shell = set(), {source + n * r * (1 + b + b * b)}
         sizes = []
         for _ in range(depth):
-            nxt = []
-            for u, off in frontier:
-                for v, t in adj[u]:
-                    node = (v, vadd(off, t))
-                    if node not in seen:
-                        seen.add(node)
-                        nxt.append(node)
+            nxt = {u + d for u in shell for d in steps[u % n]}
+            nxt -= shell
+            nxt -= prev
             sizes.append(len(nxt))
-            frontier = nxt
+            prev, shell = shell, nxt
         return sizes
 
     def coordination_sequence(self, depth=10):
-        """Common shell sequence from every node; uninodal graphs only."""
+        """Common shell sequence from every node; uninodal graphs only.
+
+        The all-node shells are computed once per depth and kept: the
+        common sequence, or None when the nodes' sequences differ.
+        """
         if depth < 0:
             raise InvalidParametersError(f"shell depth must be >= 0, got {depth}")
         if not self.nodes:
             raise NotUninodalError("empty graph")
-        seqs = {tuple(self.shells(i, depth)) for i in range(len(self.nodes))}
-        if len(seqs) != 1:
+        if depth not in self._sequences:
+            seqs = {tuple(self.shells(i, depth)) for i in range(len(self.nodes))}
+            self._sequences[depth] = seqs.pop() if len(seqs) == 1 else None
+        seq = self._sequences[depth]
+        if seq is None:
             raise NotUninodalError(
                 "shell sequences differ between quotient nodes"
             )
-        return list(seqs.pop())
+        return list(seq)
 
     # -- serialization ("e i j t1 t2 t3" per edge) ---------------------------
 
@@ -179,6 +197,9 @@ class PeriodicGraph:
                 raise ParseError(f"unknown record {parts[0]!r}")
         if len(basis) != 3:
             raise ParseError("periodic graph needs 3 basis rows")
+        unused = set(range(max_node + 1)).difference(*((i, j) for i, j, _ in edges))
+        if unused:
+            raise ParseError(f"node {min(unused)} is on no edge line")
         return cls(basis, [None] * (max_node + 1), edges, name=name)
 
     def __repr__(self):
@@ -256,7 +277,6 @@ def _reference_nbo():
 
 
 _REFERENCES = None
-_REFERENCE_SEQUENCES = {}  # name -> coordination sequence to depth 10
 
 
 def reference_nets():
@@ -273,16 +293,20 @@ def reference_nets():
 def identify_net(net):
     """Name the net by its coordination sequence to depth 10 against the
     five references, or "unknown".  The references' sequences already
-    differ at depth 3, so at most one matches.
+    differ at depth 3, so node 0's first three shells pick the one
+    candidate, if any, before the all-node check to depth 10.
     """
-    try:
-        seq = net.coordination_sequence(10)
-    except NotUninodalError:
+    if not net.nodes:
         return "unknown"
-    if not _REFERENCE_SEQUENCES:
-        for name, ref in reference_nets().items():
-            _REFERENCE_SEQUENCES[name] = ref.coordination_sequence(10)
-    return next((n for n, s in _REFERENCE_SEQUENCES.items() if s == seq), "unknown")
+    head = net.shells(0, 3)
+    for name, ref in reference_nets().items():
+        if ref.coordination_sequence(3) == head:
+            try:
+                seq = net.coordination_sequence(10)
+            except NotUninodalError:
+                return "unknown"
+            return name if seq == ref.coordination_sequence(10) else "unknown"
+    return "unknown"
 
 
 # ---------------------------------------------------------------------------

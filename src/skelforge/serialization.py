@@ -26,11 +26,12 @@ def _vec_in(v):
 
 
 def _edge_in(e, vertices):
-    """An edge given as a pair of indices into ``vertices``."""
-    if not (isinstance(e, (list, tuple)) and len(e) == 2
+    """An edge given as a pair of distinct indices into ``vertices``."""
+    if not (isinstance(e, (list, tuple)) and len(e) == 2 and e[0] != e[1]
             and all(type(i) is int and 0 <= i < len(vertices) for i in e)):
         raise ParseError(
-            f"expected an edge as two vertex indices in [0, {len(vertices)}), got {e!r}"
+            f"expected an edge as two distinct vertex indices in [0, {len(vertices)}), "
+            f"got {e!r}"
         )
     return vertices[e[0]], vertices[e[1]]
 

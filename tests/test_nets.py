@@ -2,13 +2,16 @@
 
 The expected shell values were derived with the patch-BFS oracle below
 before being frozen; the oracle stays in the tests as the independent
-cross-check of the quotient-graph BFS.
+cross-check of the quotient-graph BFS.  ``net_oracle.tuple_shells``, the
+quotient-graph BFS on (node, offset) tuples, cross-checks its packed ints.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from net_oracle import tuple_shells
 from skelforge.complexes import Region
 from skelforge.errors import Not3PeriodicError, NotUninodalError, ParseError
 from skelforge.geometry import LAMBDA_1, LAMBDA_2, LAMBDA_2_DOUBLED, LAMBDA_3, SET_W, vadd
@@ -89,6 +92,101 @@ def oracle_patch(name, radius=8):
         c = one_petrie_per_cube_complex(Region((0, 0, 0), radius))
         return list(c.vertices), list(c.edge_points), (0, 0, 0)
     raise ValueError(name)
+
+
+UNIT_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# voltage components: small; small with some up to +-50, where a packing
+# bound read from the small ones alone would alias offsets; or all zero (a
+# rank-0 cover: the quotient itself)
+_COMPONENTS = [
+    st.integers(-3, 3),
+    st.one_of(st.integers(-3, 3), st.sampled_from([-50, 50]), st.integers(-50, 50)),
+    st.just(0),
+]
+
+
+@st.composite
+def voltage_graphs(draw):
+    n = draw(st.integers(1, 4))
+    c = draw(st.sampled_from(_COMPONENTS))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.tuples(c, c, c)),
+        max_size=5,
+    ))
+    # a loop with zero voltage is no edge of the cover
+    edges = [(i, j, t) for i, j, t in edges if i != j or any(t)]
+    return PeriodicGraph(UNIT_BASIS, [None] * n, edges)
+
+
+class TestPackedShells:
+    @settings(max_examples=150, deadline=None)
+    @given(voltage_graphs(), st.integers(0, 6))
+    def test_packed_shells_equal_the_tuple_oracle(self, graph, depth):
+        for v in range(graph.node_count()):
+            assert graph.shells(v, depth) == tuple_shells(graph, v, depth)
+        assert graph.coordination_sequence(0) == []
+
+    @pytest.mark.parametrize("name", ["pcu", "fcu", "bcu", "dia", "nbo"])
+    def test_reference_shells_equal_the_tuple_oracle(self, name):
+        ref = reference_nets()[name]
+        for v in range(ref.node_count()):
+            assert ref.shells(v, 10) == tuple_shells(ref, v, 10)
+
+
+def _spy_shells(monkeypatch):
+    """Record the depth of every PeriodicGraph.shells call."""
+    depths = []
+    real = PeriodicGraph.shells
+
+    def shells(self, source, depth):
+        depths.append(depth)
+        return real(self, source, depth)
+
+    monkeypatch.setattr(PeriodicGraph, "shells", shells)
+    return depths
+
+
+def _pcu_with_a_far_node(length=8):
+    """pcu as a supercell of ``length`` nodes along x, with one more loop at
+    node length // 2: node 0 is 4 steps from it, so node 0 has pcu's first
+    three shells, but that node has degree 8."""
+    edges = [(k, k + 1, (0, 0, 0)) for k in range(length - 1)]
+    edges += [(length - 1, 0, (1, 0, 0))]
+    edges += [(k, k, t) for k in range(length) for t in ((0, 1, 0), (0, 0, 1))]
+    edges += [(length // 2, length // 2, (0, 1, 1))]
+    basis = ((length, 0, 0), (0, 1, 0), (0, 0, 1))
+    return PeriodicGraph(basis, [(k, 0, 0) for k in range(length)], edges)
+
+
+class TestSequenceMemo:
+    def test_sequence_is_computed_once_and_returned_fresh(self, monkeypatch):
+        net = reference_nets()["nbo"]
+        net = PeriodicGraph(net.basis, net.nodes, net.edges)
+        depths = _spy_shells(monkeypatch)
+        seq = net.coordination_sequence(10)
+        seq[0] = -1
+        seq.append(0)
+        assert net.coordination_sequence(10) == EXPECTED_SEQUENCES["nbo"]
+        assert depths == [10] * net.node_count()
+
+    def test_not_uninodal_raises_on_every_call(self):
+        g = _pcu_with_a_far_node()
+        for _ in range(2):
+            with pytest.raises(NotUninodalError):
+                g.coordination_sequence(4)
+
+    def test_pcu_head_at_one_node_is_not_enough(self):
+        # node 0 passes the depth-3 screen for pcu; the all-node check fails
+        g = _pcu_with_a_far_node()
+        assert g.shells(0, 3) == EXPECTED_SEQUENCES["pcu"][:3]
+        assert identify_net(g) == "unknown"
+
+    def test_a_miss_is_decided_at_depth_3(self, monkeypatch, built):
+        net = extract_net(built("P:3,2"))
+        depths = _spy_shells(monkeypatch)
+        assert identify_net(net) == "unknown"
+        assert depths and max(depths) == 3
 
 
 class TestReferenceNets:
@@ -250,6 +348,13 @@ class TestPgrFormat:
         # error naming the line, never as a ValueError or a later KeyError
         text = "b 1 0 0\nb 0 1 0\nb 0 0 1\ne 0 0 1 0 0\n" + line + "\n"
         with pytest.raises(ParseError, match=repr(line)):
+            PeriodicGraph.from_text(text)
+
+    def test_node_on_no_edge_rejected(self):
+        # node 1 would be isolated, and the sequence would then fail as if
+        # the graph were not uninodal
+        text = reference_nets()["pcu"].to_text() + "e 2 2 1 0 0\n"
+        with pytest.raises(ParseError, match="node 1"):
             PeriodicGraph.from_text(text)
 
     def test_good_edge_lines_parse(self):

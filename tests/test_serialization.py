@@ -54,6 +54,13 @@ class TestComplexJson:
         with pytest.raises(ParseError, match="vertex indices"):
             complex_from_json(data)
 
+    def test_self_loop_edge_rejected(self, built):
+        # an edge from a vertex to itself is no edge of a polyhedron
+        data = complex_to_json(built("cube"))
+        data["edges"][0] = [0, 0]
+        with pytest.raises(ParseError, match=r"\[0, 0\]"):
+            complex_from_json(data)
+
 
 class TestGeneratorJson:
     def test_round_trip_equals_preset(self):
