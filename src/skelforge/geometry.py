@@ -21,6 +21,10 @@ where an isometry ``(M, t)`` reads ``(M, D t)`` (:meth:`Isometry.dilated`).
 Structures are classified up to similarity, and the floors, least
 rotations and orders the library decides by all commute with a positive
 dilation, so no answer changes.
+
+The catalog's vertex sets, the lattices Lambda1-Lambda3 and the sets V and
+W, are each a union of cosets o + M of one lattice M
+(:class:`VertexSetSpec`).
 """
 
 from __future__ import annotations
@@ -750,32 +754,16 @@ LAMBDA_3 = Lattice([(2, 0, 0), (0, 2, 0), (1, 1, 1)], name="bcc")
 
 
 class VertexSetSpec:
-    """Exact membership test for the vertex sets used by the catalog."""
+    """A vertex set of the catalog: the union of the cosets o + M of one
+    lattice M, one offset o per coset, the offsets distinct modulo M."""
 
-    def __init__(self, name, kind, lattice=None, cosets=(), excluded=()):
+    def __init__(self, name, lattice, offsets=(ZERO3,)):
         self.name = name
-        self.kind = kind  # "lattice" | "difference" | "union"
         self.lattice = lattice
-        self.cosets = tuple(cosets)      # (offset, lattice) pairs, union kind
-        self.excluded = tuple(excluded)  # (offset, lattice) pairs, difference kind
+        self.offsets = tuple(offsets)
 
     def member(self, v):
-        if self.kind == "lattice":
-            return self.lattice.member(v)
-        if self.kind == "difference":
-            if not self.lattice.member(v):
-                return False
-            return not any(lat.member(vsub(v, off)) for off, lat in self.excluded)
-        if self.kind == "union":
-            return any(lat.member(vsub(v, off)) for off, lat in self.cosets)
-        raise ValueError(self.kind)
-
-    @property
-    def period(self):
-        """The lattice M of which the set is a union of cosets: the
-        intersection of the lattices it is made from."""
-        lattices = [self.lattice] if self.lattice is not None else []
-        return lattice_intersection(lattices + [lat for _, lat in self.cosets + self.excluded])
+        return any(self.lattice.member(vsub(v, o)) for o in self.offsets)
 
     def __repr__(self):
         return f"VertexSetSpec({self.name})"
@@ -783,10 +771,6 @@ class VertexSetSpec:
 
 LAMBDA_2_DOUBLED = Lattice([(2, 2, 0), (-2, 2, 0), (0, -2, 2)], name="2fcc")
 
-SET_V = VertexSetSpec(
-    "V", "difference", lattice=LAMBDA_1, excluded=[((0, 0, 1), LAMBDA_3)]
-)
-SET_W = VertexSetSpec(
-    "W", "union",
-    cosets=[(ZERO3, LAMBDA_2_DOUBLED), ((1, -1, 1), LAMBDA_2_DOUBLED)],
-)
+# Z^3 minus the coset (0,0,1) + bcc
+SET_V = VertexSetSpec("V", LAMBDA_3, [ZERO3, (1, 0, 0), (0, 1, 0)])
+SET_W = VertexSetSpec("W", LAMBDA_2_DOUBLED, [ZERO3, (1, -1, 1)])

@@ -11,6 +11,8 @@ and dia, and the edges of the K5_12 face classes for nbo.  The tests pin
 each against a box of points joined by its nearest-neighbor rule.
 Coordination sequences come from a breadth-first search in the cover with
 one int per cover node, and each graph keeps the sequences it computed.
+A structure's vertex set is named against the catalog sets, each a union
+of cosets of one lattice, by comparing cosets of a common lattice.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .geometry import (
     SET_W,
     ZERO3,
     Lattice,
+    VertexSetSpec,
     dilate,
     lattice_basis_from,
     lattice_intersection,
+    mat_det,
     scalar,
     vadd,
     vsub,
@@ -313,29 +317,29 @@ def identify_net(net):
 # vertex-set identification
 
 
-# each catalog set with the lattice M whose cosets it is a union of
 _VERTEX_SETS = [
-    ("Lambda1", LAMBDA_1, LAMBDA_1),
-    ("Lambda2", LAMBDA_2, LAMBDA_2),
-    ("Lambda3", LAMBDA_3, LAMBDA_3),
-    ("V", SET_V, SET_V.period),
-    ("W", SET_W, SET_W.period),
+    VertexSetSpec("Lambda1", LAMBDA_1),
+    VertexSetSpec("Lambda2", LAMBDA_2),
+    VertexSetSpec("Lambda3", LAMBDA_3),
+    SET_V,
+    SET_W,
 ]
 
 
 def identify_vertex_set(complex_):
     """Match the vertex set exactly against the catalog sets.
 
-    The vertex set is the union of the cosets v + Lambda of its vertex
-    classes, and a catalog set is a union of cosets of its lattice M.  For
-    a rank-3 Lambda both are unions of cosets of their common lattice, so
-    comparing the finitely many cosets modulo it decides equality (the
-    name) and containment (subset-of(name)).  A structure of lower rank can
-    only be contained; its points are tested modulo N Lambda, for an N
-    that puts N Lambda inside M.  No containment reports other, as does
-    at once a vertex class or lattice vector off Z^3, where every catalog
-    set lies.  The sets are named in fixed coordinates, so the vertex
-    classes are mapped back from the grid to input units.
+    The vertex set X is the union of the cosets v + Lambda of its vertex
+    classes, and a catalog set S the union of its cosets o + M.  For a
+    rank-3 Lambda, the cosets of X modulo C = Lambda & M are the points
+    v + t, t one vector per coset of C in Lambda; X lies in S when they all
+    do, and is S when they are also as many as the len(offsets) [M : C]
+    cosets of C in S.  A structure of lower rank can only be contained; its
+    points are tested modulo N Lambda, for an N that puts N Lambda inside M.
+    No containment reports other, as does at once a vertex class or lattice
+    vector off Z^3, where every catalog set lies.  The sets are named in
+    fixed coordinates, so the vertex classes are mapped back from the grid
+    to input units.
     """
     from .orbit import build_quotient
 
@@ -345,20 +349,20 @@ def identify_vertex_set(complex_):
     if any(Fraction(c).denominator != 1 for p in (*vreps, *lattice.basis) for c in p):
         return "other"
     contained = []
-    for name, catalog_set, period in _VERTEX_SETS:
+    for s in _VERTEX_SETS:
         if lattice.rank == 3:
-            common = lattice_intersection([lattice, period])
+            common = lattice_intersection([lattice, s.lattice])
         else:
             n = math.lcm(1, *(Fraction(c).denominator
-                              for b in lattice.basis for c in period.coords(b)))
+                              for b in lattice.basis for c in s.lattice.coords(b)))
             common = lattice.scaled(n)
-        points = [vadd(v, t) for v in vreps for t in _coset_vectors(lattice, common)]
-        if not all(catalog_set.member(p) for p in points):
+        cosets = list(_coset_vectors(lattice, common))
+        points = [vadd(v, t) for v in vreps for t in cosets]
+        if not all(map(s.member, points)):
             continue
         if lattice.rank == 3:
-            held = {common.reduce_key(p) for p in points}
-            # common lies in M, and M in Z^3
-            if len(held) == sum(map(catalog_set.member, _coset_vectors(LAMBDA_1, common))):
-                return name
-        contained.append(name)
+            index = abs(mat_det(common.basis) / mat_det(s.lattice.basis))
+            if len({common.reduce_key(p) for p in points}) == len(s.offsets) * index:
+                return s.name
+        contained.append(s.name)
     return f"subset-of({contained[0]})" if contained else "other"

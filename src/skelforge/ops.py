@@ -97,14 +97,21 @@ def _walk_circuit(closed, start_dart, word):
     raise NotPolyhedronError("word orbit failed to close on the quotient")
 
 
+def _require_polyhedron(closed):
+    """Raise unless every edge of the quotient lies on exactly two faces."""
+    if closed.r is None:
+        raise NotPolyhedronError("faces per edge is not constant")
+    if closed.r != 2:
+        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
+
+
 def _circuits(patch, word_name):
     """One ``_walk_circuit`` per orbit of a flag word on the patch's
     quotient, which must have r = 2."""
     if word_name not in WORDS:
         raise InvalidParametersError(f"unknown trace word {word_name!r}")
     closed = build_quotient(patch)
-    if closed.r != 2:
-        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
+    _require_polyhedron(closed)
     seen = set()
     for start in range(closed.dart_count()):
         if start not in seen:
@@ -323,8 +330,7 @@ def blend_with_apeirogon(patch, step):
     if len(sizes) != 1:
         raise InvalidParametersError("apeirogon blend needs equal face sizes")
     p = sizes.pop()
-    if closed.r != 2:
-        raise NotPolyhedronError(f"faces per edge is {closed.r}, not 2")
+    _require_polyhedron(closed)
 
     def neighbors(fid):
         for d in range(closed.first[fid], closed.first[fid] + 2 * p):

@@ -298,11 +298,5 @@ def build_quotient(patch, sublattice=None, scale=1):
         )
     cache = vars(patch).setdefault("_quotient_cache", {})
     if sublattice.basis not in cache:
-        closed = ClosedComplex.from_patch(patch, sublattice)
-        if closed.r is None and sublattice.rank:
-            raise PatchTooSmallError(
-                "quotient classes are incomplete (nonconstant face count per "
-                "edge): a class of the lattice is missing; enlarge the region"
-            )
-        cache[sublattice.basis] = closed
+        cache[sublattice.basis] = ClosedComplex.from_patch(patch, sublattice)
     return cache[sublattice.basis]

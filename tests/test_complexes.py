@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from skelforge.classify import schlafli
 from skelforge.complexes import (
     FaceDescriptor,
     Region,
@@ -14,8 +15,14 @@ from skelforge.complexes import (
     _multigraph,
     _multigraph_isomorphic,
 )
-from skelforge.errors import BoundaryError, DegenerateFaceError
-from skelforge.geometry import vadd
+from skelforge.errors import (
+    BoundaryError,
+    DegenerateFaceError,
+    NotEquivelarError,
+    NotPolyhedronError,
+)
+from skelforge.geometry import LAMBDA_1, vadd
+from skelforge.ops import trace
 
 
 SQUARE = FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
@@ -283,6 +290,23 @@ class TestValidation:
             rep = validate(SkeletalComplex([], [], fs, Region((0, 0, 0), 6)))
             assert rep.failed_axioms() == [axiom]
             assert dict((a, d) for a, _, d in rep.entries)[axiom] == detail
+
+    def test_face_count_varying_by_edge_class_fails_c_alone(self):
+        # the xy and xz unit squares of the cubic lattice: an x edge lies on
+        # four faces, a y or z edge on two.  No region changes that, so the
+        # quotient is built, (a) and (b) hold, and (c) names the counts
+        xz = FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)])
+        c = SkeletalComplex.from_classes(LAMBDA_1, [SQUARE, xz], Region((0, 0, 0), 3))
+        rep = validate(c)
+        assert rep.entries[:3] == [
+            ("a:edge-graph-connected", True, "1 vertex classes, 3 edge classes"),
+            ("b:vertex-figures-connected", True, "0 disconnected of 1 vertex classes"),
+            ("c:faces-per-edge", False, "nonconstant: {2: 2, 4: 1}"),
+        ]
+        with pytest.raises(NotEquivelarError):
+            schlafli(c)
+        with pytest.raises(NotPolyhedronError, match="faces per edge is not constant"):
+            trace(c, "petrie")
 
     def test_periodic_discreteness_certificate(self, built):
         rep = validate(built("P:1,0"), "polyhedron")

@@ -9,10 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skelforge.errors import NotIsometryError, ParseError, UnderdeterminedError
 from skelforge.geometry import (
+    LAMBDA_1,
     LAMBDA_2,
+    LAMBDA_2_DOUBLED,
     LAMBDA_3,
     SET_V,
     SET_W,
+    ZERO3,
     Isometry,
     Lattice,
     compose,
@@ -259,6 +262,20 @@ class TestLattices:
         assert SET_W.member((1, -1, 1))
         assert SET_W.member((-1, 1, 1))
         assert not SET_W.member((1, 1, 1))
+
+    def test_vertex_sets_agree_with_their_definitions(self):
+        # oracle: V is Z^3 minus the coset (0,0,1) + bcc, W the union of the
+        # cosets 0 and (1,-1,1) of 2fcc (Pellicer & Schulte 2010)
+        def in_v(p):
+            return LAMBDA_1.member(p) and not LAMBDA_3.member(vsub(p, (0, 0, 1)))
+
+        def in_w(p):
+            return any(LAMBDA_2_DOUBLED.member(vsub(p, o)) for o in (ZERO3, (1, -1, 1)))
+
+        halves = [scalar(Fraction(k, 2)) for k in range(-6, 7)]
+        for p in itertools.product(halves, repeat=3):
+            assert SET_V.member(p) == in_v(p), p
+            assert SET_W.member(p) == in_w(p), p
 
     def test_membership_agrees_with_bruteforce(self):
         # oracle: enumerate small integer combinations of the basis

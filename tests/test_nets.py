@@ -281,6 +281,45 @@ class TestExtraction:
         assert all(i == 0 and j == 0 for i, j, _ in net.edges)
 
 
+# identify_vertex_set of presets and derived structures, the same at radius
+# 1/2 and 3, as the difference/union definitions of V and W and a count of
+# the cosets of Z^3 per catalog set gave them
+VERTEX_SET_TABLE = {
+    "sq44": "subset-of(Lambda1)",
+    "tri36": "subset-of(Lambda1)",
+    "hex63": "other",
+    "tet": "subset-of(Lambda1)",
+    "cube": "subset-of(Lambda1)",
+    "oct": "subset-of(Lambda1)",
+    "skel2cubic": "Lambda1",
+    "K1_12": "Lambda2",
+    "K4_12": "Lambda1",
+    "K5_12": "V",
+    "P:1,0": "Lambda1",
+    "P:1,1": "subset-of(Lambda1)",
+    "P:1,-1": "Lambda2",
+    "P:1,-2": "Lambda1",
+    "P:2,1": "Lambda1",
+    "P:3,2": "Lambda1",
+    "P:5,3": "Lambda2",
+    "P2:1,0": "subset-of(Lambda1)",
+    "P2:1,1": "W",
+    "P2:0,1": "subset-of(Lambda1)",
+    "P2:2,1": "subset-of(Lambda1)",
+    "P2:1/3,2/5": "other",
+    "petrie(sq44)": "subset-of(Lambda1)",
+    "petrie(cube)": "subset-of(Lambda1)",
+    "petrie(tet)": "subset-of(Lambda1)",
+    "petrie(P:1,0)": "Lambda1",
+    "petrie(P2:1,1)": "W",
+    "blend(sq44,seg:1)": "subset-of(Lambda1)",
+    "blend(sq44,apeiro:1)": "subset-of(Lambda1)",
+    "blend(hex63,seg:1)": "other",
+}
+# catalog members moved by test_orbit.SHIFT, off the integers
+MOVED_TO_OTHER = ["K5_12", "P2:1,1", "K1_12", "P:1,0", "sq44", "cube"]
+
+
 class TestVertexSets:
     @pytest.mark.parametrize(
         "preset,expected",
@@ -329,6 +368,30 @@ class TestVertexSets:
         # this region holds few vertices or none; the set is compared coset
         # by coset, so the answer is the one every radius >= 1 gives
         assert identify_vertex_set(built(preset, Fraction(1, 2))) == expected
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 2), 3], ids=["1/2", "3"])
+    @pytest.mark.parametrize("preset", VERTEX_SET_TABLE)
+    def test_pinned_table(self, built, preset, radius):
+        assert identify_vertex_set(built(preset, radius)) == VERTEX_SET_TABLE[preset]
+
+    @pytest.mark.parametrize("preset", MOVED_TO_OTHER)
+    def test_pinned_moved(self, preset):
+        from test_orbit import moved_preset
+
+        assert identify_vertex_set(moved_preset(preset)) == "other"
+
+    @pytest.mark.parametrize("preset", ["K5_12", "P2:1,1", "P2:1,0", "cube"])
+    def test_cosets_are_listed_once_per_set(self, monkeypatch, built, preset):
+        # one coset list per catalog set, not one per vertex class, and no
+        # second list of the cosets of Z^3
+        from skelforge import nets
+
+        calls = []
+        real = nets._coset_vectors
+        monkeypatch.setattr(nets, "_coset_vectors",
+                            lambda *args: calls.append(args) or real(*args))
+        identify_vertex_set(built(preset, 3))
+        assert 0 < len(calls) <= 2 * len(nets._VERTEX_SETS)
 
 
 class TestPgrFormat:
