@@ -168,13 +168,6 @@ def _cmd_net(args):
     _write(args, json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
-def _cmd_export(args):
-    patch = _load_structure(args)
-    if args.format == "json":
-        args.format = "obj"
-    _write(args, _format_structure(patch, args))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="skelforge",
@@ -188,23 +181,30 @@ def main(argv=None):
         "classify": _cmd_classify,
         "petrie": _cmd_petrie,
         "net": _cmd_net,
-        "export": _cmd_export,
+        "export": _cmd_build,
+    }
+    # the output formats of the commands that print a patch, default first
+    formats = {
+        "build": ("json", "obj", "pgr"),
+        "petrie": ("json", "obj", "pgr"),
+        "export": ("obj", "pgr"),
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--preset", help="catalog name, e.g. P:1,0 or K4_12")
-        p.add_argument("--input", help="generator-set JSON file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--preset", help="catalog name, e.g. P:1,0 or K4_12")
+        source.add_argument("--input", help="generator-set JSON file")
         p.add_argument("--radius", default="4", help="region radius (p/q)")
         p.add_argument(
             "--quotient", type=int,
             help="accepted and ignored: quotients are taken modulo the "
             "structure's own lattice",
         )
-        p.add_argument(
-            "--format", choices=("json", "obj", "pgr"), default="json"
-        )
+        if name in formats:
+            p.add_argument("--format", choices=formats[name], default=formats[name][0])
+        if name == "net":
+            p.add_argument("--depth", type=int, default=10, help="net shell depth")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--depth", type=int, default=10, help="net shell depth")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,13 @@ faces always carry their complete vertex cycle even when it pokes out of
 the region; infinite faces carry one period plus the period vector, which
 is likewise a complete description.  The region
 shapes only the patch's own elements: what ``build`` and ``export`` print
-and the per-patch face counts.
+and the per-patch face counts.  Those depend on the structure and the
+region alone: every face with a vertex in the region, with all its edges
+when finite and, when infinite, the edges of its run through the region
+plus one step past each exit (``FaceDescriptor.window``); the vertex and
+edge translates that meet the region; and the ends of all those edges.
+Moving a structure and its region by one vector moves the patch by it,
+however the structure's generators are written.
 
 A structure is held on one integer grid: its scale D is the lcm of the
 denominators of the classes it is made from, and the classes are keyed,
@@ -82,9 +88,6 @@ class Region:
         return (
             abs(p[0] - c[0]) <= r and abs(p[1] - c[1]) <= r and abs(p[2] - c[2]) <= r
         )
-
-    def expanded(self, margin):
-        return Region(self.center, self.radius + margin)
 
     def shrunk(self, margin):
         return Region(self.center, self.radius - margin)
@@ -403,7 +406,7 @@ class SkeletalComplex:
 
     Held: ``vertices`` (sorted points), ``edge_points`` (sorted point
     pairs, each pair sorted), ``faces`` (sorted by canonical key) and
-    ``flag_count`` (two flags per face slot over the window).  Built on
+    ``flag_count`` (two flags per face slot over the region).  Built on
     first read, then kept: ``vindex`` (point -> vertex index), ``edges``
     (vertex index pairs), ``eindex`` (point pair -> edge index) and
     ``face_keys`` (canonical key -> face index).
@@ -411,15 +414,14 @@ class SkeletalComplex:
     ``scale`` is the structure's common denominator D: the classes are
     held, quotiented and unrolled on the grid x -> D x (``grid``), where a
     rational structure has integer coordinates.  The element tables,
-    ``region``, ``window`` and ``classes`` are in input units, each grid
+    ``region`` and ``classes`` are in input units, each grid
     point mapped back once.  A scanned patch keeps D = 1, where the grid
     is the input.
     """
 
-    def __init__(self, vertices, edges, faces, region, window_margin=2, name=""):
+    def __init__(self, vertices, edges, faces, region, name=""):
         self.name = name
         self.region = region
-        self.window = region.expanded(window_margin)
         self.scale = 1
         self._grid = None  # StructureClasses on the grid, scanned on first use
         self._classes = None  # the same in input units, mapped on first read
@@ -437,7 +439,7 @@ class SkeletalComplex:
             eset.add((p, q) if p < q else (q, p))
         slots = 0
         for f in self.faces:
-            for _, p, q in f.edge_slots(self.window):
+            for _, p, q in f.edge_slots(self.region):
                 eset.add((p, q) if p < q else (q, p))
                 slots += 1
         vset = {tuple(p) for p in vertices}
@@ -507,8 +509,7 @@ class SkeletalComplex:
         return descriptor.canonical_key() in self.face_keys
 
     @classmethod
-    def from_classes(cls, lattice, faces, region, vertices=(), edges=(),
-                     window_margin=2, name=""):
+    def from_classes(cls, lattice, faces, region, vertices=(), edges=(), name=""):
         """The patch over ``region`` of the structure made of the translates
         by ``lattice`` of ``faces``, ``vertices`` and ``edges``, one element
         per class (the trivial lattice for a finite structure).
@@ -517,15 +518,16 @@ class SkeletalComplex:
         given; the classes are keyed, kept and unrolled on the grid
         x -> D x (see :meth:`_unroll`).
         """
-        return cls._unroll(lattice, faces, region, vertices, edges, window_margin, name)
+        return cls._unroll(lattice, faces, region, vertices, edges, name)
 
     @classmethod
-    def _unroll(cls, lattice, faces, region, vertices=(), edges=(), window_margin=2,
-                name="", skeleton=None, scale=1):
+    def _unroll(cls, lattice, faces, region, vertices=(), edges=(), name="",
+                skeleton=None, scale=1):
         """:meth:`from_classes` of classes given on the grid x -> scale x:
-        ``lattice``, ``faces``, ``vertices``, ``edges`` and
-        ``window_margin`` are scale times their values in input units, and
-        ``region`` is in input units.  What is not integral there moves on
+        ``lattice``, ``faces``, ``vertices`` and ``edges`` are scale times
+        their values in input units, and ``region`` is in input units.  The
+        patch is what of those classes touches the region (see the module
+        docstring), and nothing else.  What is not integral there moves on
         to the grid of its common denominator k first, so the patch's scale
         is scale k.  ``skeleton`` is a patch with the same vertices and
         edges over the same region, whose vertex and edge lists are kept as
@@ -554,7 +556,6 @@ class SkeletalComplex:
             ) for f in faces]
             vertices = [to_grid(p, k) for p in vertices]
             edges = [(to_grid(p, k), to_grid(q, k)) for p, q in edges]
-            window_margin = scalar(k * window_margin)
         d = scale * k
         grid_region = region if d == 1 else Region(dilate(region.center, d),
                                                    scalar(d * region.radius))
@@ -582,7 +583,7 @@ class SkeletalComplex:
                 vertices = [to_grid(p, d) for p in vertices]
                 edges = [(to_grid(p, d), to_grid(q, d)) for p, q in edges]
         patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
-                    grid_region, window_margin=window_margin, name=name)
+                    grid_region, name=name)
         counts = {key: len(fs) for key, fs in unrolled.items() if fs}
         patch._grid = StructureClasses(
             lattice, list(vclasses.values()), list(eclasses.values()), classes, counts
@@ -590,10 +591,6 @@ class SkeletalComplex:
         if d > 1:
             patch._to_input_units(d, region)
         return patch
-
-    def _grid_margin(self):
-        """The window margin on the grid."""
-        return scalar(self.scale * (self.window.radius - self.region.radius))
 
     def _to_input_units(self, d, region):
         """Map the tables, built on the grid x -> d x, back to input units,
@@ -613,9 +610,7 @@ class SkeletalComplex:
             tuple(point(p) for p in f.vertices),
             None if f.period_vector is None else point(f.period_vector),
         ) for f in self.faces]
-        margin = Fraction(self.window.radius - self.region.radius) / d
-        self.region, self.window = region, region.expanded(scalar(margin))
-        self.scale = d
+        self.region, self.scale = region, d
 
     @property
     def grid(self):
@@ -749,9 +744,6 @@ class VertexFigureGraph:
         self.center = center
         self.nodes = frozenset(nodes)
         self.edges = dict(edges)  # frozenset({u, w}) -> multiplicity
-
-    def multiplicity(self, u, w):
-        return self.edges.get(frozenset((u, w)), 0)
 
     def adjacency(self):
         adj = {n: Counter() for n in self.nodes}

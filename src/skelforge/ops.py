@@ -31,7 +31,6 @@ from .geometry import (
     Lattice,
     dilate,
     lattice_basis_from,
-    norm_inf,
     scalar,
     sublattices_of_index,
     translation,
@@ -162,8 +161,13 @@ def petrie_dual(patch, quotient_scale=None):
     Requires r = 2 on the quotient.  On infinite structures the Petrie
     polygons are found as word circuits on the quotient, unrolled into
     concrete (possibly zigzag or helical) faces, and translated around the
-    region by the structure's lattice.  ``quotient_scale`` is accepted and
-    ignored.
+    region by the structure's lattice.  The patch keeps the parent's vertex
+    and edge lists and adds the edges of the Petrie polygons that touch the
+    region.  A Petrie edge with an end in the region lies on a parent face
+    through that end, so it is the parent's already; only a Petrie
+    apeirogon that leaves the region and comes back adds the edges between
+    its runs (three for P2:1/3,2/5 at radius 1).  ``quotient_scale`` is
+    accepted and ignored.
     """
     circuit_faces = []
     for _, disp, _, vertices, _ in _circuits(patch, "petrie"):
@@ -176,7 +180,6 @@ def petrie_dual(patch, quotient_scale=None):
         patch.grid.lattice,
         circuit_faces,
         patch.region,
-        window_margin=patch._grid_margin(),
         name=f"petrie({patch.name})",
         skeleton=patch,
         scale=patch.scale,
@@ -282,14 +285,12 @@ def blend_with_segment(patch, length):
     basis = patch.grid.lattice.basis
     v0 = closed.vreps[0]
     swaps = [color[closed.vertex_class_of(vadd(v0, b))] != color[0] for b in basis]
-    margin = patch._grid_margin() + abs(rise) * norm_inf(n)
     return SkeletalComplex._unroll(
         Lattice(lattice_basis_from(_even_part(basis, swaps))),
         faces,
         patch.region,
         vertices=[lift(p) for p in closed.vreps],
         edges=[(lift(p), lift(q)) for p, q in closed.edge_reps],
-        window_margin=margin,
         name=f"blend({patch.name},seg:{length})",
         scale=patch.scale,
     )
@@ -382,7 +383,6 @@ def blend_with_apeirogon(patch, step):
         Lattice(lattice_basis_from(gens)),
         faces,
         patch.region,
-        window_margin=patch._grid_margin(),
         name=f"blend({patch.name},apeiro:{step})",
         scale=patch.scale,
     )

@@ -164,23 +164,19 @@ def wythoff_patch(gen, region, name=None):
     Each orbit is a finite set of classes modulo the translation lattice,
     one image of the base element per coset representative; the patch keeps
     the classes and the lattice, and unrolls every class over the region.
-    Its window reaches the largest generator translation length plus 2 past
-    the region.
+    What it holds depends on the structure and the region alone, not on how
+    the generators are written (see :mod:`skelforge.complexes`).
     """
     reps, products = _coset_representatives(gen.isometries())
     lattice = _translation_lattice(reps, products)
     base_face = build_base_face(gen)
     edges = [(r(gen.base_vertex), r(gen.base_edge_other)) for r in reps.values()]
-    margin = max(
-        max(norm_inf(g.t), norm_inf(g.inverse().t)) for g in gen.isometries()
-    ) + 2
     return SkeletalComplex.from_classes(
         lattice,
         [base_face.transform(r) for r in reps.values()],
         region,
         vertices=[p for p, _ in edges],
         edges=edges,
-        window_margin=margin,
         name=name or gen.name,
     )
 

@@ -54,9 +54,6 @@ def complex_to_json(complex_):
             "center": _vec_out(complex_.region.center),
             "radius": scalar_str(complex_.region.radius),
         },
-        "window_margin": scalar_str(
-            complex_.window.radius - complex_.region.radius
-        ),
         "vertices": [_vec_out(v) for v in complex_.vertices],
         "edges": list(complex_.edges),
         "faces": faces,
@@ -76,11 +73,12 @@ def complex_to_json_text(complex_):
 
 
 def complex_from_json(data):
+    """A patch from its element lists; keys it does not read, such as the
+    margin that older files carry, are ignored."""
     try:
         region = Region(
             _vec_in(data["region"]["center"]), scalar(data["region"]["radius"])
         )
-        margin = scalar(data.get("window_margin", 2))
         vertices = [_vec_in(v) for v in data["vertices"]]
         edges = [_edge_in(e, vertices) for e in data["edges"]]
         faces = []
@@ -92,10 +90,7 @@ def complex_from_json(data):
             )
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"malformed complex JSON: {exc!r}") from exc
-    return SkeletalComplex(
-        vertices, edges, faces, region,
-        window_margin=margin, name=data.get("name", ""),
-    )
+    return SkeletalComplex(vertices, edges, faces, region, name=data.get("name", ""))
 
 
 # ---------------------------------------------------------------------------

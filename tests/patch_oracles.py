@@ -28,9 +28,9 @@ def face_translates(lattice, desc, region):
     return list(out.values())
 
 
-def eager_tables(vertices, edges, faces, region, window):
-    """The old constructor's tables for the given element lists; ``window``
-    is the region the faces' slots are enumerated over."""
+def eager_tables(vertices, edges, faces, region):
+    """The old constructor's tables for the given element lists, the faces'
+    slots enumerated over ``region``."""
     vset = {tuple(p) for p in vertices}
     eset = {frozenset((tuple(p), tuple(q))) for p, q in edges}
     face_map = {}
@@ -38,7 +38,7 @@ def eager_tables(vertices, edges, faces, region, window):
         face_map.setdefault(f.canonical_key(), f)
     faces = [face_map[k] for k in sorted(face_map)]
     for f in faces:
-        for _, p, q in f.edge_slots(window):
+        for _, p, q in f.edge_slots(region):
             eset.add(frozenset((p, q)))
     for e in eset:
         vset.update(e)
@@ -56,7 +56,7 @@ def eager_tables(vertices, edges, faces, region, window):
         vertex_edges[a].append(i)
         vertex_edges[b].append(i)
     for fi, f in enumerate(faces):
-        for slot, p, q in f.edge_slots(window):
+        for slot, p, q in f.edge_slots(region):
             edge_faces[eindex[tuple(sorted((p, q)))]].append((fi, slot))
     out["in_region"] = [region.contains(p) for p in out["vertices"]]
     out["flags"] = 2 * sum(len(s) for s in edge_faces)
@@ -68,6 +68,6 @@ def edge_faces_of(patch):
     patch's faces, for the edges some face's slots hold."""
     found = {}
     for fi, f in enumerate(patch.faces):
-        for slot, p, q in f.edge_slots(patch.window):
+        for slot, p, q in f.edge_slots(patch.region):
             found.setdefault(tuple(sorted((p, q))), []).append((fi, slot))
     return found

@@ -239,7 +239,7 @@ def test_criterion_08_blends(built):
         assert len(fids) == 2
     f0 = helix.faces[0]
     partners = {}
-    for slot, p, q in f0.edge_slots(helix.window):
+    for slot, p, q in f0.edge_slots(helix.region):
         others = [f for f, _ in edge_faces[tuple(sorted((p, q)))] if f != 0]
         if others:
             partners.setdefault(others[0], []).append(slot)

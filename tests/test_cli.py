@@ -184,6 +184,22 @@ class TestQuotientFlag:
             assert len(outputs) == 1, (command, outputs)
 
 
+class TestFlagsPerCommand:
+    # a command takes only the flags it reads; the rest exit 2 with usage
+    @pytest.mark.parametrize("args", [
+        ("net", "--preset", "K4_12", "--format", "pgr"),
+        ("classify", "--preset", "cube", "--depth", "3"),
+        ("build", "--preset", "cube", "--input", "cube.json"),
+        ("export", "--preset", "cube", "--format", "json"),
+    ], ids=["net-format", "classify-depth", "preset-and-input", "export-json"])
+    def test_refused_with_usage(self, args):
+        proc = subprocess.run([sys.executable, "-m", "skelforge.cli", *args],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+
+
 class TestErrorJson:
     @pytest.mark.parametrize(
         "args,code",

@@ -1,0 +1,58 @@
+"""The demos print what they printed when their digests were recorded.
+
+Each script in ``demos/`` is run in-process and the sha256 of its stdout is
+compared with ``DIGESTS``.  A change that is meant to change no output must
+leave every digest as it is.  After a change that is meant to change what
+a demo prints, read the changed lines, then re-record with
+
+    PYTHONPATH=src:tests python tests/test_demos.py
+
+which prints the ``DIGESTS`` dict to paste over the one below.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import runpy
+
+import pytest
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+DIGESTS = {
+    '01_exact_isometries.py': '5fcbe4d846451155b87d833ca6eafe4896f8b8613d0436dad3e9bd7ac54ab607',
+    '02_chiral_hexagon_family.py': '2c2bd06834dde007e1ea8ad8600b9edecb06398fc7cb50480455d02a3f5bdda1',
+    '03_petrie_duals.py': '24c9fbb8bbf0df1a62761991c41c3c003f424ca017434aabf4157df8db53095f',
+    '04_helix_polyhedra.py': 'b8a65cec7ea385e9554c94431c710cf779b8d95ad2af4e4dc3f3a6009c3babf4',
+    '05_polygonal_complexes.py': 'c5a093e14cc9a7373a2b4ca50b39b01d7bdab9eab56de5810a959cb6f5b161cc',
+    '06_blends.py': 'ccc71c8c4d829333873ae1e53de1105ee54cad9f917b7debb667637073a03194',
+    '07_crystal_nets.py': '8f49e3302ed522ddbc12d78bdaf1f72fe104eec15685c190a6597437a82f48b3',
+}
+
+
+def _names():
+    return sorted(f for f in os.listdir(DEMOS) if f.endswith(".py"))
+
+
+def _digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_every_demo_has_a_digest():
+    assert sorted(DIGESTS) == _names()
+
+
+@pytest.mark.parametrize("name", _names())
+def test_demo_output_is_recorded(name):
+    assert _digest(name) == DIGESTS.get(name), name
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for name in _names():
+        print(f"    {name!r}: {_digest(name)!r},")
+    print("}")

@@ -79,59 +79,59 @@ GOLDEN = {
     'classify moved cube 4': '0 45300753f11fbf67edce1f1156fcdb6a0bfd29dbd07318ef44d65e6c5380fc06',
     'classify moved hex63 3': '0 a9e1fef1a393302b182cf3ece0df7330a960d62ffe9949663a284838478aef75',
     'classify moved P2:1,0 3': '0 4eb2c48436bb9eae47a324f58ae85415aff32b59cf53b4dbd9497b0a6e550864',
-    'build tet 4': '0 745773800185a4023d4035681dc590d4260d4c9227954260a137295164b4ddff',
-    'petrie tet 4': '0 632bcd3e9583517e2ecf0e9d66a2686016252afb7780b722098d5a3da71a85cb',
+    'build tet 4': '0 7d4fd6b8443088003f5c4c2419a8e38f9e01fe777d41ffde7907ca7ca94fd77a',
+    'petrie tet 4': '0 b4c9844157faf6743b8548ffd6c125ac9e5701f40146014593319688708a7fd9',
     'export tet 4': '0 e378fc88da0839d0f5b6296039e34242f29f963ba488f80d2e59b8092138faf8',
-    'build cube 4': '0 8c9a47291fc797b276293ba07ed756b4e4f430b49ef488c2607088fe1a927acd',
-    'petrie cube 4': '0 cbd7b0f94e84dea2888698aeb347f454fddfa3c5e9662415b5dc3c7ca46a9be0',
+    'build cube 4': '0 912e9b52638d47f688001a20b5439743938fa8c91a35ba99ee3a1887dea52ee6',
+    'petrie cube 4': '0 46c3a458253a1d64046970e49de96361c5abce79402223b5437af9743da7fe70',
     'export cube 4': '0 56dfd1a1daeebcc1c2b2b40ab54c0c7c61e7dbd575438dbbe0946aa947a02096',
-    'build oct 4': '0 42c653bcb64877767230e22efdb311b818266b701f6103ef31e01657fd6a2636',
-    'petrie oct 4': '0 8b3543a0b0bad47b9481c72e827a43d5572efc19dc47a82770b36be4ad3f0ab0',
+    'build oct 4': '0 0a7d45c878265ae0d10fc7a5b51e19f1b95c6299279c7e59e4fac31c606c85dd',
+    'petrie oct 4': '0 082d85bcab353d23842d6bf8a01c6f30758c8e02eb0a7b54caf327c34f1c4510',
     'export oct 4': '0 0176a9fab0eca14f218095fbd1b38a7ada91e685cb3b666ced2afcdaec018ea1',
-    'build sq44 4': '0 aa7936dc84f23ab18c942a1114d460e16944c61e521e37e158806e13d2259070',
-    'petrie sq44 4': '0 f0381b09c2479389a159c62cb6c504fd6dc508c61a7890ec57b030f95d830fa8',
+    'build sq44 4': '0 cb4d3c0052ae6bb41751c98f5b6f4dd771f19e8e9fcad63e7b1c6325a927ebaf',
+    'petrie sq44 4': '0 e9a8cdcc0274b0cee3e8feb93caccf6b6051a0e17c892d390bd662c771ca5403',
     'export sq44 4': '0 be3b7c7d4b14a25f83e6431d4f2015ad5b967dad8d44fae4226f0e96085f4a4b',
-    'build P:1,0 3': '0 dce53c4666c27d368c2d7185a3b57b6f46a7b56f7308549422a6a2c2849a5bfe',
-    'petrie P:1,0 3': '0 795b88c14e61560caaf724279a2bfa006e0e71dad49e7f50221eab09c317b2f0',
+    'build P:1,0 3': '0 988f1e20480b6bf36fbdd12667d27383643b4b2da98c6edceea1325112ef26c8',
+    'petrie P:1,0 3': '0 f4a2fc98cf56f860499a665e5b7503776143c10dda7c14e773fd9defeb1bbbb2',
     'export P:1,0 3': '0 e8a32fef650b261aab51fe63b084b34ef2b946a8253f333ef6aa5a9da5497ed2',
-    'build P2:1,0 4': '0 c2f210dbb5cdcef5f23368ef4dec5abd052d4a9f4693a0140ffeda27956a4e87',
-    'petrie P2:1,0 4': '0 1d0c126375578874d5145ef3625342d5ff9285b4dd0ddaebfdbfd20f7b1895bf',
-    'export P2:1,0 4': '0 e7fa858a37959754cd7f8b25e3fcd8531e6de14e2e44cc9b49b81def92efd668',
-    'build blend(sq44,apeiro:1) 3': '0 5d1eb95b1fa71c255dd19ef5e1ef3ebd83c0073171421e7d40f159ae61998af3',
-    'petrie blend(sq44,apeiro:1) 3': '0 ece862c46e29619c832ba27b2cc2cc42227b49dafcd4bdbbe605a0f10668ef37',
-    'export blend(sq44,apeiro:1) 3': '0 d404bac77abd3de05ca0304191c74b4eedaf120fc5b6713c27fcd8fc97202bd8',
-    'build P:1,1 3': '0 3c1526602c79c70421ab4a3416c35e23d8faaf83ac9bd9b131f397f2f58e78f8',
-    'petrie P:1,1 3': '0 29281cfd9acb9a002eebbce2ec36e5504d36e6e29add9543f0e4c40ccad285f2',
+    'build P2:1,0 4': '0 382019a6b10b0ef7acc59ccdff5f5136d7f69cb0fd18c011b22c06cad1b346d0',
+    'petrie P2:1,0 4': '0 2eef0374c38ba6249ae533d87ef9e61a47fa2a99dfd8bde9d20b9c41189334be',
+    'export P2:1,0 4': '0 2242fe22708fd8e158dbf4072d5feabe0e831c820329592203c83ede89c4dfbb',
+    'build blend(sq44,apeiro:1) 3': '0 d8c799775b758dd42a72c4a0432d4538a71404d58a8e137454ef99b31d467aa4',
+    'petrie blend(sq44,apeiro:1) 3': '0 1a9cfd18b83eab673a2e8e4d840bb24bb4cf2def573bfb3141f8f89b108de2c5',
+    'export blend(sq44,apeiro:1) 3': '0 a30d777bf3077f3c55f9e0debf937fe2844b4767f419a977d585c71db0dd82eb',
+    'build P:1,1 3': '0 efac4b45c4bad57c3d52992e09571c25e48775ed6b82dc3ff07a4562bb65f8b4',
+    'petrie P:1,1 3': '0 cfed59de3f2f3513d2b9895548bd49c8f15603f96d1c97e82669e3f228d5b422',
     'export P:1,1 3': '0 8f2c566dbfe0c3b6043b34c6c79c93ccd35c1912fd21c7e4c6976d3345f94b7f',
-    'build P:1,-1 3': '0 f2630a936a1f7ed7875b3623e8b5b0dd5a6444cff9018d9c27a4ebb1658ea182',
-    'petrie P:1,-1 3': '0 e9c9f7b61048dd5cec49d2ded5f897b9f66e25a2ad01f145ddb8eeae8191f54b',
+    'build P:1,-1 3': '0 dd828cadbb9a5eb438290e1a4d78f1a4a59e71800003c561a62a926b9d316418',
+    'petrie P:1,-1 3': '0 f0d7ffc6ae04038ea1fec9fd1433788cc9242a499d0e0aa92c93f5286d9ffa70',
     'export P:1,-1 3': '0 287bc48d9d98f8e1ae60d360c87f030e98b77a164cc14b8e7fb6f5b4a40830cd',
-    'build moved tet 4': '0 8321302679f7e618b56d05f46be754f3503e38906865e98729ce2523fec1f2e2',
-    'petrie moved tet 4': '0 bc5d941a52876aa40e8a2860b6adb408d8f9a5d18d2c88e05ba396646a39dd79',
+    'build moved tet 4': '0 b53825934d1bd273bf1d15fe157d83433cd53bed0bd5205cb5531a8b60921d03',
+    'petrie moved tet 4': '0 7c77914896b9a7e096e27b81b8a3b71cd97725bf4cdf79cf9efd19e0d8bb2c05',
     'export moved tet 4': '0 45a60536c95956b6fd33d5641f7658d60a2819118f38431be468a8f5a9694300',
     'pgr moved tet 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'validate moved tet 4': '0 509f152e9c32d0b6b5d4b83ebaf03b8bf1f69a42cee12718f81f92a91b54eaa7',
     'net moved tet 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'build moved cube 4': '0 4886a1733ec0dd6ad3de7f23bbaa9a241a09ce461b4759260fca450caeff8778',
-    'petrie moved cube 4': '0 2b52b29b77b1f065437cc5d085b89974628adeed14c30ba658994e9b781c1f18',
+    'build moved cube 4': '0 883feb6e6e19e75d5a2cbd43391cc290b22015dbca870b0b6ba36b258fb74e61',
+    'petrie moved cube 4': '0 dcf589e4a3b72fcbe63f2ae3d03b3dd8b30cfaeff29f47583bd1c84e0c963a3c',
     'export moved cube 4': '0 27de59dcb3818ba9435593d09efb868be63738ec5fb6f7ed8a423071392f9a2c',
     'pgr moved cube 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'validate moved cube 4': '0 30e8dcb8a06fb41c7ba387c20109153018ca630a29a842aca20e48fd836c97d8',
     'net moved cube 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'build moved hex63 3': '0 6b280893728c33d47385154873c29ecc022eadeeefb7c24878bb62eb1ca3d353',
-    'petrie moved hex63 3': '0 4c28d9353eaa6c2e3901e7fc463206a5457692d986084e1826178ec53813a169',
+    'build moved hex63 3': '0 7167ab47bc870370ab1be33c492f2f899094a4db04af9bf9d8dc2fd785ff2520',
+    'petrie moved hex63 3': '0 1aafdc516855a447d68336ffab9f299ab0b356c7964780f6e2dbdeabc48624ad',
     'export moved hex63 3': '0 d102664b301edf928fcf31a05d7989ece4be9ad94d00307fc329aad40ec28a0f',
     'pgr moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'validate moved hex63 3': '0 19ec8cf8b825581f727afb9298733c4a2544989168066b805213843d61270f47',
     'net moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'build moved P2:1,0 3': '0 0c4a7397bef063e3da89d379a83041472b50ad560afd58dbb2df46529fc4a170',
-    'petrie moved P2:1,0 3': '0 feec8ccb8e28ecf34cb76e97777b4aa8585ef3e435a416e252b9a082c5a59882',
-    'export moved P2:1,0 3': '0 421a607ddab88eb44ef7ebbf681beec45f73b1a4af1c9ac2932c861d36c9b875',
+    'build moved P2:1,0 3': '0 89dde688d396f25817222e3321985191fda6d8c7f6df576dd451c2c74933b7a3',
+    'petrie moved P2:1,0 3': '0 3db1c861b24a1730dc9931306ca1ec35ad37846fcc3adfc042f3d640d5ffd698',
+    'export moved P2:1,0 3': '0 49be65987ef709f3533f993d9abde743e98773964fafbc7c0ecb5709e54a30fa',
     'pgr moved P2:1,0 3': '0 db4e6fad7350406629b096a748469c1a7eb0d07a9ff86acc3165481056bfa797',
     'validate moved P2:1,0 3': '0 0f7ff28ee2a2dce881e039dfbacb34eacbd7598c74780572348be6a45704f40f',
     'net moved P2:1,0 3': '0 429ebcb75d230d019c5bb1973dbf6cfd243f09fe956a5fe02cad0e5f1527095f',
     'classify P2:1/3,2/5 3': '0 91bf5dc37b1697dc3eb3d9116bb0661e947514f25137fc8251a1f29787bc0580',
-    'build P2:1/3,2/5 3': '0 dd9930b808c50940978adfbcff7b6721d30ddfd6d34a2fe6693f956e03efe0e6',
+    'build P2:1/3,2/5 3': '0 7202ce9a53d330f276fe8c361714e7f78ce493bfc080775dbdb35c57f493b5cf',
     'classify P:1,1 4': '0 3251c0713a24074908c781f01ff45bffda0e406db3918b29ba47e33b242c92cf',
     'classify P:2,1 4': '0 9e119c0647f01135eca9e2ff512c5f4e2ff70929c0dd206d7fcfa31afdee89e1',
     'classify P:1,-2 4': '0 91fa6c116e8ae3fb5050fe2eb37dccc15484d9a49437c535c5e667d97a1e3ebb',

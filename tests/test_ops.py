@@ -227,7 +227,7 @@ class TestBlends:
                 continue
             f = ba.faces[fids[0]]
             slots_here = sorted(
-                s for s, p, q in f.edge_slots(ba.window)
+                s for s, p, q in f.edge_slots(ba.region)
                 if tuple(sorted((p, q))) in {
                     e for e in ba.edge_points
                     if sorted({g for g, _ in edge_faces.get(e, ())}) == fids

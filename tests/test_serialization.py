@@ -54,6 +54,18 @@ class TestComplexJson:
         with pytest.raises(ParseError, match="vertex indices"):
             complex_from_json(data)
 
+    def test_old_window_margin_key_is_ignored(self, built):
+        # files written before the patch lost its margin carry the key;
+        # it is read past, and the patch scans to the same class table
+        from test_orbit import class_table_text
+
+        data = complex_to_json(built("P2:1,0", 3))
+        assert "window_margin" not in data
+        plain = complex_from_json(data)
+        old = complex_from_json(dict(data, window_margin="5"))
+        assert complex_to_json(old) == data
+        assert class_table_text(old.classes) == class_table_text(plain.classes)
+
     def test_self_loop_edge_rejected(self, built):
         # an edge from a vertex to itself is no edge of a polyhedron
         data = complex_to_json(built("cube"))

@@ -13,15 +13,18 @@ they are compared.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelforge import quotient
 from skelforge.complexes import FaceDescriptor, Region, SkeletalComplex
-from skelforge.geometry import Lattice, dilate
+from skelforge.geometry import Lattice, dilate, vadd
 from skelforge.ops import petrie_dual
-from skelforge.presets import build
+from skelforge.orbit import wythoff_patch
+from skelforge.presets import build, instantiate
 from skelforge.serialization import complex_from_json, complex_to_json
 
 import patch_oracles
+from test_orbit import moved
 from test_presets import CATALOG_SWEEP
 
 RADII = [Fraction(1, 2), 3, 4]
@@ -33,11 +36,10 @@ def recorded(monkeypatch):
     of the element lists its constructor was given."""
     real = SkeletalComplex.__init__
 
-    def init(self, vertices, edges, faces, region, window_margin=2, name=""):
+    def init(self, vertices, edges, faces, region, name=""):
         vertices, edges, faces = list(vertices), list(edges), list(faces)
-        real(self, vertices, edges, faces, region, window_margin, name)
-        self.oracle = patch_oracles.eager_tables(vertices, edges, faces, region,
-                                                 self.window)
+        real(self, vertices, edges, faces, region, name)
+        self.oracle = patch_oracles.eager_tables(vertices, edges, faces, region)
 
     monkeypatch.setattr(SkeletalComplex, "__init__", init)
     return monkeypatch
@@ -158,3 +160,44 @@ def test_window_is_the_walk_inside_the_region(centre, radius):
     ]
     for face in faces:
         assert face.window(region) == _window_by_walk(face, region), face
+
+
+# ---------------------------------------------------------------------------
+# a patch is what touches its region, however its generators are written
+
+MOVED_PRESETS = ["P2:1,0", "P2:1,1", "P:1,0", "P:1,1", "hex63", "P2:1/3,2/5"]
+RATIONAL_SHIFT = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+POLYHEDRA = [name for name, _, mode in CATALOG_SWEEP if mode == "polyhedron"]
+
+
+def _element_sets(patch, shift=(0, 0, 0)):
+    """The patch's vertices, edges and face keys, moved by ``shift``."""
+    return (
+        {vadd(p, shift) for p in patch.vertices},
+        {tuple(sorted((vadd(p, shift), vadd(q, shift)))) for p, q in patch.edge_points},
+        {f.translate(shift).canonical_key() for f in patch.faces},
+    )
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    name=st.sampled_from(MOVED_PRESETS),
+    shift=st.one_of(st.tuples(*[st.integers(-4, 4)] * 3), st.just(RATIONAL_SHIFT)),
+)
+def test_moving_generators_and_region_moves_the_patch(name, shift):
+    # the generators conjugated by the translation, and the region moved by
+    # it, give the patch and the Petrie dual moved by it
+    patch = build(name, Region((0, 0, 0), 3))
+    moved_patch = wythoff_patch(moved(instantiate(name), shift), Region(shift, 3))
+    assert _element_sets(moved_patch) == _element_sets(patch, shift)
+    assert _element_sets(petrie_dual(moved_patch)) == \
+        _element_sets(petrie_dual(patch), shift)
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+@pytest.mark.parametrize("name", POLYHEDRA)
+def test_petrie_dual_has_the_parents_vertices_and_edges(built, name, radius):
+    patch = built(name, radius)
+    dual = petrie_dual(patch)
+    assert dual.vertices == patch.vertices
+    assert dual.edge_points == patch.edge_points
