@@ -359,14 +359,13 @@ class _UnionFind:
 
 def _orbit_lattice(patch, generators):
     """The translations to count the generated group's flag orbits modulo:
-    the structure's lattice when the group's translations (Schreier's
-    lemma) contain it, else the lattice common to both."""
+    the lattice common to the structure and the group's translations
+    (Schreier's lemma), which is the structure's own when the group's
+    translations contain it."""
     lattice = patch.grid.lattice
     if not lattice.rank:
         return lattice
     own = _translation_lattice(*_coset_representatives(generators))
-    if lattice.sublattice_of(own):
-        return lattice
     common = lattice_intersection([lattice, own])
     if common is None:
         raise GeneratorsDoNotDescendError(

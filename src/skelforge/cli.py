@@ -24,9 +24,9 @@ from .presets import build as build_preset
 
 def _load_structure(args):
     region = Region((0, 0, 0), scalar(args.radius))
-    if args.preset:
+    if args.input is None:
         patch = build_preset(args.preset, region)
-    elif args.input:
+    else:
         try:
             with open(args.input) as fh:
                 text = fh.read()
@@ -37,8 +37,6 @@ def _load_structure(args):
         gen = serialization.ingest_generators(text, name=args.input)
         patch = wythoff_patch(gen, region, name=gen.name)
         patch.generator_set = gen
-    else:
-        raise ParseError("one of --preset or --input is required")
     return patch
 
 
@@ -191,7 +189,7 @@ def main(argv=None):
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)
-        source = p.add_mutually_exclusive_group()
+        source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--preset", help="catalog name, e.g. P:1,0 or K4_12")
         source.add_argument("--input", help="generator-set JSON file")
         p.add_argument("--radius", default="4", help="region radius (p/q)")

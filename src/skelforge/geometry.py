@@ -9,7 +9,8 @@ translation vector.  Nothing in this module ever rounds.
 The kernels that run on every point keep rational data as integers over one
 common denominator: an :class:`Isometry` holds ``A``, ``b`` and ``D`` with
 ``M = A / D`` and ``t = b / D``, a :class:`Lattice` the integer adjugate of
-its basis.  A point is scaled to integers by the lcm of its denominators,
+its basis.  That basis is the reduced Hermite normal form of whatever
+vectors generate the lattice, so it is a function of the lattice alone.  A point is scaled to integers by the lcm of its denominators,
 multiplied by the integer matrix and divided back by ``divmod``, so no
 ``Fraction`` is built on the way and each result is an int when integral, a
 Fraction otherwise.  :func:`solve_isometry` solves through an integer
@@ -550,7 +551,10 @@ def solve_isometry(pairs):
 
 
 def _hnf(rows):
-    """Echelon basis of the integer row span (unimodular row reduction)."""
+    """The reduced Hermite normal form of the integer row span: echelon
+    rows, each pivot positive and each entry above a pivot reduced into
+    [0, pivot).  It is unique for each lattice (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4)."""
     work = [list(r) for r in rows if any(r)]
     basis = []
     for c in range(3):
@@ -571,24 +575,33 @@ def _hnf(rows):
                 elif any(rr):
                     rest.append(rr)
             pool = new_pool
-        basis.append(pool[0])
+        row = pool[0] if pool[0][c] > 0 else [-a for a in pool[0]]
+        for above in basis:
+            q = above[c] // row[c]
+            if q:
+                above[:] = [a - q * b for a, b in zip(above, row)]
+        basis.append(row)
         work = rest
-    return basis
+    return [tuple(r) for r in basis]
 
 
 def lattice_basis_from(vectors):
-    """A basis of the lattice generated by rational ``vectors`` (rank <= 3)."""
+    """The reduced Hermite normal form of the lattice generated by rational
+    ``vectors`` (rank <= 3): the same rows for every generating set of one
+    lattice."""
     if not vectors:
         return []
     d = common_denominator(vectors)
     basis = _hnf([to_grid(v, d) for v in vectors])
-    return [tuple(scalar(Fraction(c, d)) for c in row) for row in basis]
+    return [tuple(_ratio(c, d) for c in row) for row in basis]
 
 
 class Lattice:
-    """A rank-m lattice (m in 0..3) spanned by independent basis vectors.
+    """The lattice generated by any rational vectors, of rank 0, 2 or 3.
 
-    Coordinates are taken in the extended basis: the basis itself, plus
+    ``basis`` is its reduced Hermite normal form (:func:`lattice_basis_from`),
+    so two lattices are equal exactly when their bases are.  Coordinates
+    are taken in the extended basis: the basis itself, plus
     ``b0 x b1`` for rank 2, whose coordinate (the transverse offset) stays
     absolute.  The inverse of the extended basis is held as an integer
     matrix ``A`` (``_adj``) over one positive common denominator ``D``
@@ -602,10 +615,8 @@ class Lattice:
 
     __slots__ = ("basis", "name", "rank", "_adj", "_den")
 
-    def __init__(self, basis, name=None):
-        basis = [tuple(scalar(c) for c in b) for b in basis]
-        if matrix_rank(basis) != len(basis):
-            raise ValueError("lattice basis must be linearly independent")
+    def __init__(self, vectors, name=None):
+        basis = lattice_basis_from([tuple(scalar(c) for c in v) for v in vectors])
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rank", len(basis))
@@ -713,7 +724,7 @@ def lattice_intersection(lattices):
     if first.rank == 0:
         return first
     duals = [d for lat in lattices for d in _dual_basis(lat)]
-    return Lattice(_dual_basis(Lattice(lattice_basis_from(duals))))
+    return Lattice(_dual_basis(Lattice(duals)))
 
 
 def finite_lattice():

@@ -30,7 +30,6 @@ from .geometry import (
     SET_V,
     SET_W,
     ZERO3,
-    Lattice,
     VertexSetSpec,
     dilate,
     lattice_basis_from,
@@ -82,10 +81,10 @@ class PeriodicGraph:
 
     def is_connected_cover(self):
         """Connectivity of the infinite periodic graph, not just the quotient:
-        the quotient is connected and its cycle voltages span Z^rank."""
+        the quotient is connected and its cycle voltages generate Z^rank,
+        whose reduced Hermite normal form is the unit rows."""
         if not self.nodes:
             return False
-        rank = len(self.basis)
         adj = self.neighbors()
         # quotient connectivity with potentials
         seen = {0: (0, 0, 0)}
@@ -100,15 +99,8 @@ class PeriodicGraph:
                     queue.append(v)
                 else:
                     voltages.append(vsub(pot, seen[v]))
-        if len(seen) != len(self.nodes):
-            return False
-        if not rank:
-            return True
-        basis = lattice_basis_from([v for v in voltages if v != (0, 0, 0)])
-        if len(basis) < rank:
-            return False
-        lat = Lattice(basis)
-        return all(lat.member(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))[:rank])
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][:len(self.basis)]
+        return len(seen) == len(self.nodes) and lattice_basis_from(voltages) == units
 
     def shells(self, source, depth):
         """BFS shell sizes 1..depth around (source, origin) in the cover.

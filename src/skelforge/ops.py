@@ -30,7 +30,6 @@ from .geometry import (
     ZERO3,
     Lattice,
     dilate,
-    lattice_basis_from,
     scalar,
     sublattices_of_index,
     translation,
@@ -286,7 +285,7 @@ def blend_with_segment(patch, length):
     v0 = closed.vreps[0]
     swaps = [color[closed.vertex_class_of(vadd(v0, b))] != color[0] for b in basis]
     return SkeletalComplex._unroll(
-        Lattice(lattice_basis_from(_even_part(basis, swaps))),
+        Lattice(_even_part(basis, swaps)),
         faces,
         patch.region,
         vertices=[lift(p) for p in closed.vreps],
@@ -380,7 +379,7 @@ def blend_with_apeirogon(patch, step):
         rise = height[fine.reduce_key(vadd(v0, b))] - height[fine.reduce_key(v0)]
         gens.append(vadd(b, vscale(rise % p, lift_step)))
     return SkeletalComplex._unroll(
-        Lattice(lattice_basis_from(gens)),
+        Lattice(gens),
         faces,
         patch.region,
         name=f"blend({patch.name},apeiro:{step})",

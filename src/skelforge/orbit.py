@@ -141,8 +141,7 @@ def _translation_lattice(reps, products):
     representatives r and generators g.  With h = r*g and rep = rep(h),
     which share their linear part M, that translation is M^T (t_h - t_rep),
     the image of t_h under rep^-1: one inverse per representative, not
-    two isometries per pair.  The products come in the search order, which
-    the echelon basis of the result depends on.
+    two isometries per pair.
     """
     inverses = {m: r.inverse() for m, r in reps.items()}
     vectors = []
@@ -191,9 +190,7 @@ def detect_translation_lattice(patch):
     Candidate vectors are differences from a central vertex; each candidate
     is verified against the vertex, edge and face sets on a region shrunk by
     the candidate's own length.  Each vertex's distance from the centre is
-    taken once, so the shrunk region is a bound on those distances.  Every
-    candidate is verified, in vertex order, because the echelon basis of the
-    result depends on the list of verified vectors, not only on its span.
+    taken once, so the shrunk region is a bound on those distances.
     The shrunk region must hold a vertex, a whole edge and a face to check:
     a vector that maps a lone vertex onto a vertex proves nothing.  A long
     vector is verified on little of the patch, so a lattice that holds a

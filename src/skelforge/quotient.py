@@ -41,7 +41,7 @@ from .errors import (
     NotPolyhedronError,
 )
 from .geometry import (
-    ZERO3, is_integer, lattice_basis_from, norm_inf, scalar, vadd, vscale, vsub,
+    ZERO3, is_integer, norm_inf, scalar, vadd, vscale, vsub,
 )
 
 
@@ -73,8 +73,9 @@ def lattice_translates(lattice, points, region):
     """Lattice vectors t for which the bounding box of ``points + t`` meets
     the region.
 
-    The vectors are enumerated along an echelon basis, one pivot coordinate
-    at a time, so a full-rank lattice yields no candidate outside the box.
+    The vectors are enumerated along the lattice's echelon basis, one
+    positive pivot coordinate at a time, so a full-rank lattice yields no
+    candidate outside the box.
     A finite structure (the trivial lattice) is unrolled whole: [0].
     """
     if not lattice.rank:
@@ -83,12 +84,12 @@ def lattice_translates(lattice, points, region):
     lo = [ivals[i][0] - max(p[i] for p in points) for i in range(3)]
     hi = [ivals[i][1] - min(p[i] for p in points) for i in range(3)]
     found = [(0, 0, 0)]
-    for b in lattice_basis_from(lattice.basis):
+    for b in lattice.basis:
         c = next(i for i in range(3) if b[i] != 0)
         grown = []
         for v in found:
             # n from ceil(a / b) to floor(e / b), by exact floor division
-            a, e = (lo[c] - v[c], hi[c] - v[c]) if b[c] > 0 else (hi[c] - v[c], lo[c] - v[c])
+            a, e = lo[c] - v[c], hi[c] - v[c]
             for n in range(-(-a // b[c]), e // b[c] + 1):
                 grown.append(vadd(v, vscale(n, b)))
         found = grown

@@ -677,7 +677,7 @@ class TestVerdicts:
         from skelforge.serialization import complex_from_json, complex_to_json
 
         patch = complex_from_json(complex_to_json(built("P2:1,0")))
-        assert patch.lattice.basis == ((-2, -2, -2), (0, 4, 0), (0, 0, 4))
+        assert patch.lattice.basis == ((2, 2, 2), (0, 4, 0), (0, 0, 4))
         gens = helix_faced_chiral(1, 0).isometries()
         for s in (1, 2, 3, 4):
             v = verdict(patch, gens, quotient_scale=s)

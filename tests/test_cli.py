@@ -191,7 +191,8 @@ class TestFlagsPerCommand:
         ("classify", "--preset", "cube", "--depth", "3"),
         ("build", "--preset", "cube", "--input", "cube.json"),
         ("export", "--preset", "cube", "--format", "json"),
-    ], ids=["net-format", "classify-depth", "preset-and-input", "export-json"])
+        ("build",),
+    ], ids=["net-format", "classify-depth", "preset-and-input", "export-json", "no-source"])
     def test_refused_with_usage(self, args):
         proc = subprocess.run([sys.executable, "-m", "skelforge.cli", *args],
                               capture_output=True, text=True, timeout=600)
@@ -207,7 +208,8 @@ class TestErrorJson:
             (("build", "--preset", "P:0,0"), "invalid-parameters"),
             (("build", "--preset", "nosuch"), "parse-error"),
             (("net", "--preset", "cube"), "not-3-periodic"),
-            (("build",), "parse-error"),
+            # an empty name passes argparse and is an unknown preset
+            (("build", "--preset", ""), "parse-error"),
             (("classify", "--preset", "cube", "--radius", "0"), "invalid-parameters"),
             (("classify", "--preset", "cube", "--radius", "-1"), "invalid-parameters"),
             (("net", "--preset", "K4_12", "--radius", "3", "--depth", "-1"),

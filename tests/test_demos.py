@@ -22,12 +22,12 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
     '01_exact_isometries.py': '5fcbe4d846451155b87d833ca6eafe4896f8b8613d0436dad3e9bd7ac54ab607',
-    '02_chiral_hexagon_family.py': '2c2bd06834dde007e1ea8ad8600b9edecb06398fc7cb50480455d02a3f5bdda1',
+    '02_chiral_hexagon_family.py': 'e4cb7dd4653d50386ec867bf2808321ad33dd4c17e750d163d4220fe8cd583ce',
     '03_petrie_duals.py': '24c9fbb8bbf0df1a62761991c41c3c003f424ca017434aabf4157df8db53095f',
-    '04_helix_polyhedra.py': 'b8a65cec7ea385e9554c94431c710cf779b8d95ad2af4e4dc3f3a6009c3babf4',
+    '04_helix_polyhedra.py': 'bd7f7fd65997443844300543af1de963c188533fe0fd6d32bcad5a4cc86bef04',
     '05_polygonal_complexes.py': 'c5a093e14cc9a7373a2b4ca50b39b01d7bdab9eab56de5810a959cb6f5b161cc',
     '06_blends.py': 'ccc71c8c4d829333873ae1e53de1105ee54cad9f917b7debb667637073a03194',
-    '07_crystal_nets.py': '8f49e3302ed522ddbc12d78bdaf1f72fe104eec15685c190a6597437a82f48b3',
+    '07_crystal_nets.py': '3177c76ca05fd3f38fe8e25f1e4a1e3f21409145ad18fac5185540d329b31e4c',
 }
 
 

@@ -471,6 +471,52 @@ def lattices(draw):
 points = st.one_of(st.tuples(*[st.integers(-9, 9)] * 3), vec3)
 
 
+@st.composite
+def full_bases(draw):
+    """Independent integer or rational vectors, two or three of them."""
+    rank = draw(st.sampled_from((2, 3)))
+    entry = small_rat if draw(st.booleans()) else st.integers(-3, 3)
+    basis = draw(st.lists(st.tuples(entry, entry, entry), min_size=rank, max_size=rank))
+    assume(matrix_rank(basis) == rank)
+    return basis
+
+
+def _is_reduced_echelon(rows):
+    pivots = [next(c for c in range(3) if row[c]) for row in rows]
+    return pivots == sorted(set(pivots)) and all(
+        row[c] > 0 and all(0 <= above[c] < row[c] for above in rows[:i])
+        for i, (row, c) in enumerate(zip(rows, pivots))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_bases(),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=6),
+       st.data())
+def test_basis_is_the_reduced_hermite_form_of_the_lattice(basis, moves, data):
+    # U B for a unimodular U, made of row additions, negations and a
+    # permutation, spans the lattice B spans, and gives it the same basis
+    rows = list(basis)
+    for i, j, k in moves:
+        i, j = i % len(rows), j % len(rows)
+        rows[i] = vscale(-1, rows[i]) if i == j else vadd(rows[i], vscale(k, rows[j]))
+    rows = data.draw(st.permutations(rows))
+    lat = Lattice(basis)
+    assert Lattice(rows).basis == lat.basis
+    assert _is_reduced_echelon(lat.basis)
+    # the same lattice: it holds B, and its cell has B's volume
+    assert all(lat.member(b) for b in basis)
+    if len(basis) == 3:
+        assert abs(mat_det(lat.basis)) == abs(mat_det(basis))
+    else:
+        assert vcross(*lat.basis) in (vcross(*basis), vscale(-1, vcross(*basis)))
+    # nor does the generating set matter: duplicates and integer
+    # combinations of the generators, in any order
+    extra = [vadd(vscale(k, rows[i % len(rows)]), rows[j % len(rows)]) for i, j, k in moves]
+    gens = data.draw(st.permutations(rows + rows[:1] + extra))
+    assert lattice_basis_from(gens) == list(lat.basis)
+
+
 @settings(max_examples=400, deadline=None)
 @given(lattices(), points)
 def test_lattice_kernel_matches_fraction_oracle(lat, p):

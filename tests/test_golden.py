@@ -68,13 +68,13 @@ GOLDEN = {
     'classify sq44 4': '0 1fc0d8d6298a89f8b5845cad00c598e61d49fa2cf668e2a2123322324705ca48',
     'validate sq44 4': '0 a6b485af6492426fb9b051a190f83bec5bf6c7239db24c0af4d0e30756a92965',
     'classify P2:1,0 4': '0 7b6958d4c12cb424d04425d71d0402f1f2e63f30402c13fce7f06b57c4d23aed',
-    'validate P2:1,0 4': '0 c3e8c0d995f18c2897a5cf4e522588bc04418463818edc6c15f69bf01aaa11ed',
+    'validate P2:1,0 4': '0 0958867653b76131f1ecefcf74310efabd237f4e60fc78c24ecd6bbf1c2406a2',
     'classify P:1,0 3': '0 e9a95c72420b624a92c7beebe32ee9c5961f05bbcded3084bd5b58655aaa1a67',
-    'validate P:1,0 3': '0 2d4150a4b93ed4798fd33afdcfa32b6a8955326a0368f21b61773712daf4dfee',
+    'validate P:1,0 3': '0 034b2c29b402dda6c2fdbd0d15cb911a898ba225e7879d43a2a5cb59548365a9',
     'classify skel2cubic 3': '0 0fca9b3f821db7a22055a524adb5548d9bb1c19e6214fb6349ecd95a5adb2a38',
     'validate skel2cubic 3': '0 283d87646f5ae030ead116ad1452a6c014f2244537c2a034ad615342e531ce6e',
     'classify K5_12 3': '0 1ac205838a360874c2294f363787aa85eac155f8df5fb1d4bf2401f70ec79eab',
-    'validate K5_12 3': '0 1192a7445ab6ea92efaeba15ed2716450379f1341dea172c75c1a40d58cdb8a4',
+    'validate K5_12 3': '0 2112aeb53674f3c481a6626dc650d30e1d43334a8e2d06007dcae967af537458',
     'classify moved tet 4': '0 6df1697e3bed3c302aca9c2826f2e2c5782b9ba287a921509a0a84c7ea8fbf77',
     'classify moved cube 4': '0 45300753f11fbf67edce1f1156fcdb6a0bfd29dbd07318ef44d65e6c5380fc06',
     'classify moved hex63 3': '0 a9e1fef1a393302b182cf3ece0df7330a960d62ffe9949663a284838478aef75',
@@ -122,13 +122,13 @@ GOLDEN = {
     'petrie moved hex63 3': '0 1aafdc516855a447d68336ffab9f299ab0b356c7964780f6e2dbdeabc48624ad',
     'export moved hex63 3': '0 d102664b301edf928fcf31a05d7989ece4be9ad94d00307fc329aad40ec28a0f',
     'pgr moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'validate moved hex63 3': '0 19ec8cf8b825581f727afb9298733c4a2544989168066b805213843d61270f47',
+    'validate moved hex63 3': '0 40fc7f374d56678e6542f56ce3e3e40a148a3f97c9771009af02d4f5e830d8c9',
     'net moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'build moved P2:1,0 3': '0 89dde688d396f25817222e3321985191fda6d8c7f6df576dd451c2c74933b7a3',
     'petrie moved P2:1,0 3': '0 3db1c861b24a1730dc9931306ca1ec35ad37846fcc3adfc042f3d640d5ffd698',
     'export moved P2:1,0 3': '0 49be65987ef709f3533f993d9abde743e98773964fafbc7c0ecb5709e54a30fa',
-    'pgr moved P2:1,0 3': '0 db4e6fad7350406629b096a748469c1a7eb0d07a9ff86acc3165481056bfa797',
-    'validate moved P2:1,0 3': '0 0f7ff28ee2a2dce881e039dfbacb34eacbd7598c74780572348be6a45704f40f',
+    'pgr moved P2:1,0 3': '0 f652ac4f5975ffccc6ddfc037be8fbe6089e688e8d648ab6c1a3e6dbeaa0f004',
+    'validate moved P2:1,0 3': '0 4ae5010f44d15223477f461f8978eaa7162ac5befe372beabf738779ec9fcb1c',
     'net moved P2:1,0 3': '0 429ebcb75d230d019c5bb1973dbf6cfd243f09fe956a5fe02cad0e5f1527095f',
     'classify P2:1/3,2/5 3': '0 91bf5dc37b1697dc3eb3d9116bb0661e947514f25137fc8251a1f29787bc0580',
     'build P2:1/3,2/5 3': '0 7202ce9a53d330f276fe8c361714e7f78ce493bfc080775dbdb35c57f493b5cf',

@@ -642,40 +642,40 @@ CLASS_TABLES = {
      '1a171f04608ce190'),
     'sq44': ('12ad64b9e4dc8549',
      'b2ae4f64df2bb270'),
-    'tri36': ('07c67b5ebf10bcb8',
-     'a7d93683ba37222c'),
-    'hex63': ('91e0538a35f4dca0',
-     '365051edc5c4f91a'),
-    'P:1,0': ('b5b9c1a428d8d10a',
-     'e2a480f98bffe440'),
-    'P:1,1': ('7afe09a2bdb87a46',
-     '591f8210dc852293'),
-    'P:1,-1': ('c239c18eab739711',
-     'df159b3831dea339'),
-    'P:2,1': ('cbd013f1588cfa23',
-     'b3f6c552d04d66c9'),
+    'tri36': ('9281282e5c1ee8cb',
+     '41a61a5deec37669'),
+    'hex63': ('bd759ab3ca07e125',
+     '7ad3bab004fc700d'),
+    'P:1,0': ('a528ad7055f3242b',
+     '403bfce0ad0b003b'),
+    'P:1,1': ('9c340edd2ec244c0',
+     'dec50a6dcfbbb6b1'),
+    'P:1,-1': ('cd4a12d28ce7ae26',
+     'f85ec50f17fbd64e'),
+    'P:2,1': ('d39129e6036ab25b',
+     '057a2d19fa56f707'),
     'P2:0,1': ('3800b8e1d3633ec5',
      'bb7f95a970636532'),
-    'P2:1,0': ('1ab766bc97936c24',
-     '1d70764fb4276852'),
-    'P2:1,1': ('a883a1bcc3950d14',
-     '4d42ee11b5c66669'),
+    'P2:1,0': ('26951ce093fcb333',
+     '4e6dc56e7fe98942'),
+    'P2:1,1': ('8be43579bdc8d0a7',
+     '598e5cfd6396340f'),
     'skel2cubic': ('b98d9ee6d10fd8bc',
      '4bd8b2d0b91f7038'),
-    'K1_12': ('7ad1e474fd822f37',
-     '708195bafdaa4691'),
-    'K4_12': ('b53784a7eac90652',
-     'e38e7a1d2760f23f'),
-    'K5_12': ('eff061b1515f20cd',
-     'a2aedb74316475ff'),
+    'K1_12': ('3353da53f152c299',
+     '43dd58191657998c'),
+    'K4_12': ('3d95200a8ecb16ae',
+     'a95165285a11a394'),
+    'K5_12': ('a4a9877006ff6e5a',
+     '1be5a24e995d1fc8'),
     'petrie(cube)': ('d1648be68bb8fd6d',
      'fdb7c940d603ca0f'),
     'petrie(sq44)': ('2c848ebc1a790b75',
      '6b9d97e95de86a79'),
-    'blend(sq44,seg:1)': ('17d74f0dfe5b36d3',
-     'c4d80249a78ce54b'),
-    'blend(sq44,apeiro:1)': ('22150e02d2704ef0',
-     '526ca5dce5880337'),
+    'blend(sq44,seg:1)': ('b5affb7ad3653f5c',
+     '39ee0d8107f0fd19'),
+    'blend(sq44,apeiro:1)': ('07c5bb666b17afc5',
+     '8e5e8e38e1da41b5'),
 }
 
 

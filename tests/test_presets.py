@@ -203,3 +203,50 @@ class TestDerivedNames:
         assert {v[2] for v in bs.vertices} == {1, -1}
         ba = build("blend(sq44,apeiro:1)", Region((0, 0, 0), 3))
         assert all(f.period_vector == (0, 0, 4) for f in ba.faces)
+
+
+def _affine(f):
+    """The isometry x -> f(x) of an affine map written on (x, y, z)."""
+    from skelforge.geometry import Isometry, mat_transpose, vsub
+
+    t = f(0, 0, 0)
+    return Isometry(mat_transpose([vsub(f(*e), t) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]), t)
+
+
+# a generator set per constructive preset, face word F: the base edge, then
+# the generators as maps of (x, y, z)
+CONSTRUCTIVE_GENERATORS = {
+    "skel2cubic": (((0, 0, 0), (1, 0, 0)), {
+        "F": lambda x, y, z: (1 - y, x, z),
+        "G1": lambda x, y, z: (x, y, -z),
+        "G2": lambda x, y, z: (x, z, y)}),
+    "K1_12": (((0, 0, 0), (0, 1, 1)), {
+        "F": lambda x, y, z: (z, 1 - y, 1 - x),
+        "G1": lambda x, y, z: (x, z, -y)}),
+    "K4_12": (((0, 0, 1), (0, 1, 1)), {
+        "F": lambda x, y, z: (1 - z, 1 - x, 1 - y),
+        "G1": lambda x, y, z: (x, -z, y + 1)}),
+    "K5_12": (((0, 0, 0), (0, 1, 0)), {
+        "F": lambda x, y, z: (z, 1 - x, y),
+        "G1": lambda x, y, z: (x, y, -z),
+        "G2": lambda x, y, z: (x, z + 1, y + 1)}),
+}
+
+
+class TestConstructiveGenerators:
+    # the constructive presets are class literals; each has a generator set
+    # that rebuilds it through wythoff_patch, lattice basis included, since
+    # a lattice's basis does not depend on the vectors that generate it
+    @pytest.mark.parametrize("radius", [3, 4])
+    @pytest.mark.parametrize("name", list(CONSTRUCTIVE_GENERATORS))
+    def test_generators_rebuild_the_literal(self, built, name, radius):
+        from skelforge.orbit import GeneratorSet, wythoff_patch
+
+        (a, b), maps = CONSTRUCTIVE_GENERATORS[name]
+        gen = GeneratorSet({k: _affine(f) for k, f in maps.items()}, a, b, "F", name=name)
+        patch = wythoff_patch(gen, Region((0, 0, 0), radius))
+        literal = built(name, radius)
+        assert patch.vertices == literal.vertices
+        assert patch.edge_points == literal.edge_points
+        assert set(patch.face_keys) == set(literal.face_keys)
+        assert patch.lattice.basis == literal.lattice.basis

@@ -25,6 +25,15 @@ class TestComplexJson:
             back = complex_from_json(json.loads(text))
             assert complex_to_json_text(back) == text
 
+    @pytest.mark.parametrize("name", ["P:1,0", "K4_12", "hex63"])
+    def test_scanned_lattice_is_the_built_one_at_every_radius(self, built, name):
+        # the reduced Hermite form is a function of the lattice, so a scan
+        # prints the built basis, whatever vectors it verified first
+        for radius in (3, 4):
+            patch = built(name, radius)
+            back = complex_from_json(complex_to_json(patch))
+            assert back.lattice.basis == patch.lattice.basis, radius
+
     def test_counts_in_dump(self, built):
         data = complex_to_json(built("cube"))
         assert data["counts"] == {
