@@ -65,7 +65,6 @@ from .orbit import (
     GeneratorSet,
     build_base_face,
     build_quotient,
-    detect_translation_lattice,
     wythoff_patch,
 )
 from .presets import build, instantiate
@@ -92,8 +91,7 @@ __all__ = [
     "reference_nets",
     "WordTrace", "blend_with_apeirogon", "blend_with_segment",
     "covering_check", "petrie_dual", "trace", "trace_report",
-    "GeneratorSet", "build_base_face", "build_quotient",
-    "detect_translation_lattice", "wythoff_patch",
+    "GeneratorSet", "build_base_face", "build_quotient", "wythoff_patch",
     "build", "instantiate",
     "complex_from_json", "complex_to_json", "complex_to_obj",
     "generators_to_json", "ingest_generators",

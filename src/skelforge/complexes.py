@@ -3,27 +3,34 @@
 A structure is its translation lattice plus finitely many vertex, edge and
 face classes modulo it (a finite structure has the trivial lattice).  A
 patch (:class:`SkeletalComplex`) is the view of those classes unrolled over
-a bounded region: everything of the structure that touches the region.  It
-keeps the classes it was made from (:attr:`SkeletalComplex.classes`), and
-every structural answer reads them, not the patch: its lattice and whether
-it is finite, quotients, nets, symmetry tests, the face count per edge of
-Schläfli types and traces, the axiom checks, vertex figures and vertex
-sets.  Each face class is held once, as a face whose vertices are the
-class's canonical walk of one closure period modulo the lattice and whose
-period vector is the closure (``StructureClasses.faces``), whatever the
-region, so the quotient and the net read it as it is.  Only a patch given as bare
-element lists scans itself, once, for its lattice and classes.  Finite
-faces always carry their complete vertex cycle even when it pokes out of
-the region; infinite faces carry one period plus the period vector, which
-is likewise a complete description.  The region
-shapes only the patch's own elements: what ``build`` and ``export`` print
-and the per-patch face counts.  Those depend on the structure and the
-region alone: every face with a vertex in the region, with all its edges
-when finite and, when infinite, the edges of its run through the region
-plus one step past each exit (``FaceDescriptor.window``); the vertex and
-edge translates that meet the region; and the ends of all those edges.
-Moving a structure and its region by one vector moves the patch by it,
-however the structure's generators are written.
+a bounded region.  It keeps the classes it was made from
+(:attr:`SkeletalComplex.classes`), and every structural answer reads them,
+not the patch: its lattice and whether it is finite, quotients, nets,
+symmetry tests, the face count per edge of Schläfli types and traces, the
+axiom checks, vertex figures and vertex sets.  Each face class is held
+once, as a face whose vertices are the class's canonical walk of one
+closure period modulo the lattice and whose period vector is the closure
+(``StructureClasses.faces``), whatever the region, so the quotient and the
+net read it as it is.
+
+The patch rule.  The region shapes only the patch's own elements: what
+``build`` and ``export`` print and the per-patch face counts.
+
+- A face is in the patch when it has a vertex in the region.  A finite
+  face comes whole, with all its edges.  An apeirogon carries one period
+  plus its period vector, and brings only its edge slots that have an end
+  in the region (``FaceDescriptor.edge_slots``).
+- An edge translate is in the patch when it has an end in the region.  An
+  edge that crosses the region with both ends outside does not count.
+- A vertex is in the patch when it is in the region, or when it is an end
+  of a patch edge.
+- A finite structure's patch is all of it, at any region.
+
+So the patch depends on the structure and the region alone: moving a
+structure and its region by one vector moves the patch by it, however the
+structure's generators are written.  A patch given as bare element lists
+holds a finite structure; a periodic one is made from its lattice and
+classes.
 
 A structure is held on one integer grid: its scale D is the lcm of the
 denominators of the classes it is made from, and the classes are keyed,
@@ -33,15 +40,14 @@ rotation and sort order the library decides by, so no answer changes.
 Points cross back to input units only at the public API: the element
 tables (each distinct point once), ``classes`` and ``lattice`` (on first
 read), ``central_vertex``, ``vertex_figure`` and ``faces_at_vertex``; with
-D = 1, as for every integer structure and every scanned patch, each
+D = 1, as for every integer structure and every bare-list patch, each
 crossing is the identity.
 
 A patch holds its sorted vertex list, its edges as sorted point pairs
 (``edge_points``), its faces in canonical-key order and its flag count,
 all from one walk over each face's edges.  The index tables (``vindex``,
 ``edges`` as vertex index pairs, ``eindex`` and ``face_keys``) are built
-on first read and kept: only output, lattice scans and the ``has_*``
-tests read them.
+on first read and kept: only output and the ``has_*`` tests read them.
 """
 
 from __future__ import annotations
@@ -291,10 +297,11 @@ class FaceDescriptor:
         return (lo_k - 1, hi_k + 1)
 
     def edge_slots(self, region=None):
-        """Yield (slot_index, p, q) for the face's edges.
+        """Yield (slot_index, p, q) for the face's edges in a patch.
 
         Finite faces yield all n edges (slot i joins vertex i to i+1 mod n);
-        infinite faces yield the edges of the window over ``region``.
+        infinite faces yield the slots j, from walk vertex j to j + 1, that
+        have an end in ``region``, all of which lie in the window.
         """
         n = len(self.vertices)
         if self.period_vector is None:
@@ -307,11 +314,15 @@ class FaceDescriptor:
             if win is None:
                 return
             lo, hi = win
+            contains = region.contains
             p = self.vertex(lo)
+            p_in = contains(p)
             for j in range(lo, hi):
                 q = self.vertex(j + 1)
-                yield j, p, q
-                p = q
+                q_in = contains(q)
+                if p_in or q_in:
+                    yield j, p, q
+                p, p_in = q, q_in
 
     def __repr__(self):
         kind = "fin" if self.period_vector is None else f"inf:{vec_str(self.period_vector)}"
@@ -400,9 +411,10 @@ class SkeletalComplex:
 
     A structure is a lattice plus finitely many vertex, edge and face
     classes modulo it; :meth:`from_classes` unrolls the classes over a
-    region and keeps them.  A patch made from bare element lists (JSON
-    input, hand-built complexes) finds its lattice and classes by scanning
-    itself, once, on first use.  Both ways meet in the constructor.
+    region by the patch rule (see :mod:`skelforge.complexes`) and keeps
+    them.  A patch made from bare element lists (hand-built complexes,
+    complex files without a lattice) is a finite structure, whose classes
+    are its elements.  Both ways meet in the constructor.
 
     Held: ``vertices`` (sorted points), ``edge_points`` (sorted point
     pairs, each pair sorted), ``faces`` (sorted by canonical key) and
@@ -415,7 +427,7 @@ class SkeletalComplex:
     held, quotiented and unrolled on the grid x -> D x (``grid``), where a
     rational structure has integer coordinates.  The element tables,
     ``region`` and ``classes`` are in input units, each grid
-    point mapped back once.  A scanned patch keeps D = 1, where the grid
+    point mapped back once.  A bare-list patch keeps D = 1, where the grid
     is the input.
     """
 
@@ -423,7 +435,7 @@ class SkeletalComplex:
         self.name = name
         self.region = region
         self.scale = 1
-        self._grid = None  # StructureClasses on the grid, scanned on first use
+        self._grid = None  # StructureClasses on the grid; a bare-list patch's on first use
         self._classes = None  # the same in input units, mapped on first read
 
         face_map = {}
@@ -521,23 +533,23 @@ class SkeletalComplex:
         return cls._unroll(lattice, faces, region, vertices, edges, name)
 
     @classmethod
-    def _unroll(cls, lattice, faces, region, vertices=(), edges=(), name="",
-                skeleton=None, scale=1):
+    def _unroll(cls, lattice, faces, region, vertices=(), edges=(), name="", scale=1):
         """:meth:`from_classes` of classes given on the grid x -> scale x:
         ``lattice``, ``faces``, ``vertices`` and ``edges`` are scale times
         their values in input units, and ``region`` is in input units.  The
-        patch is what of those classes touches the region (see the module
-        docstring), and nothing else.  What is not integral there moves on
-        to the grid of its common denominator k first, so the patch's scale
-        is scale k.  ``skeleton`` is a patch with the same vertices and
-        edges over the same region, whose vertex and edge lists are kept as
-        they are: a Petrie dual keeps its parent's.
+        patch is what the patch rule (see the module docstring) takes of
+        those classes, and nothing else.  What is not integral there moves
+        on to the grid of its common denominator k first, so the patch's
+        scale is scale k.
 
         Each face is keyed once, and each class kept as its canonical walk
         of one closure period.  Each class is unrolled once, from its first
-        given face, by ``lattice_translates`` and ``face_translates``, and
-        the face classes are counted as they are unrolled.  The tables are
-        built on the grid, then each distinct point is mapped back once.
+        given face, by ``face_translates``, and the face classes are counted
+        as they are unrolled.  A vertex or edge class is unrolled by
+        ``lattice_translates``, whose bounding-box test is a superset: of
+        an edge's translates only those with an end in the region are kept.
+        The tables are built on the grid, then each distinct point is
+        mapped back once.
         """
         from .quotient import _edge_key, _face_class, face_translates, lattice_translates
 
@@ -571,17 +583,13 @@ class SkeletalComplex:
             eclasses.setdefault(_edge_key(lattice, *e), e)
         unrolled = {key: face_translates(lattice, f, grid_region)
                     for key, f in first.items()}
-        if skeleton is None:
-            vertices = [vadd(p, t) for p in vclasses.values()
-                        for t in lattice_translates(lattice, [p], grid_region)]
-            edges = [(vadd(p, t), vadd(q, t)) for p, q in eclasses.values()
-                     for t in lattice_translates(lattice, (p, q), grid_region)]
-        else:
-            # the skeleton's vertices are the structure's, so on its grid
-            vertices, edges = skeleton.vertices, skeleton.edge_points
-            if d > 1:
-                vertices = [to_grid(p, d) for p in vertices]
-                edges = [(to_grid(p, d), to_grid(q, d)) for p, q in edges]
+        vertices = [vadd(p, t) for p in vclasses.values()
+                    for t in lattice_translates(lattice, [p], grid_region)]
+        contains = grid_region.contains
+        edges = [e for p, q in eclasses.values()
+                 for t in lattice_translates(lattice, (p, q), grid_region)
+                 for e in [(vadd(p, t), vadd(q, t))]
+                 if not lattice.rank or contains(e[0]) or contains(e[1])]
         patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
                     grid_region, name=name)
         counts = {key: len(fs) for key, fs in unrolled.items() if fs}
@@ -615,16 +623,10 @@ class SkeletalComplex:
     @property
     def grid(self):
         """The structure modulo its lattice on the grid x -> scale x, as
-        kept by :meth:`from_classes` or scanned from the patch once; a scan
-        that finds no lattice raises the same ``NotPeriodicError`` on every
-        read."""
+        kept by :meth:`from_classes`, or a bare-list patch's finite classes
+        (:meth:`_finite_classes`)."""
         if self._grid is None:
-            try:
-                self._grid = self._scan_classes()
-            except NotPeriodicError as exc:
-                self._grid = exc
-        if isinstance(self._grid, NotPeriodicError):
-            raise self._grid.with_traceback(None)
+            self._grid = self._finite_classes()
         return self._grid
 
     @property
@@ -639,8 +641,8 @@ class SkeletalComplex:
         return self._classes
 
     def _lattice_or_none(self):
-        """The class lattice on the grid, or None when a scanned patch shows
-        none."""
+        """The class lattice on the grid, or None when a bare-list patch is
+        not finite."""
         try:
             return self.grid.lattice
         except NotPeriodicError:
@@ -649,7 +651,7 @@ class SkeletalComplex:
     @property
     def lattice(self):
         """The translation lattice: None when the structure is finite, or
-        when a scanned patch shows none."""
+        when a bare-list patch is not."""
         lattice = self._lattice_or_none()
         return self.classes.lattice if lattice is not None and lattice.rank else None
 
@@ -658,20 +660,21 @@ class SkeletalComplex:
         lattice = self._lattice_or_none()
         return lattice is not None and not lattice.rank
 
-    def _scan_classes(self):
-        """Classes of a patch given as bare element lists.  It is finite
-        when every face is a finite cycle inside the region; otherwise its
-        lattice is the one its translation symmetries show."""
-        from .orbit import detect_translation_lattice
+    def _finite_classes(self):
+        """Classes of a patch given as bare element lists, which must be
+        finite: every face a finite cycle inside the region.  Otherwise
+        ``NotPeriodicError``, on every read."""
         from .quotient import _edge_key, _face_class
 
-        if all(f.is_finite and all(self.region.contains(p) for p in f.vertices)
-               for f in self.faces):
-            lattice = finite_lattice()
-        else:
-            lattice = detect_translation_lattice(self)
-            if lattice is None:
-                raise NotPeriodicError("no translation lattice found for the patch")
+        if not all(f.is_finite and all(self.region.contains(p) for p in f.vertices)
+                   for f in self.faces):
+            raise NotPeriodicError(
+                "a patch given as bare element lists must be finite, every face a "
+                "finite cycle inside the region; give a periodic structure's "
+                "lattice (SkeletalComplex.from_classes, or the lattice key of a "
+                "complex file)"
+            )
+        lattice = finite_lattice()
         faces, counts, vclasses, eclasses = {}, Counter(), {}, {}
         for f in self.faces:
             key, face = _face_class(lattice, f)
@@ -945,9 +948,9 @@ def validate(complex_, mode="polyhedron"):
     vertex figure of every vertex class is connected, (c) the quotient has
     a constant number r of faces per edge (r = 2 in polyhedron mode), (d)
     discreteness, certified by finiteness or by exhibiting the translation
-    lattice.  When the quotient cannot be built (a scanned patch that
-    shows no lattice, or classes that hold no face), (a) to (c) fail with
-    the reason.
+    lattice.  When the quotient cannot be built (a bare-list patch that is
+    not finite, or classes that hold no face), (a) to (c) fail with the
+    reason.
     """
     from .nets import quotient_graph
     from .orbit import build_quotient

@@ -160,13 +160,12 @@ def petrie_dual(patch, quotient_scale=None):
     Requires r = 2 on the quotient.  On infinite structures the Petrie
     polygons are found as word circuits on the quotient, unrolled into
     concrete (possibly zigzag or helical) faces, and translated around the
-    region by the structure's lattice.  The patch keeps the parent's vertex
-    and edge lists and adds the edges of the Petrie polygons that touch the
-    region.  A Petrie edge with an end in the region lies on a parent face
-    through that end, so it is the parent's already; only a Petrie
-    apeirogon that leaves the region and comes back adds the edges between
-    its runs (three for P2:1/3,2/5 at radius 1).  ``quotient_scale`` is
-    accepted and ignored.
+    region by the structure's lattice.  The dual's patch is its own faces
+    unrolled by the patch rule (see :mod:`skelforge.complexes`).  Every edge
+    with an end in the region lies on a Petrie slot through that end, so
+    the dual has its parent's vertices in the region and edges with an end
+    in it, and the dual of the dual is the parent's patch.
+    ``quotient_scale`` is accepted and ignored.
     """
     circuit_faces = []
     for _, disp, _, vertices, _ in _circuits(patch, "petrie"):
@@ -180,7 +179,6 @@ def petrie_dual(patch, quotient_scale=None):
         circuit_faces,
         patch.region,
         name=f"petrie({patch.name})",
-        skeleton=patch,
         scale=patch.scale,
     )
 

@@ -2,7 +2,9 @@
 
 All scalars serialize as "p/q" strings (the "/q" dropped for integers), and
 every dump is canonically ordered so rebuilding a structure and re-dumping
-it is byte-identical.
+it is byte-identical.  A complex file states its translation lattice
+(``lattice``: the reduced basis, or ``[]`` for a finite structure), and
+reading it checks the listed elements against that lattice.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 
 from .complexes import FaceDescriptor, Region, SkeletalComplex
 from .errors import NotIsometryError, ParseError
-from .geometry import Isometry, matrix_rank, scalar, scalar_str, vsub
+from .geometry import Isometry, Lattice, matrix_rank, scalar, scalar_str, vec_str, vsub
 from .orbit import GeneratorSet
 
 
@@ -54,6 +56,7 @@ def complex_to_json(complex_):
             "center": _vec_out(complex_.region.center),
             "radius": scalar_str(complex_.region.radius),
         },
+        "lattice": [_vec_out(b) for b in complex_.classes.lattice.basis],
         "vertices": [_vec_out(v) for v in complex_.vertices],
         "edges": list(complex_.edges),
         "faces": faces,
@@ -73,8 +76,16 @@ def complex_to_json_text(complex_):
 
 
 def complex_from_json(data):
-    """A patch from its element lists; keys it does not read, such as the
-    margin that older files carry, are ignored."""
+    """A patch from a complex file.
+
+    With a ``lattice`` key, the listed faces, vertices and edges are the
+    structure's classes modulo that lattice, unrolled over the region by
+    the patch rule (:meth:`SkeletalComplex.from_classes`), and the patch
+    must be what the file lists: else ``ParseError`` names the first
+    element where they differ.  Without the key the file is a bare-list
+    patch, which must be finite (``NotPeriodicError``).  Keys it does not
+    read, such as the margin that older files carry, are ignored.
+    """
     try:
         region = Region(
             _vec_in(data["region"]["center"]), scalar(data["region"]["radius"])
@@ -88,9 +99,40 @@ def complex_from_json(data):
             faces.append(
                 FaceDescriptor(pts, None if pv is None else _vec_in(pv))
             )
+        basis = data.get("lattice")
+        lattice = None if basis is None else Lattice([_vec_in(b) for b in basis])
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"malformed complex JSON: {exc!r}") from exc
-    return SkeletalComplex(vertices, edges, faces, region, name=data.get("name", ""))
+    except ValueError as exc:  # a lattice of rank 1
+        raise ParseError(f"lattice {basis!r}: {exc}") from exc
+    name = data.get("name", "")
+    if lattice is None:
+        patch = SkeletalComplex(vertices, edges, faces, region, name=name)
+        patch.grid  # a bare-list patch must be finite, else NotPeriodicError
+        return patch
+    patch = SkeletalComplex.from_classes(lattice, faces, region, vertices, edges, name=name)
+    _check_listed(patch, vertices, edges, faces)
+    return patch
+
+
+def _check_listed(patch, vertices, edges, faces):
+    """``ParseError`` naming the first element, in sort order, that the
+    patch and the listed tables do not share."""
+    listed = {f.canonical_key(): f for f in faces}
+    either = {**listed, **{f.canonical_key(): f for f in patch.faces}}
+    for kind, ours, theirs, show in (
+        ("vertex", set(patch.vertices), set(vertices), vec_str),
+        ("edge", set(patch.edge_points), {tuple(sorted(e)) for e in edges},
+         lambda e: f"{vec_str(e[0])}-{vec_str(e[1])}"),
+        ("face", set(patch.face_keys), set(listed), lambda k: repr(either[k])),
+    ):
+        if ours != theirs:
+            first = min(ours ^ theirs)
+            if first in ours:
+                raise ParseError(f"the stated lattice gives {kind} {show(first)}, "
+                                 "which the file does not list")
+            raise ParseError(f"the file lists {kind} {show(first)}, "
+                             "which the stated lattice does not give")
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,41 @@
 Each builder walks the unit cubes touching the region and assembles the
 faces one by one; K5(1,2) chooses its hexagons by a constraint search.
 The library writes the same structures as face classes modulo their
-lattices; the tests check that the two agree at every radius.
+lattices; the tests check that the two agree at every radius.  A builder's
+patch is made of its faces over the lattice that the scan oracle
+(``lattice_oracle``) finds in what it assembles over a radius-3 region.
 """
 
+import functools
 import math
 from collections import deque
 
-from skelforge.complexes import FaceDescriptor, SkeletalComplex
+from skelforge.complexes import FaceDescriptor, Region, SkeletalComplex
 from skelforge.geometry import vadd, vsub
+
+from lattice_oracle import detect_translation_lattice
+
+SCAN_REGION = Region((0, 0, 0), 3)
+
+
+def _periodic(assemble):
+    """The patch builder of a face assembler, which returns the faces
+    touching a region and a name: those faces as classes modulo the lattice
+    scanned, once, from the bare faces it assembles over ``SCAN_REGION``."""
+
+    @functools.wraps(assemble)
+    def build(region):
+        faces, name = assemble(region)
+        return SkeletalComplex.from_classes(_scanned_lattice(assemble), faces, region,
+                                            name=name)
+
+    return build
+
+
+@functools.cache
+def _scanned_lattice(assemble):
+    faces, _ = assemble(SCAN_REGION)
+    return detect_translation_lattice(SkeletalComplex([], [], faces, SCAN_REGION))
 
 
 def _cubes_touching(region):
@@ -24,6 +51,7 @@ def _cubes_touching(region):
                 yield (i, j, k)
 
 
+@_periodic
 def cubic_2_skeleton(region):
     """All square faces of the unit cubical tessellation touching the region."""
     faces = []
@@ -40,7 +68,7 @@ def cubic_2_skeleton(region):
             if k not in seen:
                 seen.add(k)
                 faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="cubic 2-skeleton")
+    return faces, "cubic 2-skeleton"
 
 
 def _cube_corners(z):
@@ -80,6 +108,7 @@ def _cube_petrie_hexagons(z):
     return out
 
 
+@_periodic
 def tetragon_complex(region):
     """Skew squares of tetrahedra inscribed in all cubes (K1(1,2)).
 
@@ -100,9 +129,10 @@ def tetragon_complex(region):
             if k not in seen:
                 seen.add(k)
                 faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K1(1,2)")
+    return faces, "K1(1,2)"
 
 
+@_periodic
 def alternate_petrie_complex(region):
     """All Petrie hexagons of the checkerboard cubes (K4(1,2))."""
     faces = []
@@ -117,9 +147,10 @@ def alternate_petrie_complex(region):
             if k not in seen:
                 seen.add(k)
                 faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K4(1,2)")
+    return faces, "K4(1,2)"
 
 
+@_periodic
 def one_petrie_per_cube_complex(region):
     """One Petrie hexagon per cube, chosen by constraint search (K5(1,2)).
 
@@ -210,7 +241,7 @@ def one_petrie_per_cube_complex(region):
         if k not in seen:
             seen.add(k)
             faces.append(f)
-    return SkeletalComplex([], [], faces, region, name="K5(1,2)")
+    return faces, "K5(1,2)"
 
 
 ORACLES = {

@@ -424,10 +424,10 @@ class TestIsSymmetry:
         ]
 
     def test_built_patch_without_faces_decides_on_its_classes(self, built):
-        # no vertex of the hexagonal tiling lies in this region: edges, no
-        # faces, but the patch keeps the classes it was built from
+        # no vertex of the hexagonal tiling lies in this region: no edges
+        # and no faces, but the patch keeps the classes it was built from
         empty = built("hex63", Fraction(1, 2))
-        assert empty.faces == [] and empty.edges
+        assert empty.faces == [] and empty.edges == []
         assert not is_symmetry(empty, translation((1, 0, 0)))
         assert is_symmetry(empty, reflection_in_plane((0, 1, -1), (0, 0, 0)))
 
@@ -640,17 +640,11 @@ class TestVerdicts:
     def test_rectangle_tiling_is_neither(self):
         # edges of two different lengths: no symmetry can be flag-transitive
         from skelforge.complexes import FaceDescriptor, SkeletalComplex
-        from skelforge.geometry import half_turn, reflection_in_plane, translation
+        from skelforge.geometry import Lattice, half_turn, reflection_in_plane, translation
 
-        region = Region((0, 0, 0), 4)
-        faces = []
-        for i in range(-3, 3):
-            for j in range(-4, 4):
-                x = 2 * i
-                faces.append(FaceDescriptor(
-                    [(x, j, 0), (x + 2, j, 0), (x + 2, j + 1, 0), (x, j + 1, 0)]
-                ))
-        bricks = SkeletalComplex([], [], faces, region)
+        brick = FaceDescriptor([(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)])
+        bricks = SkeletalComplex.from_classes(
+            Lattice([(2, 0, 0), (0, 1, 0)]), [brick], Region((0, 0, 0), 4))
         gens = [
             translation((2, 0, 0)),
             translation((0, 1, 0)),
@@ -671,12 +665,14 @@ class TestVerdicts:
         assert repr(shift) in err.value.detail
 
     def test_scanned_helix_orbits_do_not_depend_on_the_scale(self, built):
-        # read back from JSON, P2:1,0 scans a lattice that the generators'
-        # translations 4Z^3 do not contain, so its flag orbits are counted
-        # modulo 4Z^3 whatever scale is passed
+        # read back from a file that states the full translation lattice T of
+        # P2:1,0, which the generators' translations 4Z^3 do not contain, its
+        # flag orbits are counted modulo 4Z^3 whatever scale is passed
         from skelforge.serialization import complex_from_json, complex_to_json
 
-        patch = complex_from_json(complex_to_json(built("P2:1,0")))
+        data = complex_to_json(built("P2:1,0"))
+        data["lattice"] = [["2", "2", "2"], ["0", "4", "0"], ["0", "0", "4"]]
+        patch = complex_from_json(data)
         assert patch.lattice.basis == ((2, 2, 2), (0, 4, 0), (0, 0, 4))
         gens = helix_faced_chiral(1, 0).isometries()
         for s in (1, 2, 3, 4):

@@ -322,31 +322,6 @@ class TestValidation:
         for radius in (Fraction(1, 2), 3):
             assert validate(built(name, radius)).discreteness == discreteness
 
-    def test_a_failed_scan_is_kept(self, monkeypatch):
-        # a patch read back from JSON is scanned; at radius 1 this one (25
-        # vertices, 40 edges, 16 faces) shows no lattice, and reading the
-        # lattice again must not repeat the scan
-        from skelforge import orbit
-        from skelforge.errors import NotPeriodicError
-        from skelforge.presets import build
-        from skelforge.serialization import complex_from_json, complex_to_json
-
-        patch = complex_from_json(complex_to_json(
-            build("blend(sq44,seg:1)", Region((0, 0, 0), 1))))
-        calls = []
-        scan = orbit.detect_translation_lattice
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return scan(*args, **kwargs)
-
-        monkeypatch.setattr(orbit, "detect_translation_lattice", counted)
-        for _ in range(3):
-            assert patch.lattice is None and not patch.is_finite
-        with pytest.raises(NotPeriodicError):
-            patch.classes
-        assert len(calls) == 1
-
 
 class TestGraphIdentify:
     def test_catalog_self_identification(self):

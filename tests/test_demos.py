@@ -23,10 +23,10 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = {
     '01_exact_isometries.py': '5fcbe4d846451155b87d833ca6eafe4896f8b8613d0436dad3e9bd7ac54ab607',
     '02_chiral_hexagon_family.py': 'e4cb7dd4653d50386ec867bf2808321ad33dd4c17e750d163d4220fe8cd583ce',
-    '03_petrie_duals.py': '24c9fbb8bbf0df1a62761991c41c3c003f424ca017434aabf4157df8db53095f',
-    '04_helix_polyhedra.py': 'bd7f7fd65997443844300543af1de963c188533fe0fd6d32bcad5a4cc86bef04',
+    '03_petrie_duals.py': '878e4df2367b7e7c09a653533eebeda312c1e2a52f67e771e8bb4042be4546b0',
+    '04_helix_polyhedra.py': '01f8aa1b9e0950056cd26f999082702de5a37426e3d6c105fe5f61d63ea55f69',
     '05_polygonal_complexes.py': 'c5a093e14cc9a7373a2b4ca50b39b01d7bdab9eab56de5810a959cb6f5b161cc',
-    '06_blends.py': 'ccc71c8c4d829333873ae1e53de1105ee54cad9f917b7debb667637073a03194',
+    '06_blends.py': 'cb75c0f68a4e9717b7a1dc3b71ef9d63e6efb2cef2a9d1ceac75ac6c6caf34fc',
     '07_crystal_nets.py': '3177c76ca05fd3f38fe8e25f1e4a1e3f21409145ad18fac5185540d329b31e4c',
 }
 

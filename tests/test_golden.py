@@ -79,59 +79,59 @@ GOLDEN = {
     'classify moved cube 4': '0 45300753f11fbf67edce1f1156fcdb6a0bfd29dbd07318ef44d65e6c5380fc06',
     'classify moved hex63 3': '0 a9e1fef1a393302b182cf3ece0df7330a960d62ffe9949663a284838478aef75',
     'classify moved P2:1,0 3': '0 4eb2c48436bb9eae47a324f58ae85415aff32b59cf53b4dbd9497b0a6e550864',
-    'build tet 4': '0 7d4fd6b8443088003f5c4c2419a8e38f9e01fe777d41ffde7907ca7ca94fd77a',
-    'petrie tet 4': '0 b4c9844157faf6743b8548ffd6c125ac9e5701f40146014593319688708a7fd9',
+    'build tet 4': '0 3ba32e0f0833b814321022ea56c55fbd01ca0dcd3c6f8c53e2249d7d193c4932',
+    'petrie tet 4': '0 fa2a94f6529b6d2603f0bbd6cfba9a4d5b07e368dc5bc96ac7084dfd498bc377',
     'export tet 4': '0 e378fc88da0839d0f5b6296039e34242f29f963ba488f80d2e59b8092138faf8',
-    'build cube 4': '0 912e9b52638d47f688001a20b5439743938fa8c91a35ba99ee3a1887dea52ee6',
-    'petrie cube 4': '0 46c3a458253a1d64046970e49de96361c5abce79402223b5437af9743da7fe70',
+    'build cube 4': '0 d5cb38779bddf3636c0a74da6bfcffd22fe3d80a4b1e878f5f2397c9b870c924',
+    'petrie cube 4': '0 1353a5df585d7dc0660307026054170f58bb88e08bfecd8de662c32360f941f2',
     'export cube 4': '0 56dfd1a1daeebcc1c2b2b40ab54c0c7c61e7dbd575438dbbe0946aa947a02096',
-    'build oct 4': '0 0a7d45c878265ae0d10fc7a5b51e19f1b95c6299279c7e59e4fac31c606c85dd',
-    'petrie oct 4': '0 082d85bcab353d23842d6bf8a01c6f30758c8e02eb0a7b54caf327c34f1c4510',
+    'build oct 4': '0 2ed3fe31d5a759553d768ae9fd7c357193a6a9c96c45df527cc11499b4149fb1',
+    'petrie oct 4': '0 6b712d91dc42dddc4035ecf6d02885658519657795a72cbe26768c1fcf9bd042',
     'export oct 4': '0 0176a9fab0eca14f218095fbd1b38a7ada91e685cb3b666ced2afcdaec018ea1',
-    'build sq44 4': '0 cb4d3c0052ae6bb41751c98f5b6f4dd771f19e8e9fcad63e7b1c6325a927ebaf',
-    'petrie sq44 4': '0 e9a8cdcc0274b0cee3e8feb93caccf6b6051a0e17c892d390bd662c771ca5403',
+    'build sq44 4': '0 bbb28abf32b0aa5a112d0f626d4c491ed0d32fd4141d783323ada2228c13b245',
+    'petrie sq44 4': '0 bca1e6f62991a924eaecbc756c2e5d6473ff83c8cba0bb251becb87db750eb49',
     'export sq44 4': '0 be3b7c7d4b14a25f83e6431d4f2015ad5b967dad8d44fae4226f0e96085f4a4b',
-    'build P:1,0 3': '0 988f1e20480b6bf36fbdd12667d27383643b4b2da98c6edceea1325112ef26c8',
-    'petrie P:1,0 3': '0 f4a2fc98cf56f860499a665e5b7503776143c10dda7c14e773fd9defeb1bbbb2',
+    'build P:1,0 3': '0 0bd99def4b9bddaab32a93f74559fbc541a2f2f3f3742f694b7af86d4c3b2d40',
+    'petrie P:1,0 3': '0 f568168bb5c503936b8385ecc944755235162127f8664740cc76e9a1b77aceb2',
     'export P:1,0 3': '0 e8a32fef650b261aab51fe63b084b34ef2b946a8253f333ef6aa5a9da5497ed2',
-    'build P2:1,0 4': '0 382019a6b10b0ef7acc59ccdff5f5136d7f69cb0fd18c011b22c06cad1b346d0',
-    'petrie P2:1,0 4': '0 2eef0374c38ba6249ae533d87ef9e61a47fa2a99dfd8bde9d20b9c41189334be',
-    'export P2:1,0 4': '0 2242fe22708fd8e158dbf4072d5feabe0e831c820329592203c83ede89c4dfbb',
-    'build blend(sq44,apeiro:1) 3': '0 d8c799775b758dd42a72c4a0432d4538a71404d58a8e137454ef99b31d467aa4',
-    'petrie blend(sq44,apeiro:1) 3': '0 1a9cfd18b83eab673a2e8e4d840bb24bb4cf2def573bfb3141f8f89b108de2c5',
-    'export blend(sq44,apeiro:1) 3': '0 a30d777bf3077f3c55f9e0debf937fe2844b4767f419a977d585c71db0dd82eb',
-    'build P:1,1 3': '0 efac4b45c4bad57c3d52992e09571c25e48775ed6b82dc3ff07a4562bb65f8b4',
-    'petrie P:1,1 3': '0 cfed59de3f2f3513d2b9895548bd49c8f15603f96d1c97e82669e3f228d5b422',
+    'build P2:1,0 4': '0 b467d7494ddcf216b631013f48bee29cbeddc54a7fc99ade015ba0280988124e',
+    'petrie P2:1,0 4': '0 d76f5edb3e18f31c2a421657bc426b2e6ca7437e11206612ba7ee551dcb13d2f',
+    'export P2:1,0 4': '0 2bc561d971f191ab7cd3a9c0ad5670ef5ff1980a3be65db2b40c09e77d8ea921',
+    'build blend(sq44,apeiro:1) 3': '0 ea7cc4f57829b3163dc35ef47c2f3cd5523cf5de0708ead177dcd016c482c89c',
+    'petrie blend(sq44,apeiro:1) 3': '0 2ecff2b5baf2025d1a31932a8d39b8c29027cd78d84a4411eb6c87fad37ff5ab',
+    'export blend(sq44,apeiro:1) 3': '0 af426604b1792fe1b128bc29acf486a5f7edced291782c6220a979ae44eeb99e',
+    'build P:1,1 3': '0 d37edd9a870270a3cc648254a82ffdea723943035a0b1823b0a335bd44fb17a2',
+    'petrie P:1,1 3': '0 728d4c118e34f9964303a1953bd543e38729f49c50220acd08029371d962d945',
     'export P:1,1 3': '0 8f2c566dbfe0c3b6043b34c6c79c93ccd35c1912fd21c7e4c6976d3345f94b7f',
-    'build P:1,-1 3': '0 dd828cadbb9a5eb438290e1a4d78f1a4a59e71800003c561a62a926b9d316418',
-    'petrie P:1,-1 3': '0 f0d7ffc6ae04038ea1fec9fd1433788cc9242a499d0e0aa92c93f5286d9ffa70',
+    'build P:1,-1 3': '0 7036dde007836fa92569fddf38016139575f5bccd6dc6beb6248e506e7d388f7',
+    'petrie P:1,-1 3': '0 a44bd9eeb549035b1f0ff6a709e8e3e4b7977b46594baa6d70210e45696deb77',
     'export P:1,-1 3': '0 287bc48d9d98f8e1ae60d360c87f030e98b77a164cc14b8e7fb6f5b4a40830cd',
-    'build moved tet 4': '0 b53825934d1bd273bf1d15fe157d83433cd53bed0bd5205cb5531a8b60921d03',
-    'petrie moved tet 4': '0 7c77914896b9a7e096e27b81b8a3b71cd97725bf4cdf79cf9efd19e0d8bb2c05',
+    'build moved tet 4': '0 d807766a08d38b53d25f9f957cb8ff0cd20b2ef6ad829987fceb05d37063b773',
+    'petrie moved tet 4': '0 1ae2449283cc6e7171aeeaa861c59b4a94791b3ed3664d5b3f73ef9c6772cb9a',
     'export moved tet 4': '0 45a60536c95956b6fd33d5641f7658d60a2819118f38431be468a8f5a9694300',
     'pgr moved tet 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'validate moved tet 4': '0 509f152e9c32d0b6b5d4b83ebaf03b8bf1f69a42cee12718f81f92a91b54eaa7',
     'net moved tet 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'build moved cube 4': '0 883feb6e6e19e75d5a2cbd43391cc290b22015dbca870b0b6ba36b258fb74e61',
-    'petrie moved cube 4': '0 dcf589e4a3b72fcbe63f2ae3d03b3dd8b30cfaeff29f47583bd1c84e0c963a3c',
+    'build moved cube 4': '0 7fe10e516cd178bf90e8ea67e73825a901fba47c22ad82a2373f88fc9201d874',
+    'petrie moved cube 4': '0 721d1653c4e3267b7595258d78f0ec7500a6fa590ae7c556a1fb6713b1be207a',
     'export moved cube 4': '0 27de59dcb3818ba9435593d09efb868be63738ec5fb6f7ed8a423071392f9a2c',
     'pgr moved cube 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'validate moved cube 4': '0 30e8dcb8a06fb41c7ba387c20109153018ca630a29a842aca20e48fd836c97d8',
     'net moved cube 4': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'build moved hex63 3': '0 7167ab47bc870370ab1be33c492f2f899094a4db04af9bf9d8dc2fd785ff2520',
-    'petrie moved hex63 3': '0 1aafdc516855a447d68336ffab9f299ab0b356c7964780f6e2dbdeabc48624ad',
+    'build moved hex63 3': '0 944da23c1d23d35650645a97f9bf66aefde0cf16025ee7cc3b3efab7c7b5a04f',
+    'petrie moved hex63 3': '0 6dd7fa91eb9b7510f747c4ec0941327b1b99315fb0960e868e92fa573ea5c57d',
     'export moved hex63 3': '0 d102664b301edf928fcf31a05d7989ece4be9ad94d00307fc329aad40ec28a0f',
     'pgr moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
     'validate moved hex63 3': '0 40fc7f374d56678e6542f56ce3e3e40a148a3f97c9771009af02d4f5e830d8c9',
     'net moved hex63 3': '1 916d7b2f225533fcde07631c04c40f0b9c83ea392d27c29933ab775f503c1b33',
-    'build moved P2:1,0 3': '0 89dde688d396f25817222e3321985191fda6d8c7f6df576dd451c2c74933b7a3',
-    'petrie moved P2:1,0 3': '0 3db1c861b24a1730dc9931306ca1ec35ad37846fcc3adfc042f3d640d5ffd698',
-    'export moved P2:1,0 3': '0 49be65987ef709f3533f993d9abde743e98773964fafbc7c0ecb5709e54a30fa',
+    'build moved P2:1,0 3': '0 5e63226e538663b5d0cc5fea1afc3b288b9672670bff83a57d2be816428cd930',
+    'petrie moved P2:1,0 3': '0 3a8a44b8c26682707e0dd04ca420f46fc8fe01339e4ec83a5da0175e5ad50b27',
+    'export moved P2:1,0 3': '0 34c33b34c97f4db836b75011f6054aa6255c723e555abca995f6072f3b093c83',
     'pgr moved P2:1,0 3': '0 f652ac4f5975ffccc6ddfc037be8fbe6089e688e8d648ab6c1a3e6dbeaa0f004',
     'validate moved P2:1,0 3': '0 4ae5010f44d15223477f461f8978eaa7162ac5befe372beabf738779ec9fcb1c',
     'net moved P2:1,0 3': '0 429ebcb75d230d019c5bb1973dbf6cfd243f09fe956a5fe02cad0e5f1527095f',
     'classify P2:1/3,2/5 3': '0 91bf5dc37b1697dc3eb3d9116bb0661e947514f25137fc8251a1f29787bc0580',
-    'build P2:1/3,2/5 3': '0 7202ce9a53d330f276fe8c361714e7f78ce493bfc080775dbdb35c57f493b5cf',
+    'build P2:1/3,2/5 3': '0 bc91b6530d99e47a862f43d136897ed5b7a6da565f5a39b06d3fa4604f4122d8',
     'classify P:1,1 4': '0 3251c0713a24074908c781f01ff45bffda0e406db3918b29ba47e33b242c92cf',
     'classify P:2,1 4': '0 9e119c0647f01135eca9e2ff512c5f4e2ff70929c0dd206d7fcfa31afdee89e1',
     'classify P:1,-2 4': '0 91fa6c116e8ae3fb5050fe2eb37dccc15484d9a49437c535c5e667d97a1e3ebb',

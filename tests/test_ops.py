@@ -266,23 +266,6 @@ class TestBlends:
                    if region.contains(v)} for r in (3, 4)]
         assert len(inside[0]) == 89 and inside[0] == inside[1]
 
-    @pytest.mark.parametrize("name", ["blend(sq44,seg:1)", "blend(sq44,apeiro:1)"])
-    def test_blends_are_not_scanned(self, monkeypatch, capsys, name):
-        # a blend is built from its input's classes and keeps its own
-        from skelforge import orbit
-        from skelforge.cli import main
-        from skelforge.presets import build
-
-        def scan(patch):
-            raise AssertionError(f"{patch.name} was scanned")
-
-        monkeypatch.setattr(orbit, "detect_translation_lattice", scan)
-        for radius in (Fraction(1, 2), 4):
-            patch = build(name, Region((0, 0, 0), radius))
-            assert patch.lattice is not None
-        assert main(["classify", "--preset", name]) == 0
-        capsys.readouterr()
-
 
 class TestCovering:
     def test_helix_compresses_onto_cube(self, built):
@@ -317,7 +300,8 @@ class TestCovering:
         assert not ok
 
     def test_patch_without_a_lattice_has_nothing_to_compress_by(self, built):
-        # without its centre face the 2-skeleton's scan shows no lattice
+        # without its centre face the 2-skeleton, given as bare lists, is
+        # not finite, and has no lattice
         skel = built("skel2cubic", 3)
         gap = next(f for f in skel.faces
                    if (0, 0, 0) in f.vertices and (1, 1, 0) in f.vertices)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from skelforge import orbit
 from skelforge.complexes import Region, SkeletalComplex, validate
 from skelforge.errors import (
     DegenerateFaceError,
@@ -18,7 +17,6 @@ from skelforge.orbit import (
     GeneratorSet,
     build_base_face,
     build_quotient,
-    detect_translation_lattice,
     wythoff_patch,
 )
 from skelforge.presets import (
@@ -31,6 +29,7 @@ from skelforge.presets import (
 )
 from skelforge.serialization import complex_from_json, complex_to_json
 
+from lattice_oracle import detect_translation_lattice
 from test_presets import CATALOG_SWEEP
 
 
@@ -193,22 +192,6 @@ class TestWythoff:
         with pytest.raises(NotPeriodicError):
             wythoff_patch(gen, Region((0, 0, 0), 2))
 
-    @pytest.mark.parametrize("name,radius", GENERATOR_SWEEP)
-    def test_generator_presets_never_scan(self, monkeypatch, name, radius):
-        def scan(*args, **kwargs):
-            raise AssertionError("a generator-built patch scanned for its lattice")
-
-        monkeypatch.setattr(orbit, "detect_translation_lattice", scan)
-        patch = build(name, Region((0, 0, 0), radius))
-        assert validate(patch, "polyhedron").passed
-        assert build_quotient(patch).r == 2
-        lat = patch.lattice
-        if lat is not None and lat.rank == 3:
-            assert extract_net(patch).node_count() > 0
-        else:
-            with pytest.raises(Not3PeriodicError):
-                extract_net(patch)
-
 
 class TestTranslationLattice:
     def test_p10_lattice_is_bcc(self, built):
@@ -272,7 +255,7 @@ def moved(gen, shift):
 
 def loaded_moved_patch(name, radius):
     """A preset moved by a rational vector, built at the origin and read back
-    from JSON, so that its lattice has to be found by scanning."""
+    from its JSON, which states its lattice."""
     shift = (Fraction(1, 3), Fraction(-1, 7), Fraction(1, 2))
     patch = wythoff_patch(moved(instantiate(name), shift), Region((0, 0, 0), radius))
     return complex_from_json(complex_to_json(patch))
@@ -306,7 +289,7 @@ class TestLatticeScan:
         # a whole edge and a face, so no lattice may be certified at all;
         # whatever is found must map the integer structure onto itself,
         # seen on a region that the radius-6 patch contains with its images
-        lat = loaded_moved_patch("P:1,1", 3).lattice
+        lat = detect_translation_lattice(loaded_moved_patch("P:1,1", 3))
         big = built("P:1,1", 6)
         inner = Region((0, 0, 0), 3)
         for b in ([] if lat is None else lat.basis):
@@ -757,11 +740,12 @@ class TestGrid:
     @pytest.mark.parametrize("name,radius", [(n, r) for n, r, _ in CATALOG_SWEEP])
     def test_class_table_coordinates_are_ints_when_integral(self, built, name, radius):
         # the lifts of a class table are sums of Fractions, which Python
-        # leaves as Fraction(n, 1) when integral; a scanned copy has D = 1,
-        # and its scan needs the larger radius
+        # leaves as Fraction(n, 1) when integral; a copy read back from its
+        # file is on the built patch's grid
         patch = moved_preset(name)
-        scanned = complex_from_json(complex_to_json(moved_preset(name, radius)))
-        assert scanned.scale == 1
+        written = moved_preset(name, radius)
+        scanned = complex_from_json(complex_to_json(written))
+        assert scanned.scale == written.scale
         for table in (built(name, GRID_RADIUS).classes, patch.classes, scanned.classes):
             assert _integral_coordinates_are_ints(table)
 

@@ -7,7 +7,6 @@ import pytest
 from skelforge.complexes import Region, graph_identify, validate
 from skelforge.errors import InvalidParametersError, ParseError
 from skelforge.geometry import LAMBDA_1, LAMBDA_2, LAMBDA_3, SET_V
-from skelforge.orbit import detect_translation_lattice
 from skelforge.presets import (
     build,
     chiral_t_map,
@@ -16,6 +15,8 @@ from skelforge.presets import (
     instantiate,
 )
 from skelforge.serialization import complex_to_json_text
+
+from lattice_oracle import detect_translation_lattice
 
 
 class TestParameterValidation:

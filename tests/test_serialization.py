@@ -1,10 +1,13 @@
 """Formats: complex JSON round trips, generator ingestion, OBJ output."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
-from skelforge.errors import NotIsometryError, ParseError
+from skelforge.complexes import Region
+from skelforge.errors import NotIsometryError, NotPeriodicError, ParseError, SkelforgeError
 from skelforge.presets import build, finite_faced_chiral, square_tessellation
 from skelforge.serialization import (
     complex_from_json,
@@ -15,6 +18,19 @@ from skelforge.serialization import (
     generators_to_json_text,
     ingest_generators,
 )
+
+from test_orbit import moved_preset
+from test_presets import CATALOG_SWEEP
+
+ROUND_TRIP = [name for name, _, _ in CATALOG_SWEEP] + [
+    "P2:1/3,2/5", "P:5,3", "P:3,2", "P2:2,1", "P:1,-2",
+    "petrie(P2:1/3,2/5)", "petrie(P:5,3)", "petrie(P:3,2)", "petrie(P2:2,1)", "petrie(P:1,-2)",
+]
+Z3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def _basis(patch):
+    return None if patch.lattice is None else patch.lattice.basis
 
 
 class TestComplexJson:
@@ -27,12 +43,40 @@ class TestComplexJson:
 
     @pytest.mark.parametrize("name", ["P:1,0", "K4_12", "hex63"])
     def test_scanned_lattice_is_the_built_one_at_every_radius(self, built, name):
-        # the reduced Hermite form is a function of the lattice, so a scan
-        # prints the built basis, whatever vectors it verified first
+        # the file states the reduced Hermite form, which is a function of
+        # the lattice, and reading it gives the built basis back
         for radius in (3, 4):
             patch = built(name, radius)
             back = complex_from_json(complex_to_json(patch))
             assert back.lattice.basis == patch.lattice.basis, radius
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 2), 1, 3], ids=str)
+    @pytest.mark.parametrize("name", ROUND_TRIP)
+    def test_round_trip_is_exact(self, name, radius):
+        # the file states the lattice, and the listed elements unrolled over
+        # it by the patch rule are the patch: plain and moved off the grid
+        for patch in (build(name, Region((0, 0, 0), radius)), moved_preset(name, radius)):
+            back = complex_from_json(complex_to_json(patch))
+            assert back.vertices == patch.vertices
+            assert back.edge_points == patch.edge_points
+            assert list(back.face_keys) == list(patch.face_keys)
+            assert _basis(back) == _basis(patch)
+
+    def test_lattice_key_is_the_reduced_basis(self, built):
+        assert complex_to_json(built("cube"))["lattice"] == []
+        assert complex_to_json(built("P:1,0", 2))["lattice"] == \
+            [["1", "1", "1"], ["0", "2", "0"], ["0", "0", "2"]]
+        assert complex_to_json(moved_preset("hex63"))["lattice"] == \
+            [["1", "0", "-1"], ["0", "1", "-1"]]
+
+    def test_a_finite_file_without_a_lattice_is_a_bare_list_patch(self, built):
+        # finite: every face a finite cycle inside the region
+        cube = built("cube")
+        data = complex_to_json(cube)
+        del data["lattice"]
+        back = complex_from_json(data)
+        assert back.is_finite
+        assert (back.vertices, back.edge_points) == (cube.vertices, cube.edge_points)
 
     def test_counts_in_dump(self, built):
         data = complex_to_json(built("cube"))
@@ -65,7 +109,7 @@ class TestComplexJson:
 
     def test_old_window_margin_key_is_ignored(self, built):
         # files written before the patch lost its margin carry the key;
-        # it is read past, and the patch scans to the same class table
+        # it is read past, and the patch reads to the same class table
         from test_orbit import class_table_text
 
         data = complex_to_json(built("P2:1,0", 3))
@@ -80,6 +124,62 @@ class TestComplexJson:
         data = complex_to_json(built("cube"))
         data["edges"][0] = [0, 0]
         with pytest.raises(ParseError, match=r"\[0, 0\]"):
+            complex_from_json(data)
+
+
+def _edge_text(data, e):
+    p, q = (data["vertices"][i] for i in e)
+    return f"({','.join(p)})-({','.join(q)})"
+
+
+class TestComplexFileRefusals:
+    """A file whose listed elements are not the patch of its stated lattice
+    is refused with a ``SkelforgeError`` that names the first difference."""
+
+    def test_a_lattice_vector_that_is_no_symmetry(self, built):
+        # Z^3 holds the vertex set of P:1,0, whose lattice is bcc, but moves
+        # its edges off the structure, and the ends of those outside the region
+        data = complex_to_json(built("P:1,0", 2))
+        data["lattice"] = Z3
+        with pytest.raises(ParseError, match=re.escape(
+                "the stated lattice gives vertex (-3,-3,-3), which the file does not list")):
+            complex_from_json(data)
+
+    def test_a_dropped_edge(self, built):
+        data = complex_to_json(built("P:1,0", 2))
+        dropped = data["edges"].pop(7)
+        with pytest.raises(ParseError, match=re.escape(
+                f"the stated lattice gives edge {_edge_text(data, dropped)}, "
+                "which the file does not list")):
+            complex_from_json(data)
+
+    def test_a_stray_vertex(self, built):
+        # a vertex of the structure, but far outside the region and on no
+        # listed edge: the patch rule does not take it
+        data = complex_to_json(built("P:1,0", 2))
+        data["vertices"].append(["9", "9", "9"])
+        with pytest.raises(ParseError, match=re.escape(
+                "the file lists vertex (9,9,9), which the stated lattice does not give")):
+            complex_from_json(data)
+
+    @pytest.mark.parametrize("basis", [[["2", "0", "0"]], [["1", "1", "0"], ["2", "2", "0"]]])
+    def test_a_rank_one_lattice(self, built, basis):
+        data = complex_to_json(built("P:1,0", 2))
+        data["lattice"] = basis
+        with pytest.raises(ParseError, match="rank-1"):
+            complex_from_json(data)
+
+    @pytest.mark.parametrize("name", ["P:1,0", "P2:1,0", "blend(sq44,apeiro:1)"])
+    def test_a_periodic_file_without_a_lattice(self, built, name):
+        data = complex_to_json(built(name, 2))
+        del data["lattice"]
+        with pytest.raises(NotPeriodicError, match="lattice"):
+            complex_from_json(data)
+
+    def test_an_apeirogon_over_the_trivial_lattice(self, built):
+        data = complex_to_json(built("P2:1,0", 2))
+        data["lattice"] = []
+        with pytest.raises(SkelforgeError):
             complex_from_json(data)
 
 

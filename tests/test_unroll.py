@@ -13,7 +13,7 @@ they are compared.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skelforge import quotient
 from skelforge.complexes import FaceDescriptor, Region, SkeletalComplex
@@ -24,7 +24,7 @@ from skelforge.presets import build, instantiate
 from skelforge.serialization import complex_from_json, complex_to_json
 
 import patch_oracles
-from test_orbit import moved
+from test_orbit import moved, moved_preset
 from test_presets import CATALOG_SWEEP
 
 RADII = [Fraction(1, 2), 3, 4]
@@ -194,10 +194,75 @@ def test_moving_generators_and_region_moves_the_patch(name, shift):
         _element_sets(petrie_dual(patch), shift)
 
 
-@pytest.mark.parametrize("radius", [3, 4])
-@pytest.mark.parametrize("name", POLYHEDRA)
-def test_petrie_dual_has_the_parents_vertices_and_edges(built, name, radius):
-    patch = built(name, radius)
+# ---------------------------------------------------------------------------
+# the patch rule, and the Petrie dual under it
+
+EXTRA_PRESETS = ["P2:1/3,2/5", "P:5,3", "P:3,2", "P2:2,1", "P:1,-2"]
+RULE_PRESETS = [name for name, _, _ in CATALOG_SWEEP] + EXTRA_PRESETS + ["petrie(P2:1/3,2/5)"]
+RULE_RADII = [Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4]
+PETRIE_PRESETS = POLYHEDRA + EXTRA_PRESETS
+PETRIE_RADII = [Fraction(1, 2), 1, 3, 4]
+
+
+def _preset(name, radius, moved_copy):
+    """The preset over the radius-``radius`` region, or its copy moved by
+    ``test_orbit.SHIFT`` with the region moved with it."""
+    if moved_copy:
+        return moved_preset(name, radius)
+    return build(name, Region((0, 0, 0), radius))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(RULE_PRESETS), radius=st.sampled_from(RULE_RADII),
+       moved_copy=st.booleans())
+@example(name="P:2,1", radius=1, moved_copy=False)
+@example(name="petrie(P2:1/3,2/5)", radius=1, moved_copy=False)
+def test_a_patch_is_what_the_rule_takes(name, radius, moved_copy):
+    # the library's unroll against the rule applied by brute force to the
+    # patch's own classes: no edge whose ends both miss the region unless a
+    # finite face brings it, no apeirogon slot between two runs
+    patch = _preset(name, radius, moved_copy)
+    vertices, edges, keys = patch_oracles.patch_by_rule(patch.classes, patch.region)
+    assert set(patch.edge_points) == edges
+    assert set(patch.vertices) == vertices
+    assert {f.primitive().canonical_key() for f in patch.faces} == keys
+
+
+def _on_finite_faces(patch):
+    return {tuple(sorted((p, q))) for f in patch.faces if f.is_finite
+            for _, p, q in f.edge_slots()}
+
+
+# each polyhedron preset, plain and moved, at each radius; a plain case is
+# named "<name>-<radius>", a moved one "<name>-<radius>-moved"
+PETRIE_CASES = [
+    pytest.param(name, radius, moved_copy,
+                 id=f"{name}-{radius}" + ("-moved" if moved_copy else ""))
+    for name in PETRIE_PRESETS for radius in PETRIE_RADII for moved_copy in (False, True)
+]
+
+
+@pytest.mark.parametrize("name,radius,moved_copy", PETRIE_CASES)
+def test_petrie_dual_has_the_parents_vertices_and_edges(name, radius, moved_copy):
+    # in the region: every edge with an end there lies on a Petrie slot
+    # through that end.  Any other edge of the dual is an edge of a finite
+    # Petrie polygon, which comes whole
+    patch = _preset(name, radius, moved_copy)
     dual = petrie_dual(patch)
-    assert dual.vertices == patch.vertices
-    assert dual.edge_points == patch.edge_points
+    contains = patch.region.contains
+
+    def touching(p):
+        return ({v for v in p.vertices if contains(v)},
+                {e for e in p.edge_points if contains(e[0]) or contains(e[1])})
+
+    assert touching(dual) == touching(patch)
+    assert set(dual.edge_points) - touching(dual)[1] <= _on_finite_faces(dual)
+
+
+@pytest.mark.parametrize("name,radius,moved_copy", PETRIE_CASES)
+def test_petrie_dual_is_an_involution_on_patches(name, radius, moved_copy):
+    patch = _preset(name, radius, moved_copy)
+    back = petrie_dual(petrie_dual(patch))
+    assert back.vertices == patch.vertices
+    assert back.edge_points == patch.edge_points
+    assert list(back.face_keys) == list(patch.face_keys)
