@@ -28,9 +28,8 @@ The patch rule.  The region shapes only the patch's own elements: what
 
 So the patch depends on the structure and the region alone: moving a
 structure and its region by one vector moves the patch by it, however the
-structure's generators are written.  A patch given as bare element lists
-holds a finite structure; a periodic one is made from its lattice and
-classes.
+structure's generators are written.  Every patch is made this one way, from
+its lattice and classes (:meth:`SkeletalComplex.from_classes`).
 
 A structure is held on one integer grid: its scale D is the lcm of the
 denominators of the classes it is made from, and the classes are keyed,
@@ -40,8 +39,7 @@ rotation and sort order the library decides by, so no answer changes.
 Points cross back to input units only at the public API: the element
 tables (each distinct point once), ``classes`` and ``lattice`` (on first
 read), ``central_vertex``, ``vertex_figure`` and ``faces_at_vertex``; with
-D = 1, as for every integer structure and every bare-list patch, each
-crossing is the identity.
+D = 1, as for every integer structure, each crossing is the identity.
 
 A patch holds its sorted vertex list, its edges as sorted point pairs
 (``edge_points``), its faces in canonical-key order and its flag count,
@@ -66,7 +64,7 @@ from .errors import (
     PatchTooSmallError,
 )
 from .geometry import (
-    Lattice, _ratio, common_denominator, dilate, finite_lattice, scalar,
+    Lattice, _ratio, common_denominator, dilate, scalar,
     scalar_str, to_grid, vadd, vdot, vec_str, vneg, vscale, vsub,
 )
 
@@ -412,9 +410,7 @@ class SkeletalComplex:
     A structure is a lattice plus finitely many vertex, edge and face
     classes modulo it; :meth:`from_classes` unrolls the classes over a
     region by the patch rule (see :mod:`skelforge.complexes`) and keeps
-    them.  A patch made from bare element lists (hand-built complexes,
-    complex files without a lattice) is a finite structure, whose classes
-    are its elements.  Both ways meet in the constructor.
+    them.  It is the only way in: the constructor is internal.
 
     Held: ``vertices`` (sorted points), ``edge_points`` (sorted point
     pairs, each pair sorted), ``faces`` (sorted by canonical key) and
@@ -424,24 +420,25 @@ class SkeletalComplex:
     ``face_keys`` (canonical key -> face index).
 
     ``scale`` is the structure's common denominator D: the classes are
-    held, quotiented and unrolled on the grid x -> D x (``grid``), where a
+    held, quotiented and unrolled on the grid x -> D x (``grid``, the
+    :class:`StructureClasses` kept by :meth:`from_classes`), where a
     rational structure has integer coordinates.  The element tables,
     ``region`` and ``classes`` are in input units, each grid
-    point mapped back once.  A bare-list patch keeps D = 1, where the grid
-    is the input.
+    point mapped back once.
     """
 
-    def __init__(self, vertices, edges, faces, region, name=""):
+    def __init__(self, *, grid, vertices, edges, faces, region, name=""):
+        """The patch over ``region`` of the classes ``grid``, unrolled to
+        ``vertices``, ``edges`` and ``faces``, all on the grid: called by
+        :meth:`_unroll` alone."""
         self.name = name
         self.region = region
         self.scale = 1
-        self._grid = None  # StructureClasses on the grid; a bare-list patch's on first use
-        self._classes = None  # the same in input units, mapped on first read
+        self.grid = grid
+        self._classes = None  # grid in input units, mapped on first read
 
-        face_map = {}
-        for f in faces:
-            face_map.setdefault(f.canonical_key(), f)
-        self.faces = [face_map[k] for k in sorted(face_map)]
+        # the classes are distinct modulo the lattice, so the faces are too
+        self.faces = sorted(faces, key=FaceDescriptor.canonical_key)
 
         # one walk over each face's slots collects its edges as sorted point
         # pairs and counts its flags, two per slot
@@ -590,11 +587,13 @@ class SkeletalComplex:
                  for t in lattice_translates(lattice, (p, q), grid_region)
                  for e in [(vadd(p, t), vadd(q, t))]
                  if not lattice.rank or contains(e[0]) or contains(e[1])]
-        patch = cls(vertices, edges, [g for fs in unrolled.values() for g in fs],
-                    grid_region, name=name)
         counts = {key: len(fs) for key, fs in unrolled.items() if fs}
-        patch._grid = StructureClasses(
-            lattice, list(vclasses.values()), list(eclasses.values()), classes, counts
+        patch = cls(
+            grid=StructureClasses(lattice, list(vclasses.values()),
+                                  list(eclasses.values()), classes, counts),
+            vertices=vertices, edges=edges,
+            faces=[g for fs in unrolled.values() for g in fs],
+            region=grid_region, name=name,
         )
         if d > 1:
             patch._to_input_units(d, region)
@@ -621,72 +620,23 @@ class SkeletalComplex:
         self.region, self.scale = region, d
 
     @property
-    def grid(self):
-        """The structure modulo its lattice on the grid x -> scale x, as
-        kept by :meth:`from_classes`, or a bare-list patch's finite classes
-        (:meth:`_finite_classes`)."""
-        if self._grid is None:
-            self._grid = self._finite_classes()
-        return self._grid
-
-    @property
     def classes(self):
         """The structure modulo its lattice in input units: ``grid`` itself
         when the scale is 1, else ``grid`` mapped back on first read."""
-        grid = self.grid
         if self.scale == 1:
-            return grid
+            return self.grid
         if self._classes is None:
-            self._classes = _unscaled_classes(grid, self.scale)
+            self._classes = _unscaled_classes(self.grid, self.scale)
         return self._classes
-
-    def _lattice_or_none(self):
-        """The class lattice on the grid, or None when a bare-list patch is
-        not finite."""
-        try:
-            return self.grid.lattice
-        except NotPeriodicError:
-            return None
 
     @property
     def lattice(self):
-        """The translation lattice: None when the structure is finite, or
-        when a bare-list patch is not."""
-        lattice = self._lattice_or_none()
-        return self.classes.lattice if lattice is not None and lattice.rank else None
+        """The translation lattice, or None when the structure is finite."""
+        return self.classes.lattice if self.grid.lattice.rank else None
 
     @property
     def is_finite(self):
-        lattice = self._lattice_or_none()
-        return lattice is not None and not lattice.rank
-
-    def _finite_classes(self):
-        """Classes of a patch given as bare element lists, which must be
-        finite: every face a finite cycle inside the region.  Otherwise
-        ``NotPeriodicError``, on every read."""
-        from .quotient import _edge_key, _face_class
-
-        if not all(f.is_finite and all(self.region.contains(p) for p in f.vertices)
-                   for f in self.faces):
-            raise NotPeriodicError(
-                "a patch given as bare element lists must be finite, every face a "
-                "finite cycle inside the region; give a periodic structure's "
-                "lattice (SkeletalComplex.from_classes, or the lattice key of a "
-                "complex file)"
-            )
-        lattice = finite_lattice()
-        faces, counts, vclasses, eclasses = {}, Counter(), {}, {}
-        for f in self.faces:
-            key, face = _face_class(lattice, f)
-            faces.setdefault(key, face)
-            counts[key] += 1
-        for p in self.vertices:
-            vclasses.setdefault(lattice.reduce_key(p), p)
-        for p, q in self.edge_points:
-            eclasses.setdefault(_edge_key(lattice, p, q), (p, q))
-        return StructureClasses(
-            lattice, list(vclasses.values()), list(eclasses.values()), faces, counts
-        )
+        return not self.grid.lattice.rank
 
     # -- vertex figures -----------------------------------------------------
 
@@ -948,9 +898,8 @@ def validate(complex_, mode="polyhedron"):
     vertex figure of every vertex class is connected, (c) the quotient has
     a constant number r of faces per edge (r = 2 in polyhedron mode), (d)
     discreteness, certified by finiteness or by exhibiting the translation
-    lattice.  When the quotient cannot be built (a bare-list patch that is
-    not finite, or classes that hold no face), (a) to (c) fail with the
-    reason.
+    lattice.  When the quotient cannot be built (classes that hold no face,
+    or a vertex or edge class on none), (a) to (c) fail with the reason.
     """
     from .nets import quotient_graph
     from .orbit import build_quotient
@@ -989,11 +938,8 @@ def validate(complex_, mode="polyhedron"):
         report.add("d:discrete", True, "finite complex")
     else:
         lat = complex_.lattice
-        if lat is not None and lat.rank >= 2:
-            report.discreteness = f"periodic rank {lat.rank}"
-            basis = ", ".join(vec_str(b) for b in lat.basis)
-            report.add("d:discrete", True, f"translation lattice [{basis}]")
-        else:
-            report.add("d:discrete", False, "no translation lattice found")
+        report.discreteness = f"periodic rank {lat.rank}"
+        basis = ", ".join(vec_str(b) for b in lat.basis)
+        report.add("d:discrete", True, f"translation lattice [{basis}]")
 
     return report

@@ -62,10 +62,6 @@ class ZeroParameterError(SkelforgeError):
     code = "zero-parameter"
 
 
-class ProjectionError(SkelforgeError):
-    code = "projection-misses-target-vertices"
-
-
 class NotEquivelarError(SkelforgeError):
     code = "not-equivelar"
 

@@ -23,7 +23,6 @@ from .errors import (
     InvalidParametersError,
     NotBipartiteError,
     NotPolyhedronError,
-    ProjectionError,
     ZeroParameterError,
 )
 from .geometry import (
@@ -401,9 +400,7 @@ def covering_check(patch, target):
     if patch.is_finite:
         candidates = [build_quotient(patch)]
     else:
-        lat = patch._lattice_or_none()
-        if lat is None:
-            raise ProjectionError("no translation lattice to compress by")
+        lat = patch.grid.lattice
         # the full translation lattice can over-fold (extra symmetries of a
         # regular structure add translations).  The lattice acts freely on
         # darts, so a quotient by an index-k sublattice has k times the

@@ -10,8 +10,7 @@ per matrix; Schreier's lemma then gives the translation lattice.  Vertex,
 edge and face orbits are finitely many classes modulo that lattice, one
 image of the base element per representative, and the patch unrolls every
 class over the bounded region.  A generator-built patch therefore knows its
-lattice: the translation group of the given generators.  A complex file
-states its lattice, and a patch given as bare element lists is finite.
+lattice: the translation group of the given generators.
 """
 
 from __future__ import annotations

@@ -78,13 +78,12 @@ def complex_to_json_text(complex_):
 def complex_from_json(data):
     """A patch from a complex file.
 
-    With a ``lattice`` key, the listed faces, vertices and edges are the
-    structure's classes modulo that lattice, unrolled over the region by
-    the patch rule (:meth:`SkeletalComplex.from_classes`), and the patch
-    must be what the file lists: else ``ParseError`` names the first
-    element where they differ.  Without the key the file is a bare-list
-    patch, which must be finite (``NotPeriodicError``).  Keys it does not
-    read, such as the margin that older files carry, are ignored.
+    The listed faces, vertices and edges are the structure's classes modulo
+    the stated ``lattice``, unrolled over the region by the patch rule
+    (:meth:`SkeletalComplex.from_classes`), and the patch must be what the
+    file lists: else ``ParseError`` names the first element where they
+    differ.  A file without the key is a ``ParseError`` too.  Keys it does
+    not read, such as the margin that older files carry, are ignored.
     """
     try:
         region = Region(
@@ -99,18 +98,17 @@ def complex_from_json(data):
             faces.append(
                 FaceDescriptor(pts, None if pv is None else _vec_in(pv))
             )
-        basis = data.get("lattice")
-        lattice = None if basis is None else Lattice([_vec_in(b) for b in basis])
+        if "lattice" not in data:
+            raise ParseError("a complex file must state its lattice: the reduced "
+                             "basis, or [] for a finite structure")
+        basis = data["lattice"]
+        lattice = Lattice([_vec_in(b) for b in basis])
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"malformed complex JSON: {exc!r}") from exc
     except ValueError as exc:  # a lattice of rank 1
         raise ParseError(f"lattice {basis!r}: {exc}") from exc
-    name = data.get("name", "")
-    if lattice is None:
-        patch = SkeletalComplex(vertices, edges, faces, region, name=name)
-        patch.grid  # a bare-list patch must be finite, else NotPeriodicError
-        return patch
-    patch = SkeletalComplex.from_classes(lattice, faces, region, vertices, edges, name=name)
+    patch = SkeletalComplex.from_classes(lattice, faces, region, vertices, edges,
+                                         name=data.get("name", ""))
     _check_listed(patch, vertices, edges, faces)
     return patch
 

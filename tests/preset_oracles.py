@@ -37,7 +37,7 @@ def _periodic(assemble):
 @functools.cache
 def _scanned_lattice(assemble):
     faces, _ = assemble(SCAN_REGION)
-    return detect_translation_lattice(SkeletalComplex([], [], faces, SCAN_REGION))
+    return detect_translation_lattice([], [], faces, SCAN_REGION)
 
 
 def _cubes_touching(region):

@@ -31,6 +31,7 @@ from skelforge.complexes import SkeletalComplex
 from skelforge.geometry import (
     Isometry,
     Lattice,
+    finite_lattice,
     fixed_space_dim,
     half_turn,
     point_reflection,
@@ -396,22 +397,24 @@ class TestIsSymmetry:
         assert not is_symmetry(built("cube"), translation((1, 0, 0)))
 
     def test_patch_without_faces_decides_nothing(self, built):
-        # a patch given as bare lists scans its classes from its faces, and
-        # this one has edges but no face
+        # the octahedron's vertices and edges as the classes of a finite
+        # structure, with no face
         oct_ = built("oct", Fraction(1, 2))
-        bare = SkeletalComplex(oct_.vertices, oct_.edge_points, [], oct_.region)
+        bare = SkeletalComplex.from_classes(finite_lattice(), [], oct_.region,
+                                            oct_.vertices, oct_.edge_points)
         assert bare.faces == [] and bare.edges
         with pytest.raises(PatchTooSmallError):
             is_symmetry(bare, translation((1, 0, 0)))
 
     def test_quotient_of_a_patch_without_faces_is_too_small(self, built):
-        # the same bare patch has no quotient: the Schläfli type and the
+        # the same faceless patch has no quotient: the Schläfli type and the
         # axioms (a) to (c) have nothing to decide on either
         from skelforge.complexes import validate
         from skelforge.orbit import build_quotient
 
         oct_ = built("oct", Fraction(1, 2))
-        bare = SkeletalComplex(oct_.vertices, oct_.edge_points, [], oct_.region)
+        bare = SkeletalComplex.from_classes(finite_lattice(), [], oct_.region,
+                                            oct_.vertices, oct_.edge_points)
         detail = "the patch holds no face to decide on"
         for decide in (build_quotient, schlafli):
             with pytest.raises(PatchTooSmallError) as err:
@@ -729,7 +732,7 @@ class TestSchlafli:
 
         sq = FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
         tri = FaceDescriptor([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
-        c = SkeletalComplex([], [], [sq, tri], Region((0, 0, 0), 2))
+        c = SkeletalComplex.from_classes(finite_lattice(), [sq, tri], Region((0, 0, 0), 2))
         with pytest.raises(NotEquivelarError):
             schlafli(c)
 
@@ -779,7 +782,8 @@ class TestDualCongruence:
 
     def test_scanned_patch_without_faces_is_too_small(self, built):
         oct_ = built("oct", Fraction(1, 2))
-        bare = SkeletalComplex(oct_.vertices, oct_.edge_points, [], oct_.region)
+        bare = SkeletalComplex.from_classes(finite_lattice(), [], oct_.region,
+                                            oct_.vertices, oct_.edge_points)
         with pytest.raises(PatchTooSmallError):
             dual_congruence_check(bare, oct_)
 

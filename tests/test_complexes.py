@@ -21,7 +21,7 @@ from skelforge.errors import (
     NotEquivelarError,
     NotPolyhedronError,
 )
-from skelforge.geometry import LAMBDA_1, vadd
+from skelforge.geometry import LAMBDA_1, finite_lattice, vadd
 from skelforge.ops import trace
 
 
@@ -182,14 +182,20 @@ def test_translate_moves_a_known_key(face, v):
 class TestSkeletalComplex:
     def test_face_edges_and_support_vertices_added(self):
         region = Region((0, 0, 0), 1)
-        c = SkeletalComplex([], [], [SQUARE], region)
+        c = SkeletalComplex.from_classes(finite_lattice(), [SQUARE], region)
         assert c.counts() == (4, 4, 1)
         assert c.has_edge((0, 0, 0), (1, 0, 0))
 
     def test_duplicate_faces_collapse(self):
         region = Region((0, 0, 0), 2)
-        c = SkeletalComplex([], [], [SQUARE, SQUARE.reversed()], region)
+        c = SkeletalComplex.from_classes(finite_lattice(), [SQUARE, SQUARE.reversed()],
+                                         region)
         assert c.counts()[2] == 1
+
+    def test_bare_element_lists_are_no_way_in(self):
+        # a patch is made from its lattice and classes, never from lists
+        with pytest.raises(TypeError):
+            SkeletalComplex([], [], [SQUARE], Region((0, 0, 0), 1))
 
     def test_vertex_figure_boundary_error(self, built):
         cube = built("cube")
@@ -248,19 +254,19 @@ class TestValidation:
         assert "c:faces-per-edge" in rep.failed_axioms()
 
     def test_removing_a_face_breaks_constancy(self, built):
+        # the 2-skeleton without one of its three square classes: the edges
+        # parallel to the missing squares keep 2 faces, the third kind 4
         skel = built("skel2cubic", 3)
-        center_face = next(
-            f for f in skel.faces if (0, 0, 0) in f.vertices and (1, 1, 0) in f.vertices
-        )
-        broken = SkeletalComplex(
-            list(skel.vertices),
-            list(skel.edge_points),
-            [f for f in skel.faces if f is not center_face],
-            skel.region,
-        )
-        rep = validate(broken, "complex")
-        assert not rep.passed
-        assert "c:faces-per-edge" in rep.failed_axioms()
+        classes = list(skel.classes.faces.values())
+        assert len(classes) == 3
+        for gap in classes:
+            broken = SkeletalComplex.from_classes(
+                skel.classes.lattice, [f for f in classes if f is not gap], skel.region
+            )
+            rep = validate(broken, "complex")
+            assert rep.failed_axioms() == ["c:faces-per-edge"]
+            assert dict((a, d) for a, _, d in rep.entries)["c:faces-per-edge"] == \
+                "nonconstant: {2: 2, 4: 1}"
 
     def test_details_count_classes(self, built):
         # at radius 1/2 the region holds no vertex of the cube; the axioms
@@ -287,7 +293,8 @@ class TestValidation:
             (faces[1:], "c:faces-per-edge", "nonconstant: {1: 4, 2: 8}"),
         ]
         for fs, axiom, detail in cases:
-            rep = validate(SkeletalComplex([], [], fs, Region((0, 0, 0), 6)))
+            rep = validate(SkeletalComplex.from_classes(finite_lattice(), fs,
+                                                        Region((0, 0, 0), 6)))
             assert rep.failed_axioms() == [axiom]
             assert dict((a, d) for a, _, d in rep.entries)[axiom] == detail
 

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from skelforge.complexes import Region, SkeletalComplex, validate
+from skelforge.complexes import Region, validate
 from skelforge.errors import (
     NotBipartiteError,
     NotPolyhedronError,
-    ProjectionError,
     ZeroParameterError,
 )
 from skelforge.ops import (
@@ -298,14 +297,3 @@ class TestCovering:
     def test_unrelated_structures_do_not_cover(self, built):
         ok, _ = covering_check(built("P:1,0"), built("P2:0,1"))
         assert not ok
-
-    def test_patch_without_a_lattice_has_nothing_to_compress_by(self, built):
-        # without its centre face the 2-skeleton, given as bare lists, is
-        # not finite, and has no lattice
-        skel = built("skel2cubic", 3)
-        gap = next(f for f in skel.faces
-                   if (0, 0, 0) in f.vertices and (1, 1, 0) in f.vertices)
-        broken = SkeletalComplex(skel.vertices, skel.edge_points,
-                                 [f for f in skel.faces if f is not gap], skel.region)
-        with pytest.raises(ProjectionError):
-            covering_check(broken, built("P2:0,1"))

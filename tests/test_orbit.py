@@ -275,9 +275,9 @@ class TestLatticeScan:
         skel = built("skel2cubic", 3)
         gap = next(f for f in skel.faces
                    if (0, 0, 0) in f.vertices and (1, 1, 0) in f.vertices)
-        broken = SkeletalComplex(skel.vertices, skel.edge_points,
-                                 [f for f in skel.faces if f is not gap], skel.region)
-        assert detect_translation_lattice(broken) is None
+        assert detect_translation_lattice(
+            skel.vertices, skel.edge_points,
+            [f for f in skel.faces if f is not gap], skel.region) is None
 
     def test_moved_p21_keeps_its_covolume(self):
         patch = loaded_moved_patch("P:2,1", 4)
@@ -289,7 +289,9 @@ class TestLatticeScan:
         # a whole edge and a face, so no lattice may be certified at all;
         # whatever is found must map the integer structure onto itself,
         # seen on a region that the radius-6 patch contains with its images
-        lat = detect_translation_lattice(loaded_moved_patch("P:1,1", 3))
+        loaded = loaded_moved_patch("P:1,1", 3)
+        lat = detect_translation_lattice(loaded.vertices, loaded.edge_points,
+                                         loaded.faces, loaded.region)
         big = built("P:1,1", 6)
         inner = Region((0, 0, 0), 3)
         for b in ([] if lat is None else lat.basis):

@@ -134,7 +134,8 @@ class TestKComplexes:
     def test_declared_lattice_matches_scan(self, built, name, lattice):
         patch = built(name, 4)
         assert patch.lattice is lattice
-        found = detect_translation_lattice(patch)
+        found = detect_translation_lattice(patch.vertices, patch.edge_points,
+                                           patch.faces, patch.region)
         assert found.sublattice_of(lattice) and lattice.sublattice_of(found)
 
     def test_build_entry_for_K_complexes(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from skelforge.complexes import Region
-from skelforge.errors import NotIsometryError, NotPeriodicError, ParseError, SkelforgeError
+from skelforge.errors import NotIsometryError, ParseError, SkelforgeError
 from skelforge.presets import build, finite_faced_chiral, square_tessellation
 from skelforge.serialization import (
     complex_from_json,
@@ -68,15 +68,6 @@ class TestComplexJson:
             [["1", "1", "1"], ["0", "2", "0"], ["0", "0", "2"]]
         assert complex_to_json(moved_preset("hex63"))["lattice"] == \
             [["1", "0", "-1"], ["0", "1", "-1"]]
-
-    def test_a_finite_file_without_a_lattice_is_a_bare_list_patch(self, built):
-        # finite: every face a finite cycle inside the region
-        cube = built("cube")
-        data = complex_to_json(cube)
-        del data["lattice"]
-        back = complex_from_json(data)
-        assert back.is_finite
-        assert (back.vertices, back.edge_points) == (cube.vertices, cube.edge_points)
 
     def test_counts_in_dump(self, built):
         data = complex_to_json(built("cube"))
@@ -169,11 +160,16 @@ class TestComplexFileRefusals:
         with pytest.raises(ParseError, match="rank-1"):
             complex_from_json(data)
 
-    @pytest.mark.parametrize("name", ["P:1,0", "P2:1,0", "blend(sq44,apeiro:1)"])
-    def test_a_periodic_file_without_a_lattice(self, built, name):
-        data = complex_to_json(built(name, 2))
+    @pytest.mark.parametrize("name,radius", [
+        ("cube", Fraction(1, 2)), ("cube", 3), ("P:1,0", 2), ("P2:1,0", 2),
+        ("blend(sq44,apeiro:1)", 2),
+    ], ids=str)
+    def test_a_file_without_a_lattice_is_refused(self, built, name, radius):
+        # element lists alone cannot tell a finite structure from a patch of
+        # a periodic one, so the file must say which
+        data = complex_to_json(built(name, radius))
         del data["lattice"]
-        with pytest.raises(NotPeriodicError, match="lattice"):
+        with pytest.raises(ParseError, match="lattice"):
             complex_from_json(data)
 
     def test_an_apeirogon_over_the_trivial_lattice(self, built):

@@ -36,9 +36,9 @@ def recorded(monkeypatch):
     of the element lists its constructor was given."""
     real = SkeletalComplex.__init__
 
-    def init(self, vertices, edges, faces, region, name=""):
+    def init(self, *, vertices, edges, faces, region, **rest):
         vertices, edges, faces = list(vertices), list(edges), list(faces)
-        real(self, vertices, edges, faces, region, name)
+        real(self, vertices=vertices, edges=edges, faces=faces, region=region, **rest)
         self.oracle = patch_oracles.eager_tables(vertices, edges, faces, region)
 
     monkeypatch.setattr(SkeletalComplex, "__init__", init)
