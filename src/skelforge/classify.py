@@ -18,8 +18,8 @@ and scales it to ints the same way, and maps its witness back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     GeneratorsDoNotDescendError,
@@ -60,8 +60,7 @@ from .quotient import GeomFlag, _coset_vectors, _edge_key
 # polygon taxonomy
 
 
-@dataclass
-class PolygonClass:
+class PolygonClass(NamedTuple):
     kind: str  # convex | skew | linear | zigzag | helical
     p: int | None = None       # vertices per cycle (finite kinds)
     k: int | None = None       # base k-gon (zigzag and helical)
@@ -137,10 +136,10 @@ def classify_polygon(face):
     grid = FaceDescriptor._of(tuple(to_grid(p, d) for p in moved),
                               None if t is None else to_grid(t, d))
     found = _classify_polygon(grid)
-    if found.witness is not None:
-        found.witness = translation(vneg(v0)).then(
-            found.witness.dilated(Fraction(1, d))).then(translation(v0))
-    return found
+    if found.witness is None:
+        return found
+    return found._replace(witness=translation(vneg(v0)).then(
+        found.witness.dilated(Fraction(1, d))).then(translation(v0)))
 
 
 def _classify_polygon(face):
@@ -327,8 +326,7 @@ def _flag_symmetries(patch):
 # the regular / chiral verdict
 
 
-@dataclass
-class SymmetryVerdict:
+class SymmetryVerdict(NamedTuple):
     kind: str  # regular | chiral | neither
     orbit_count: int
     adjacent_always_split: bool
@@ -427,8 +425,7 @@ def verdict(patch, generators, quotient_scale=None):
 # Schlafli symbols
 
 
-@dataclass
-class SchlafliType:
+class SchlafliType(NamedTuple):
     p: int | None  # None encodes infinity
     q: int
     r: int | None = None
@@ -579,8 +576,7 @@ def dual_congruence_check(a, b):
 # edge stabilizers (the G2 column of the complex tables)
 
 
-@dataclass
-class EdgeStabilizer:
+class EdgeStabilizer(NamedTuple):
     order: int
     dihedral: bool
     r: int

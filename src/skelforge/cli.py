@@ -13,19 +13,21 @@ import argparse
 import json
 import sys
 
-from . import classify as cls
-from . import nets, ops, serialization
-from .complexes import Region, graph_identify, validate
 from .errors import FileAccessError, ParseError, SkelforgeError
-from .geometry import scalar, scalar_str
-from .orbit import wythoff_patch
-from .presets import build as build_preset
+
+# Each command imports the modules it calls, so that a cold process loads
+# only those, and --help and usage errors load none.
 
 
 def _load_structure(args):
+    from .complexes import Region
+    from .geometry import scalar
+
     region = Region((0, 0, 0), scalar(args.radius))
     if args.input is None:
-        patch = build_preset(args.preset, region)
+        from .presets import build
+
+        patch = build(args.preset, region)
     else:
         try:
             with open(args.input) as fh:
@@ -34,7 +36,10 @@ def _load_structure(args):
             raise FileAccessError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"--input {args.input!r} is not UTF-8 text: {exc.reason}") from exc
-        gen = serialization.ingest_generators(text, name=args.input)
+        from .orbit import wythoff_patch
+        from .serialization import ingest_generators
+
+        gen = ingest_generators(text, name=args.input)
         patch = wythoff_patch(gen, region, name=gen.name)
         patch.generator_set = gen
     return patch
@@ -58,13 +63,21 @@ def _cmd_build(args):
 
 def _format_structure(patch, args):
     if args.format == "obj":
-        return serialization.complex_to_obj(patch)
+        from .serialization import complex_to_obj
+
+        return complex_to_obj(patch)
     if args.format == "pgr":
-        return nets.extract_net(patch).to_text()
-    return serialization.complex_to_json_text(patch)
+        from .nets import extract_net
+
+        return extract_net(patch).to_text()
+    from .serialization import complex_to_json_text
+
+    return complex_to_json_text(patch)
 
 
 def _cmd_validate(args):
+    from .complexes import validate
+
     patch = _load_structure(args)
     report = validate(patch, "polyhedron")
     if report.r is not None and report.r != 2:
@@ -85,6 +98,8 @@ def _cmd_validate(args):
 
 
 def _iso_json(iso):
+    from .geometry import scalar_str
+
     return {
         "matrix": [[scalar_str(c) for c in row] for row in iso.m],
         "translation": [scalar_str(c) for c in iso.t],
@@ -92,6 +107,10 @@ def _iso_json(iso):
 
 
 def _cmd_classify(args):
+    from . import classify as cls
+    from . import nets
+    from .complexes import graph_identify, validate
+
     patch = _load_structure(args)
     report = validate(patch, "polyhedron")
     mode = "polyhedron" if report.r == 2 else "complex"
@@ -148,17 +167,21 @@ def _cmd_classify(args):
 
 
 def _cmd_petrie(args):
+    from .ops import petrie_dual
+
     patch = _load_structure(args)
-    dual = ops.petrie_dual(patch)
+    dual = petrie_dual(patch)
     _write(args, _format_structure(dual, args))
 
 
 def _cmd_net(args):
+    from .nets import extract_net, identify_net
+
     patch = _load_structure(args)
-    net = nets.extract_net(patch)
+    net = extract_net(patch)
     out = {
         "name": patch.name,
-        "identification": nets.identify_net(net),
+        "identification": identify_net(net),
         "nodes": net.node_count(),
         "labeled_edges": len(net.edges),
         "coordination_sequence": net.coordination_sequence(args.depth),

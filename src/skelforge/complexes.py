@@ -51,7 +51,6 @@ on first read and kept: only output and the ``has_*`` tests read them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
@@ -73,18 +72,28 @@ from .geometry import (
 # regions
 
 
-@dataclass(frozen=True)
 class Region:
     """Axis-aligned cube |x - center|_inf <= radius."""
 
-    center: tuple = (0, 0, 0)
-    radius: object = 4
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if self.radius <= 0:
+    def __init__(self, center=(0, 0, 0), radius=4):
+        if radius <= 0:
             raise InvalidParametersError(
-                f"region radius must be positive, got {scalar_str(self.radius)}"
+                f"region radius must be positive, got {scalar_str(radius)}"
             )
+        self.center = center
+        self.radius = radius
+
+    def __eq__(self, other):
+        return (isinstance(other, Region) and self.center == other.center
+                and self.radius == other.radius)
+
+    def __hash__(self):
+        return hash((self.center, self.radius))
+
+    def __repr__(self):
+        return f"Region(center={self.center!r}, radius={self.radius!r})"
 
     def contains(self, p):
         c = self.center
@@ -865,12 +874,14 @@ def graph_identify(figure):
 # axiom validation
 
 
-@dataclass
 class ValidationReport:
-    mode: str
-    entries: list = field(default_factory=list)  # (axiom, ok, detail)
-    r: int | None = None
-    discreteness: str = ""
+    __slots__ = ("mode", "entries", "r", "discreteness")
+
+    def __init__(self, mode, entries=None, r=None, discreteness=""):
+        self.mode = mode
+        self.entries = [] if entries is None else entries  # (axiom, ok, detail)
+        self.r = r
+        self.discreteness = discreteness
 
     def add(self, axiom, ok, detail=""):
         self.entries.append((axiom, bool(ok), detail))

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     NotIsometryError,
@@ -451,8 +451,7 @@ def fixed_space_dim(g):
     return 3 - len(kept)
 
 
-@dataclass(frozen=True)
-class PowerResult:
+class PowerResult(NamedTuple):
     """Outcome of iterating an isometry: finite order, a translation, or neither."""
 
     kind: str  # "order" | "translation" | "exceeded"

@@ -15,8 +15,8 @@ covering witness are mapped back to input units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import FaceDescriptor, SkeletalComplex, _primitive_walk, least_rotation
 from .errors import (
@@ -48,8 +48,7 @@ WORDS = {
 }
 
 
-@dataclass
-class WordTrace:
+class WordTrace(NamedTuple):
     """One circuit of a flag word: its edge length and geometric closure."""
 
     word: str

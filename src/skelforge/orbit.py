@@ -31,6 +31,7 @@ from .geometry import (
     Lattice,
     identity,
     lattice_basis_from,
+    mat_mul,
     order_or_translation,
     vec_str,
 )
@@ -161,14 +162,29 @@ def wythoff_patch(gen, region, name=None):
     the classes and the lattice, and unrolls every class over the region.
     What it holds depends on the structure and the region alone, not on how
     the generators are written (see :mod:`skelforge.complexes`).
+
+    The base face is invariant under its face generator g, so a
+    representative whose linear part is M_r M_g^j, for a representative r
+    taken before it, maps the face to a translate of r's image: only the
+    others are given, which keeps the classes and their order.
     """
     reps, products = _coset_representatives(gen.isometries())
     lattice = _translation_lattice(reps, products)
     base_face = build_base_face(gen)
     edges = [(r(gen.base_vertex), r(gen.base_edge_other)) for r in reps.values()]
+    g = gen.face_generator().m
+    powers, m = [IDENTITY3], g
+    while m != IDENTITY3:
+        powers.append(m)
+        m = mat_mul(m, g)
+    faces, covered = [], set()
+    for r in reps.values():
+        if r.m not in covered:
+            covered.update(mat_mul(r.m, p) for p in powers)
+            faces.append(base_face.transform(r))
     return SkeletalComplex.from_classes(
         lattice,
-        [base_face.transform(r) for r in reps.values()],
+        faces,
         region,
         vertices=[p for p, _ in edges],
         edges=edges,

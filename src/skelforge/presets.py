@@ -249,14 +249,17 @@ def instantiate(name, region=None):
 
 def build(name, region=None):
     """Build the patch for any preset name, including derived wrappers."""
-    from . import ops  # cycle: ops builds on patches
-
     region = region or DEFAULT_REGION
     m = re.fullmatch(r"petrie\((.+)\)", name)
     if m:
-        return ops.petrie_dual(build(m.group(1), region))
+        # cycle: ops builds on patches; a plain preset does not import it
+        from .ops import petrie_dual
+
+        return petrie_dual(build(m.group(1), region))
     m = re.fullmatch(r"blend\((.+),(seg|apeiro):(-?[\d/]+)\)", name)
     if m:
+        from . import ops
+
         inner = build(m.group(1), region)
         param = scalar(m.group(3))
         if m.group(2) == "seg":

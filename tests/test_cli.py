@@ -1,6 +1,7 @@
 """The command-line surface: commands, formats, error JSON, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -199,6 +200,66 @@ class TestFlagsPerCommand:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stdout == ""
         assert "error:" in proc.stderr
+
+
+# Runs cli.main in a cold interpreter on the sources beside these tests and
+# prints the names of the modules loaded by then.
+_LOADED = """
+import contextlib, io, sys
+from skelforge import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(" ".join(sorted(sys.modules)))
+"""
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def loaded_modules(*args, cwd=None):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *args], capture_output=True,
+                          text=True, timeout=600, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=_SRC))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestColdImports:
+    # a command imports only the modules it calls, and --help and usage
+    # errors build the parser without the library
+    @pytest.mark.parametrize("args", [("--help",), ("build",), ("net", "--help")],
+                             ids=["help", "usage-error", "net-help"])
+    def test_parser_loads_no_library_module(self, args):
+        loaded = {m for m in loaded_modules(*args) if m.split(".")[0] == "skelforge"}
+        assert loaded == {"skelforge", "skelforge.cli", "skelforge.errors"}
+
+    @pytest.mark.parametrize("args", [("validate", "--preset", "cube"),
+                                      ("net", "--preset", "K4_12")])
+    def test_validate_and_net_load_no_classify_ops_or_serialization(self, args):
+        loaded = loaded_modules(*args)
+        assert "skelforge.presets" in loaded
+        for name in ("classify", "ops", "serialization"):
+            assert f"skelforge.{name}" not in loaded, name
+
+    def test_benchmark_commands_load_no_dataclasses(self, tmp_path):
+        from skelforge.presets import instantiate
+        from skelforge.serialization import generators_to_json_text
+
+        for name in ("hex63", "cube"):
+            (tmp_path / f"{name}.json").write_text(
+                generators_to_json_text(instantiate(name)))
+        for args in (
+            ("petrie", "--preset", "cube", "--format", "obj"),
+            ("net", "--preset", "K4_12", "--radius", "3"),
+            ("validate", "--preset", "skel2cubic", "--radius", "3"),
+            ("build", "--preset", "blend(sq44,apeiro:1)", "--out", "blend.json"),
+            ("export", "--preset", "P2:1,0", "--format", "obj", "--out", "helix.obj"),
+            ("classify", "--preset", "K5_12", "--radius", "3", "--quotient", "2"),
+            ("classify", "--input", "hex63.json", "--radius", "3", "--quotient", "2"),
+            ("net", "--input", "cube.json", "--radius", "3"),
+        ):
+            assert "dataclasses" not in loaded_modules(*args, cwd=tmp_path), args
 
 
 class TestErrorJson:

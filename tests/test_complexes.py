@@ -9,6 +9,7 @@ from skelforge.complexes import (
     FaceDescriptor,
     Region,
     SkeletalComplex,
+    ValidationReport,
     graph_identify,
     validate,
     _CATALOG,
@@ -18,6 +19,7 @@ from skelforge.complexes import (
 from skelforge.errors import (
     BoundaryError,
     DegenerateFaceError,
+    InvalidParametersError,
     NotEquivelarError,
     NotPolyhedronError,
 )
@@ -177,6 +179,26 @@ def test_translate_moves_a_known_key(face, v):
     assert all(type(c) is int or c.denominator != 1
                for p in moved.vertices for c in p)
     assert moved.canonical_key() == _fresh_key(moved)
+
+
+class TestRecords:
+    def test_equal_regions_are_equal_and_hash_equal(self):
+        a = Region((0, 0, 0), Fraction(1, 2))
+        b = Region((0, 0, 0), Fraction(2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Region()}) == 2
+        assert a != Region((1, 0, 0), Fraction(1, 2)) and a != Region((0, 0, 0), 1)
+
+    @pytest.mark.parametrize("radius", [0, -1, Fraction(-1, 2)])
+    def test_region_radius_must_be_positive(self, radius):
+        with pytest.raises(InvalidParametersError, match="radius must be positive"):
+            Region((0, 0, 0), radius)
+
+    def test_each_validation_report_has_its_own_entries(self):
+        a, b = ValidationReport("polyhedron"), ValidationReport("complex")
+        a.add("x", True)
+        assert a.entries == [("x", True, "")] and b.entries == []
+        assert (b.r, b.discreteness) == (None, "")
 
 
 class TestSkeletalComplex:

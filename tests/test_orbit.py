@@ -15,6 +15,8 @@ from skelforge.geometry import Isometry, Lattice, mat_det, mat_vec, vadd, vsub
 from skelforge.nets import extract_net
 from skelforge.orbit import (
     GeneratorSet,
+    _coset_representatives,
+    _translation_lattice,
     build_base_face,
     build_quotient,
     wythoff_patch,
@@ -184,6 +186,44 @@ class TestWythoff:
         )
         with pytest.raises(ExplosionError):
             wythoff_patch(gen, Region((0, 0, 0), 2))
+
+    # the base face is invariant under its face generator g, so the images by
+    # the representatives r*g^j of one taken r are translates of r's image:
+    # the cube's 48 images fall to 48/4, P:1,0's 24 to 4, P2:1,0's 24 to 6
+    @pytest.mark.parametrize("name, keyed", [("cube", 12), ("P:1,0", 4), ("P2:1,0", 6)])
+    def test_one_face_image_keyed_per_face_generator_coset(self, name, keyed, monkeypatch):
+        from skelforge import quotient
+
+        real, calls = quotient._face_class, []
+
+        def spy(lattice, desc):
+            calls.append(desc)
+            return real(lattice, desc)
+
+        monkeypatch.setattr(quotient, "_face_class", spy)
+        wythoff_patch(instantiate(name), Region((0, 0, 0), 1))
+        assert len(calls) == keyed
+
+    @pytest.mark.parametrize("name", [
+        "sq44", "tri36", "hex63", "tet", "cube", "oct", "P:1,0", "P:1,1", "P:1,-1",
+        "P:2,1", "P:3,2", "P:5,3", "P2:1,0", "P2:1,1", "P2:1/3,2/5", "P2:2,1",
+        "P2:0,1", "P2:1,-1",
+    ])
+    def test_skipped_face_images_change_no_class(self, name):
+        # oracle: every representative's image of the base face, as given
+        # before the skip; the classes, their order and counts must agree
+        gen = instantiate(name)
+        region = Region((0, 0, 0), 2)
+        reps, products = _coset_representatives(gen.isometries())
+        base = build_base_face(gen)
+        every = SkeletalComplex.from_classes(
+            _translation_lattice(reps, products),
+            [base.transform(r) for r in reps.values()], region)
+        patch = wythoff_patch(gen, region)
+        assert list(patch.classes.faces) == list(every.classes.faces), name
+        assert patch.classes.counts == every.classes.counts, name
+        assert ([(f.vertices, f.period_vector) for f in patch.faces]
+                == [(f.vertices, f.period_vector) for f in every.faces]), name
 
     def test_rank_one_translation_group_is_not_periodic(self):
         # a quarter-turn screw along z spans a single helix
