@@ -126,9 +126,8 @@ def _cmd_classify(args):
         "face_class": st.face_class.symbol,
     }
     counts = {}
-    classes = patch.classes
-    for key, members in classes.counts.items():
-        sym = cls.classify_polygon(classes.faces[key].primitive()).symbol
+    for key, members in patch.face_counts.items():
+        sym = cls.classify_polygon(patch.classes.faces[key].primitive()).symbol
         counts[sym] = counts.get(sym, 0) + members
     out["face_classes"] = counts
 

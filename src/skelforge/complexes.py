@@ -41,11 +41,12 @@ tables (each distinct point once), ``classes`` and ``lattice`` (on first
 read), ``central_vertex``, ``vertex_figure`` and ``faces_at_vertex``; with
 D = 1, as for every integer structure, each crossing is the identity.
 
-A patch holds its sorted vertex list, its edges as sorted point pairs
-(``edge_points``), its faces in canonical-key order and its flag count,
-all from one walk over each face's edges.  The index tables (``vindex``,
-``edges`` as vertex index pairs, ``eindex`` and ``face_keys``) are built
-on first read and kept: only output and the ``has_*`` tests read them.
+A patch holds its classes and its region, and builds each element table
+on first read: the sorted vertices, the edges as sorted point pairs
+(``edge_points``), the faces in canonical-key order and the flag count
+from one unroll and one walk over the face slots, then the index tables.
+Only output and the ``has_*`` tests read them: ``validate``, ``net``,
+``trace``, ``classify`` and ``petrie``'s input build none.
 """
 
 from __future__ import annotations
@@ -381,7 +382,6 @@ class StructureClasses(NamedTuple):
     vertices: list  # one point per vertex class given besides the faces'
     edges: list  # one point pair per edge class given besides the faces'
     faces: dict  # class key -> its face: the canonical walk of one closure period
-    counts: dict  # class key -> patch faces in the class, if the patch has one
 
 
 def _unscaled_classes(grid, d):
@@ -391,15 +391,11 @@ def _unscaled_classes(grid, d):
     lattice = grid.lattice
     if lattice.rank:
         lattice = Lattice([dilate(b, k) for b in lattice.basis], name=lattice.name)
-    faces, keys = {}, {}
-    for key, f in grid.faces.items():
-        f = f.dilated(k)
-        keys[key] = class_key(f)
-        faces[keys[key]] = f
+    faces = [f.dilated(k) for f in grid.faces.values()]
     return StructureClasses(
         lattice, [dilate(p, k) for p in grid.vertices],
         [(dilate(p, k), dilate(q, k)) for p, q in grid.edges],
-        faces, {keys[key]: n for key, n in grid.counts.items()},
+        {class_key(f): f for f in faces},
     )
 
 
@@ -417,58 +413,106 @@ class SkeletalComplex:
     """An immutable patch of a (possibly infinite) polyhedral structure.
 
     A structure is a lattice plus finitely many vertex, edge and face
-    classes modulo it; :meth:`from_classes` unrolls the classes over a
-    region by the patch rule (see :mod:`skelforge.complexes`) and keeps
-    them.  It is the only way in: the constructor is internal.
+    classes modulo it; :meth:`from_classes` keys and keeps the classes,
+    which the patch unrolls over its region by the patch rule (see
+    :mod:`skelforge.complexes`).  It is the only way in.
 
-    Held: ``vertices`` (sorted points), ``edge_points`` (sorted point
-    pairs, each pair sorted), ``faces`` (sorted by canonical key) and
-    ``flag_count`` (two flags per face slot over the region).  Built on
-    first read, then kept: ``vindex`` (point -> vertex index), ``edges``
-    (vertex index pairs), ``eindex`` (point pair -> edge index) and
-    ``face_keys`` (canonical key -> face index).
+    Held: the class table, the face each class is unrolled from, ``region``,
+    ``scale`` and ``name``.  Built on first read, then kept: ``vertices``
+    (sorted points), ``edge_points`` (sorted point pairs, each pair
+    sorted), ``faces`` (sorted by canonical key), ``flag_count`` (two flags
+    per face slot over the region), ``face_counts`` (patch faces per
+    class), ``vindex`` (point -> vertex index), ``edges`` (vertex index
+    pairs), ``eindex`` (point pair -> edge index) and ``face_keys``.
 
     ``scale`` is the structure's common denominator D: the classes are
     held, quotiented and unrolled on the grid x -> D x (``grid``, the
     :class:`StructureClasses` kept by :meth:`from_classes`), where a
     rational structure has integer coordinates.  The element tables,
-    ``region`` and ``classes`` are in input units, each grid
-    point mapped back once.
+    ``region`` and ``classes`` are in input units.
     """
 
-    def __init__(self, *, grid, vertices, edges, faces, region, name=""):
-        """The patch over ``region`` of the classes ``grid``, unrolled to
-        ``vertices``, ``edges`` and ``faces``, all on the grid: called by
-        :meth:`_unroll` alone."""
+    def __init__(self, *, grid, first, region, scale, name=""):
+        """The patch over ``region`` of the classes ``grid`` on the grid
+        x -> ``scale`` x, each face class unrolled from its face in ``first``
+        (class key -> face): called by :meth:`_unroll` alone."""
         self.name = name
         self.region = region
-        self.scale = 1
+        self.scale = scale
         self.grid = grid
-        self._classes = None  # grid in input units, mapped on first read
-
-        # the classes are distinct modulo the lattice, so the faces are too
-        self.faces = sorted(faces, key=FaceDescriptor.canonical_key)
-
-        # one walk over each face's slots collects its edges as sorted point
-        # pairs and counts its flags, two per slot
-        eset = set()
-        for p, q in edges:
-            p, q = tuple(p), tuple(q)
-            eset.add((p, q) if p < q else (q, p))
-        slots = 0
-        for f in self.faces:
-            for _, p, q in f.edge_slots(self.region):
-                eset.add((p, q) if p < q else (q, p))
-                slots += 1
-        vset = {tuple(p) for p in vertices}
-        for e in eset:
-            vset.update(e)
-
-        self.vertices = sorted(vset)
-        self.edge_points = sorted(eset)
-        self.flag_count = 2 * slots
+        self._first = first
 
     # -- tables built on first read ------------------------------------------
+
+    def _grid_region(self):
+        d, region = self.scale, self.region
+        return region if d == 1 else Region(dilate(region.center, d), scalar(d * region.radius))
+
+    @cached_property
+    def _translates(self):
+        """Per class, in class order, the translates on the grid of the face
+        it is unrolled from that touch the region."""
+        from .quotient import face_translates
+
+        region = self._grid_region()
+        return [face_translates(self.grid.lattice, f, region) for f in self._first.values()]
+
+    @cached_property
+    def face_counts(self):
+        """Class key, as in ``classes.faces`` -> its faces in the patch, if any."""
+        return {key: len(fs) for key, fs in zip(self.classes.faces, self._translates) if fs}
+
+    def _unrolled(self):
+        """The patch's vertex, edge and face translates and region, on the
+        grid.  ``lattice_translates`` tests bounding boxes, a superset: of an
+        edge's translates only those with an end in the region are kept."""
+        from .quotient import lattice_translates
+
+        lattice, vclasses, eclasses, _ = self.grid
+        region = self._grid_region()
+        vertices = [vadd(p, t) for p in vclasses
+                    for t in lattice_translates(lattice, [p], region)]
+        edges = [e for p, q in eclasses
+                 for t in lattice_translates(lattice, (p, q), region)
+                 for e in [(vadd(p, t), vadd(q, t))]
+                 if not lattice.rank or region.contains(e[0]) or region.contains(e[1])]
+        return vertices, edges, [g for fs in self._translates for g in fs], region
+
+    @cached_property
+    def _tables(self):
+        """``vertices``, ``edge_points``, ``faces`` and ``flag_count``: one
+        walk over the face slots on the grid collects the edges and counts
+        two flags per slot, then each distinct point is mapped back to input
+        units once, which keeps the sorted tables sorted."""
+        vertices, edges, faces, region = self._unrolled()
+        slots = [(p, q) for f in faces for _, p, q in f.edge_slots(region)]
+        eset = {(p, q) if p < q else (q, p) for p, q in edges + slots}
+        vset = set(vertices).union(*eset)
+        # the classes are distinct modulo the lattice, so the faces are too
+        faces.sort(key=FaceDescriptor.canonical_key)
+        vertices, edge_points = sorted(vset), sorted(eset)
+        d = self.scale
+        if d > 1:
+            back = {}
+
+            def point(p):
+                q = back.get(p)
+                if q is None:
+                    q = back[p] = (_ratio(p[0], d), _ratio(p[1], d), _ratio(p[2], d))
+                return q
+
+            vertices = [point(p) for p in vertices]
+            edge_points = [(point(p), point(q)) for p, q in edge_points]
+            faces = [FaceDescriptor._of(
+                tuple(point(p) for p in f.vertices),
+                None if f.period_vector is None else point(f.period_vector),
+            ) for f in faces]
+        return vertices, edge_points, faces, 2 * len(slots)
+
+    vertices = property(lambda self: self._tables[0])
+    edge_points = property(lambda self: self._tables[1])
+    faces = property(lambda self: self._tables[2])
+    flag_count = property(lambda self: self._tables[3])
 
     @cached_property
     def vindex(self):
@@ -542,22 +586,16 @@ class SkeletalComplex:
     def _unroll(cls, lattice, faces, region, vertices=(), edges=(), name="", scale=1):
         """:meth:`from_classes` of classes given on the grid x -> scale x:
         ``lattice``, ``faces``, ``vertices`` and ``edges`` are scale times
-        their values in input units, and ``region`` is in input units.  The
-        patch is what the patch rule (see the module docstring) takes of
-        those classes, and nothing else.  What is not integral there moves
-        on to the grid of its common denominator k first, so the patch's
-        scale is scale k.
+        their values in input units, and ``region`` is in input units.  What
+        is not integral there moves on to the grid of its common denominator
+        k first, so the patch's scale is scale k.
 
         Each face is keyed once, and each class kept as its canonical walk
-        of one closure period.  Each class is unrolled once, from its first
-        given face, by ``face_translates``, and the face classes are counted
-        as they are unrolled.  A vertex or edge class is unrolled by
-        ``lattice_translates``, whose bounding-box test is a superset: of
-        an edge's translates only those with an end in the region are kept.
-        The tables are built on the grid, then each distinct point is
-        mapped back once.
+        of one closure period and as its first given face, which the patch
+        unrolls on first read: an apeirogon's walk lists m closure periods,
+        whose translates would key differently.
         """
-        from .quotient import _edge_key, _face_class, face_translates, lattice_translates
+        from .quotient import _edge_key, _face_class
 
         faces, vertices, edges = list(faces), list(vertices), list(edges)
         k = common_denominator(
@@ -574,9 +612,6 @@ class SkeletalComplex:
             ) for f in faces]
             vertices = [to_grid(p, k) for p in vertices]
             edges = [(to_grid(p, k), to_grid(q, k)) for p, q in edges]
-        d = scale * k
-        grid_region = region if d == 1 else Region(dilate(region.center, d),
-                                                   scalar(d * region.radius))
 
         classes, first, vclasses, eclasses = {}, {}, {}, {}
         for f in faces:
@@ -587,56 +622,17 @@ class SkeletalComplex:
             vclasses.setdefault(lattice.reduce_key(p), p)
         for e in edges:
             eclasses.setdefault(_edge_key(lattice, *e), e)
-        unrolled = {key: face_translates(lattice, f, grid_region)
-                    for key, f in first.items()}
-        vertices = [vadd(p, t) for p in vclasses.values()
-                    for t in lattice_translates(lattice, [p], grid_region)]
-        contains = grid_region.contains
-        edges = [e for p, q in eclasses.values()
-                 for t in lattice_translates(lattice, (p, q), grid_region)
-                 for e in [(vadd(p, t), vadd(q, t))]
-                 if not lattice.rank or contains(e[0]) or contains(e[1])]
-        counts = {key: len(fs) for key, fs in unrolled.items() if fs}
-        patch = cls(
+        return cls(
             grid=StructureClasses(lattice, list(vclasses.values()),
-                                  list(eclasses.values()), classes, counts),
-            vertices=vertices, edges=edges,
-            faces=[g for fs in unrolled.values() for g in fs],
-            region=grid_region, name=name,
+                                  list(eclasses.values()), classes),
+            first=first, region=region, scale=scale * k, name=name,
         )
-        if d > 1:
-            patch._to_input_units(d, region)
-        return patch
 
-    def _to_input_units(self, d, region):
-        """Map the tables, built on the grid x -> d x, back to input units,
-        each distinct point once.  A positive dilation keeps lexicographic
-        order, so the sorted tables stay sorted."""
-        back = {}
-
-        def point(p):
-            q = back.get(p)
-            if q is None:
-                q = back[p] = (_ratio(p[0], d), _ratio(p[1], d), _ratio(p[2], d))
-            return q
-
-        self.vertices = [point(p) for p in self.vertices]
-        self.edge_points = [(point(p), point(q)) for p, q in self.edge_points]
-        self.faces = [FaceDescriptor._of(
-            tuple(point(p) for p in f.vertices),
-            None if f.period_vector is None else point(f.period_vector),
-        ) for f in self.faces]
-        self.region, self.scale = region, d
-
-    @property
+    @cached_property
     def classes(self):
         """The structure modulo its lattice in input units: ``grid`` itself
         when the scale is 1, else ``grid`` mapped back on first read."""
-        if self.scale == 1:
-            return self.grid
-        if self._classes is None:
-            self._classes = _unscaled_classes(self.grid, self.scale)
-        return self._classes
+        return self.grid if self.scale == 1 else _unscaled_classes(self.grid, self.scale)
 
     @property
     def lattice(self):

@@ -208,7 +208,7 @@ def build_quotient(patch, sublattice=None, scale=1):
     grid x -> D x (``patch.scale``, ``patch.grid``), which is the input
     itself when D is 1.
     """
-    lat, _, _, faces, _ = patch.grid
+    lat, _, _, faces = patch.grid
     if not faces:
         raise PatchTooSmallError("the patch holds no face to decide on")
     if not lat.rank:

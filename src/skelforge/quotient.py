@@ -259,7 +259,7 @@ class ClosedComplex:
         are; a proper sublattice keys each class moved by one vector per
         coset.
         """
-        lattice, vertices, edges, faces, _ = patch.grid
+        lattice, vertices, edges, faces = patch.grid
         classes = faces
         if sublattice.basis != lattice.basis:
             classes, cosets = {}, list(_coset_vectors(lattice, sublattice))

@@ -18,7 +18,7 @@ from skelforge.quotient import _coset_vectors, _face_class
 
 
 def is_symmetry_by_class_keys(patch, iso):
-    lattice, _, _, classes, _ = patch.classes
+    lattice, _, _, classes = patch.classes
     if not classes:
         raise PatchTooSmallError("the patch holds no face to decide on")
     shifts = [ZERO3]

@@ -476,7 +476,7 @@ def declared_doubled_p2(p2, i):
     """P2:1,0's class table declared over its lattice with basis vector i
     doubled (each class face and its translate by that vector), over the
     region of the P2:1,0 patch ``p2``."""
-    lattice, _, _, classes, _ = p2.classes
+    lattice, _, _, classes = p2.classes
     b = lattice.basis[i]
     basis = [vscale(2, v) if k == i else v for k, v in enumerate(lattice.basis)]
     faces = [g for f in classes.values() for g in (f.primitive(), f.primitive().translate(b))]

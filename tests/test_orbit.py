@@ -221,7 +221,7 @@ class TestWythoff:
             [base.transform(r) for r in reps.values()], region)
         patch = wythoff_patch(gen, region)
         assert list(patch.classes.faces) == list(every.classes.faces), name
-        assert patch.classes.counts == every.classes.counts, name
+        assert patch.face_counts == every.face_counts, name
         assert ([(f.vertices, f.period_vector) for f in patch.faces]
                 == [(f.vertices, f.period_vector) for f in every.faces]), name
 
@@ -442,8 +442,8 @@ class TestQuotient:
         patch = built(name, 3)
         classes = patch.classes
         assert classes.lattice.rank == rank
-        assert len(classes.counts) == len(classes.faces) == count
-        assert sum(classes.counts.values()) == len(patch.faces)
+        assert len(patch.face_counts) == len(classes.faces) == count
+        assert sum(patch.face_counts.values()) == len(patch.faces)
         for f in patch.faces:
             key, face = _face_class(classes.lattice, f)
             held = classes.faces[key]
@@ -518,8 +518,8 @@ class TestQuotient:
 
     @pytest.mark.parametrize("name", ["cube", "P:1,0", "P2:1,0", "skel2cubic", "K5_12"])
     def test_face_classes_key_no_patch_face(self, monkeypatch, name):
-        # built patches count their classes while unrolling them: building
-        # keys one face per class whatever the radius, reading keys none
+        # building keys one face per class whatever the radius; counting
+        # the patch faces per class and unrolling the tables key none
         calls = count_face_class_calls(monkeypatch)
         used = []
         for r in (2, 5):
@@ -527,7 +527,7 @@ class TestQuotient:
             patch = build(name, Region((0, 0, 0), r))
             used.append(calls[0] - before)
             before = calls[0]
-            assert sum(patch.classes.counts.values()) == len(patch.faces)
+            assert sum(patch.face_counts.values()) == len(patch.faces)
             assert calls[0] == before
         assert used[0] == used[1]
 
@@ -630,11 +630,13 @@ def moved_preset(name, radius=GRID_RADIUS, shift=SHIFT):
     return wythoff_patch(moved(instantiate(name), shift), region, name=name)
 
 
-def class_table_text(classes):
-    """A class table as text, every scalar as ``p/q``: the lattice basis,
-    the vertex and edge classes, then each face class's key, walk, closure
-    and patch count, in table order."""
+def class_table_text(patch):
+    """A patch's class table as text, every scalar as ``p/q``: the lattice
+    basis, the vertex and edge classes, then each face class's key, walk,
+    closure and patch count, in table order."""
     from skelforge.geometry import vec_str
+
+    classes = patch.classes
 
     def points(ps):
         return " ".join(vec_str(p) for p in ps)
@@ -645,14 +647,14 @@ def class_table_text(classes):
     for key, f in classes.faces.items():
         walk, closure = walk_and_closure(f)
         lines.append(f"{key[0]} {points(key[1:])} | {points(walk)} | "
-                     f"{vec_str(closure)} | {classes.counts.get(key)}")
+                     f"{vec_str(closure)} | {patch.face_counts.get(key)}")
     return "\n".join(lines) + "\n"
 
 
-def class_table_digest(classes):
+def class_table_digest(patch):
     import hashlib
 
-    return hashlib.sha256(class_table_text(classes).encode()).hexdigest()[:16]
+    return hashlib.sha256(class_table_text(patch).encode()).hexdigest()[:16]
 
 
 # sha256 prefixes of ``class_table_text`` of each preset and of its moved
@@ -775,8 +777,8 @@ class TestGrid:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_class_tables_are_unchanged(self, built, name):
         # keys, lifts, closures and counts, in table order, in input units
-        got = (class_table_digest(built(name, GRID_RADIUS).classes),
-               class_table_digest(moved_preset(name).classes))
+        got = (class_table_digest(built(name, GRID_RADIUS)),
+               class_table_digest(moved_preset(name)))
         assert got == CLASS_TABLES[name]
 
     @pytest.mark.parametrize("name,radius", [(n, r) for n, r, _ in CATALOG_SWEEP])

@@ -108,7 +108,7 @@ class TestComplexJson:
         plain = complex_from_json(data)
         old = complex_from_json(dict(data, window_margin="5"))
         assert complex_to_json(old) == data
-        assert class_table_text(old.classes) == class_table_text(plain.classes)
+        assert class_table_text(old) == class_table_text(plain)
 
     def test_self_loop_edge_rejected(self, built):
         # an edge from a vertex to itself is no edge of a polyhedron

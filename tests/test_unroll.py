@@ -1,13 +1,13 @@
 """Patch construction against the old constructor (``patch_oracles``).
 
-A patch keeps its vertex and edge lists, faces and flag count, and builds
-its index tables on first read; an apeirogon's translates are unrolled
-once per translate modulo the face's closure period.  Every table must be
-the one the old two-walk constructor built from the old unroll, in the
-same order, for generator and constructive presets, their Petrie duals and
-JSON round trips.  A rational structure gives its constructor lists on its
-integer grid, so the oracle's tables are mapped back to input units before
-they are compared.
+A patch keeps its classes and its region, and builds every element table
+on first read: one unroll of the classes, one walk over the face slots,
+then the index tables; an apeirogon's translates are unrolled once per
+translate modulo the face's closure period.  Every table must be the one
+the old two-walk constructor built from the old unroll, in the same order,
+for generator and constructive presets, their Petrie duals and JSON round
+trips.  A rational structure unrolls its lists on its integer grid, so the
+oracle's tables are mapped back to input units before they are compared.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from skelforge import quotient
 from skelforge.complexes import FaceDescriptor, Region, SkeletalComplex
 from skelforge.geometry import Lattice, dilate, vadd
-from skelforge.ops import petrie_dual
+from skelforge.ops import petrie_dual, trace
 from skelforge.orbit import wythoff_patch
 from skelforge.presets import build, instantiate
 from skelforge.serialization import complex_from_json, complex_to_json
@@ -32,17 +32,18 @@ RADII = [Fraction(1, 2), 3, 4]
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every patch made while active carries ``oracle``: the old tables
-    of the element lists its constructor was given."""
-    real = SkeletalComplex.__init__
-
-    def init(self, *, vertices, edges, faces, region, **rest):
-        vertices, edges, faces = list(vertices), list(edges), list(faces)
-        real(self, vertices=vertices, edges=edges, faces=faces, region=region, **rest)
-        self.oracle = patch_oracles.eager_tables(vertices, edges, faces, region)
-
-    monkeypatch.setattr(SkeletalComplex, "__init__", init)
+    """While active every patch carries ``oracle``: the old tables of the
+    element lists its table builder unrolls."""
+    monkeypatch.setattr(SkeletalComplex, "oracle", property(
+        lambda self: patch_oracles.eager_tables(*self._unrolled())), raising=False)
     return monkeypatch
+
+
+def _tables_built(patch):
+    """The patch, its tables built now: they are built on first read, by the
+    face unroll in force then."""
+    patch.flag_count
+    return patch
 
 
 def _in_input_units(old, scale):
@@ -82,11 +83,12 @@ def _assert_tables(patch, old, what):
 
 
 def _variants(patch, mode):
-    """The patch, its JSON round trip and, for polyhedra, its Petrie dual."""
+    """The patch, its JSON round trip and, for polyhedra, its Petrie dual,
+    each with its tables built."""
     out = {"patch": patch, "json": complex_from_json(complex_to_json(patch))}
     if mode == "polyhedron":
         out["petrie"] = petrie_dual(patch)
-    return out
+    return {kind: _tables_built(p) for kind, p in out.items()}
 
 
 @pytest.mark.parametrize("radius", RADII, ids=str)
@@ -127,7 +129,7 @@ def test_key_dedupe_keeps_the_old_translates_of_a_non_primitive_period():
 def test_two_period_patch_matches_the_old_constructor(recorded):
     face, lattice = _two_period_zigzag()
     region = Region((0, 0, 0), 3)
-    new = SkeletalComplex.from_classes(lattice, [face], region)
+    new = _tables_built(SkeletalComplex.from_classes(lattice, [face], region))
     recorded.setattr(quotient, "face_translates", patch_oracles.face_translates)
     old = SkeletalComplex.from_classes(lattice, [face], region)
     _assert_tables(new, old.oracle, "two-period zigzag")
@@ -266,3 +268,78 @@ def test_petrie_dual_is_an_involution_on_patches(name, radius, moved_copy):
     assert back.vertices == patch.vertices
     assert back.edge_points == patch.edge_points
     assert list(back.face_keys) == list(patch.face_keys)
+
+
+# ---------------------------------------------------------------------------
+# the element tables are built on first read, and no answer reads them
+
+# the cube, two integer lattices and a rational copy (P2:1,0 moved by
+# ``test_orbit.SHIFT``, on the grid D = 105)
+TABLE_FREE_CASES = ["cube", "P:1,0", "K5_12", "P2:1,0-moved"]
+
+
+def _case_patch(case):
+    if case.endswith("-moved"):
+        return moved_preset(case[:-len("-moved")], 3)
+    return build(case, Region((0, 0, 0), 3))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts the calls of ``quotient.face_translates`` and lists the
+    patches whose element tables are built."""
+    calls = {"face_translates": 0, "tables": []}
+    real_translates, real_unrolled = quotient.face_translates, SkeletalComplex._unrolled
+
+    def face_translates(*args):
+        calls["face_translates"] += 1
+        return real_translates(*args)
+
+    def unrolled(self):
+        calls["tables"].append(self)
+        return real_unrolled(self)
+
+    monkeypatch.setattr(quotient, "face_translates", face_translates)
+    monkeypatch.setattr(SkeletalComplex, "_unrolled", unrolled)
+    return calls
+
+
+def _command(monkeypatch, capsys, patch, *argv):
+    """What ``skelforge <argv> --preset <name>`` prints, run in-process on
+    ``patch``; the cube has no net, which is printed as an error."""
+    from skelforge import cli, presets
+
+    monkeypatch.setattr(presets, "build", lambda name, region: patch)
+    try:
+        cli.main([*argv, "--preset", "cube"])
+    except SystemExit as exc:
+        assert exc.code == 1 and argv[0] == "net" and patch.is_finite
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", TABLE_FREE_CASES)
+@pytest.mark.parametrize("command", [("validate",), ("net", "--depth", "4")], ids=str)
+def test_validate_and_net_unroll_nothing(monkeypatch, capsys, counted, case, command):
+    patch = _case_patch(case)
+    assert _command(monkeypatch, capsys, patch, *command)
+    assert counted == {"face_translates": 0, "tables": []}
+
+
+@pytest.mark.parametrize("case", TABLE_FREE_CASES)
+def test_classify_unrolls_each_face_class_once_to_count_it(monkeypatch, capsys, counted, case):
+    patch = _case_patch(case)
+    assert counted == {"face_translates": 0, "tables": []}
+    assert _command(monkeypatch, capsys, patch, "classify")
+    assert counted == {"face_translates": len(patch.grid.faces), "tables": []}
+
+
+# K5_12 is a complex, with no Petrie polygons to trace
+@pytest.mark.parametrize("case", [c for c in TABLE_FREE_CASES if c != "K5_12"])
+def test_trace_and_petrie_dual_build_no_tables(counted, case):
+    patch = _case_patch(case)
+    assert trace(patch, "petrie")
+    dual = petrie_dual(patch)
+    assert counted == {"face_translates": 0, "tables": []}
+    # the dual's tables are built when read, and the input's still are not
+    assert dual.flag_count
+    assert counted["tables"] == [dual]
