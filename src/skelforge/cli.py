@@ -20,6 +20,7 @@ from .errors import FileAccessError, ParseError, SkelforgeError
 
 
 def _load_structure(args):
+    """The patch, and the generator set it was built from (None for a preset)."""
     from .complexes import Region
     from .geometry import scalar
 
@@ -27,22 +28,19 @@ def _load_structure(args):
     if args.input is None:
         from .presets import build
 
-        patch = build(args.preset, region)
-    else:
-        try:
-            with open(args.input) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise FileAccessError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"--input {args.input!r} is not UTF-8 text: {exc.reason}") from exc
-        from .orbit import wythoff_patch
-        from .serialization import ingest_generators
+        return build(args.preset, region), None
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FileAccessError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"--input {args.input!r} is not UTF-8 text: {exc.reason}") from exc
+    from .orbit import wythoff_patch
+    from .serialization import ingest_generators
 
-        gen = ingest_generators(text, name=args.input)
-        patch = wythoff_patch(gen, region, name=gen.name)
-        patch.generator_set = gen
-    return patch
+    gen = ingest_generators(text, name=args.input)
+    return wythoff_patch(gen, region, name=gen.name), gen
 
 
 def _write(args, text):
@@ -57,7 +55,7 @@ def _write(args, text):
 
 
 def _cmd_build(args):
-    patch = _load_structure(args)
+    patch, _ = _load_structure(args)
     _write(args, _format_structure(patch, args))
 
 
@@ -78,7 +76,7 @@ def _format_structure(patch, args):
 def _cmd_validate(args):
     from .complexes import validate
 
-    patch = _load_structure(args)
+    patch, _ = _load_structure(args)
     report = validate(patch, "polyhedron")
     if report.r is not None and report.r != 2:
         report = validate(patch, "complex")
@@ -111,7 +109,7 @@ def _cmd_classify(args):
     from . import nets
     from .complexes import graph_identify, validate
 
-    patch = _load_structure(args)
+    patch, gen = _load_structure(args)
     report = validate(patch, "polyhedron")
     mode = "polyhedron" if report.r == 2 else "complex"
     if mode == "complex":
@@ -147,9 +145,8 @@ def _cmd_classify(args):
                 out["mirror_vector"] = list(
                     cls.mirror_vector(fam["R0"], fam["R1"], fam["R2"])
                 )
-        made = getattr(patch, "generator_set", None)
-        if gens is None and made is not None:
-            gens = made.isometries()
+        if gens is None and gen is not None:
+            gens = gen.isometries()
         if gens is not None:
             v = cls.verdict(patch, gens)
             out["verdict"] = v.kind
@@ -168,7 +165,7 @@ def _cmd_classify(args):
 def _cmd_petrie(args):
     from .ops import petrie_dual
 
-    patch = _load_structure(args)
+    patch, _ = _load_structure(args)
     dual = petrie_dual(patch)
     _write(args, _format_structure(dual, args))
 
@@ -176,7 +173,7 @@ def _cmd_petrie(args):
 def _cmd_net(args):
     from .nets import extract_net, identify_net
 
-    patch = _load_structure(args)
+    patch, _ = _load_structure(args)
     net = extract_net(patch)
     out = {
         "name": patch.name,

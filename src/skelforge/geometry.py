@@ -609,10 +609,12 @@ class Lattice:
     by ``D q``.  Each of :meth:`coords`, :meth:`member`, :meth:`reduce_key`
     and :meth:`reduce_point` is therefore one integer matrix-vector product
     followed by ``divmod``, and returns the same values and types as exact
-    rational coordinates: an int when integral, a Fraction otherwise.
+    rational coordinates: an int when integral, a Fraction otherwise.  The
+    one exception is the key of an integer point on an integral lattice,
+    which is D times that: ints, with no Fraction made.
     """
 
-    __slots__ = ("basis", "name", "rank", "_adj", "_den")
+    __slots__ = ("basis", "name", "rank", "_adj", "_den", "_integral")
 
     def __init__(self, vectors, name=None):
         basis = lattice_basis_from([tuple(scalar(c) for c in v) for v in vectors])
@@ -631,6 +633,7 @@ class Lattice:
             adj = tuple(to_grid(row, den) for row in inv)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_integral", common_denominator(basis) == 1)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -667,12 +670,18 @@ class Lattice:
         """Translation-class key of point p modulo this lattice.
 
         The key is exact and identical for points differing by a lattice
-        vector; for rank < 3 the transverse coordinates stay absolute.
+        vector; for rank < 3 the transverse coordinates stay absolute.  On
+        an integral basis an integer point keys by its integer residues
+        (the coordinates times D, modulo D), and any other point's key holds
+        a Fraction: a class there is all integer points or none, so the
+        two kinds of key never meet.
         """
         if self.rank == 0:
             return p
         (n0, n1, n2), d = self._image(p)
         last = n2 % d if self.rank == 3 else n2
+        if d == self._den and self._integral:
+            return (n0 % d, n1 % d, last)
         return (_ratio(n0 % d, d), _ratio(n1 % d, d), _ratio(last, d))
 
     def reduce_point(self, p):

@@ -12,8 +12,9 @@ a face may meet one vertex or edge class several times, at different
 lattice translates, and the quotient modulo the structure's own lattice is
 still exact.  A flag of the structure is a dart moved by a lattice
 vector (:class:`GeomFlag`), so flag walks and symmetry searches read the
-quotient alone: an isometry is a symmetry exactly when it sends each face
-class, moved by one lattice vector per coset of those it keeps in the
+quotient alone.  A dart holds its vertex point, so a flag step is a lookup
+and one vector add.  An isometry is a symmetry exactly when it sends each
+face class, moved by one lattice vector per coset of those it keeps in the
 lattice, onto a face (:meth:`ClosedComplex._face_image`).
 
 A structure's class table holds each face class once, as a
@@ -197,7 +198,7 @@ class ClosedComplex:
         self.faces = faces = [classes[k] for k in sorted(classes)]
 
         self.vkeys, self.vreps, self.ekeys, self.edge_reps = {}, [], {}, []
-        self.first, self.darts = [], []
+        self.first, self.darts, self.points = [], [], []  # points: each dart's vertex
         self.slots_at = []  # per vertex class: the (face, slot) starting there
         ends = []  # per edge class: the darts at each end of its key
         for fid, f in enumerate(faces):
@@ -218,6 +219,7 @@ class ClosedComplex:
                 self.slots_at[v].append((fid, j))
                 self.darts.append((v, e, fid, j, 0))
                 self.darts.append((self._vertex_class(q), e, fid, j, 1))
+                self.points += (p, q)
 
         n = len(self.darts)
         self.rho0 = [d ^ 1 for d in range(n)]
@@ -422,7 +424,7 @@ class GeomFlag:
     @classmethod
     def at(cls, closed, dart, p):
         """The flag of ``dart`` moved so that its vertex is the point p."""
-        return cls(closed, dart, vsub(p, cls(closed, dart).vertex_point()))
+        return cls(closed, dart, vsub(p, closed.points[dart]))
 
     def walk(self, count):
         """``count`` points along the face, from the flag's vertex through
@@ -435,7 +437,7 @@ class GeomFlag:
         return [vadd(f.vertex(j + side + d * i), self.shift) for i in range(count)]
 
     def vertex_point(self):
-        return self.walk(1)[0]
+        return vadd(self.closed.points[self.dart], self.shift)
 
     def edge(self):
         """The flag's edge as its sorted point pair."""

@@ -517,6 +517,10 @@ def test_basis_is_the_reduced_hermite_form_of_the_lattice(basis, moves, data):
     assert lattice_basis_from(gens) == list(lat.basis)
 
 
+def _on_grid(vectors):
+    return all(type(c) is int for v in vectors for c in v)
+
+
 @settings(max_examples=400, deadline=None)
 @given(lattices(), points)
 def test_lattice_kernel_matches_fraction_oracle(lat, p):
@@ -527,9 +531,26 @@ def test_lattice_kernel_matches_fraction_oracle(lat, p):
         ("reduce_point", oracle_reduce_point),
     ):
         got, want = getattr(lat, method)(p), oracle(lat.basis, p)
+        if method == "reduce_key" and lat.rank and _on_grid(lat.basis + (p,)):
+            # an integral lattice keys an int point by its integer residues:
+            # the oracle's key times the denominator D of the lattice's inverse
+            want = tuple(scalar(lat._den * c) for c in want)
+            assert _types(want) == [int] * 3, (lat, p)
         assert got == want and _types(got) == _types(want), (method, lat, p)
     for b in lat.basis:
         assert lat.reduce_key(vadd(p, b)) == lat.reduce_key(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_bases().filter(_on_grid).map(Lattice), st.tuples(*[st.integers(-9, 9)] * 3),
+       st.tuples(*[st.integers(-9, 9)] * 3), vec3)
+def test_integral_lattice_keys_int_points_by_class(lat, p, q, r):
+    # two int points share a key exactly when they differ by a lattice vector
+    assert (lat.reduce_key(p) == lat.reduce_key(q)) == lat.member(vsub(p, q))
+    # and no point off the integer grid shares a key with one on it
+    if not _on_grid([r]):
+        assert lat.reduce_key(r) != lat.reduce_key(p)
+        assert any(type(c) is Fraction for c in lat.reduce_key(r))
 
 
 # -- the integer isometry kernel against the plain Fraction formulas --------

@@ -196,6 +196,33 @@ class TestFlags:
                 assert back.dart == dart, (name, dart, i)
                 assert back.vertex_point() == flag.vertex_point(), (name, dart, i)
 
+    @pytest.mark.parametrize("name", POLYHEDRA + ["P2:1/3,2/5"])
+    def test_each_step_matches_the_face_walk_rule(self, built, name):
+        # the flag's vertex read from its face walk, and the step rule on it:
+        # rho0 keeps the shift, rho1 and rho2 move the new dart onto the vertex
+        from skelforge.geometry import vadd, vsub
+        from skelforge.orbit import build_quotient
+        from skelforge.ops import GeomFlag
+
+        closed = build_quotient(built(name, RADIUS.get(name, 3)))
+
+        def walked(dart, shift):
+            _, _, fid, j, side = closed.darts[dart]
+            return vadd(closed.faces[fid].vertex(j + side), shift)
+
+        for shift in [(0, 0, 0)] + list(closed.lattice.basis[:1]):
+            for dart in range(closed.dart_count()):
+                flag = GeomFlag(closed, dart, shift)
+                p = walked(dart, shift)
+                assert flag.vertex_point() == p, (name, dart)
+                for i in (0, 1, 2):
+                    other = closed.adjacent_flag(dart, i)
+                    want = shift if i == 0 else vsub(p, walked(other, (0, 0, 0)))
+                    got = flag.step(i)
+                    assert (got.dart, got.shift) == (other, want), (name, dart, i)
+        # the structure's grid is integral, so its vertex classes key by ints
+        assert all(type(c) is int for key in closed.vkeys for c in key), name
+
 
 class TestBlends:
     def test_segment_blend_lifts_to_two_planes(self, built):
